@@ -10,17 +10,14 @@ every operation costs strictly more.
 from .bench import BenchInvariantError, BenchReport, BenchRow, run_benchmark
 from .curve import Curve, Point, SupportCollisionError, eval_line_fraction
 from .dlp import (
-    DlpInstance,
     DlpSolution,
     NoSolutionError,
     Step,
     brute_force_dlp,
     bsgs,
-    make_random_instance,
     pohlig_hellman,
     reduce_prime_subgroup,
     solve_extension_dlp,
-    solve_instance,
 )
 from .field import ExtField, FieldElement, MulCounter, PrimeField, count_mults
 from .groups import (
@@ -49,7 +46,6 @@ from .jacobian import (
     params_from_text,
     params_to_text,
     reduce_pairing_value,
-    save_params,
     tate_by_miller,
     tate_from_group_law,
 )

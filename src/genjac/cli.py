@@ -24,7 +24,7 @@ import sys
 from .bench import BenchInvariantError, run_benchmark
 from .curve import SupportCollisionError
 from .dlp import NoSolutionError, solve_extension_dlp
-from .groups import ExtElement, element_order, sample_admissible_triples, \
+from .groups import CheckReport, ExtElement, element_order, sample_admissible_triples, \
     sample_operable_triples, verify_cocycle, verify_group_axioms
 from .jacobian import load_params, make_toy_params, pairing_order, params_to_text, \
     reduce_pairing_value, tate_by_miller, tate_from_group_law
@@ -78,20 +78,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     axiom_report = verify_group_axioms(jac, triples)
     print(f"group axioms: {axiom_report.summary()} ({skipped} draws skipped)")
 
-    pairing_failures = 0
+    pairing_report = CheckReport()
     for _ in range(args.pairing_checks):
         P = params.curve.random_point(rng)
         m = pairing_order(P, params)
         lhs = tate_from_group_law(P, params)
         rhs = tate_by_miller(P, params.modulus.M, params.modulus.N, m)
-        if lhs != rhs:
-            pairing_failures += 1
-    print(f"pairing cross-check: {args.pairing_checks} checks, "
-          f"{pairing_failures} failures")
+        pairing_report.record(lhs == rhs, f"pairing agreement at {P.serialize()}")
+    print(f"pairing cross-check: {pairing_report.summary()}")
 
-    ok = cocycle_report.ok and axiom_report.ok and pairing_failures == 0
-    print("all checks passed" if ok else "CHECKS FAILED")
-    return 0 if ok else 2
+    failures = cocycle_report.failures + axiom_report.failures + pairing_report.failures
+    for label in failures[:3]:
+        print(f"failed: {label}")
+    print("CHECKS FAILED" if failures else "all checks passed")
+    return 2 if failures else 0
 
 
 def _cmd_pairing(args: argparse.Namespace) -> int:

@@ -11,8 +11,6 @@ formula degenerates, is a hard error rather than a silent wrong value.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .field import ExtField, FieldElement, _Field
 from .numbertheory import Factorization
 
@@ -258,12 +256,3 @@ def eval_line_fraction(P: Point, Q: Point, X: Point) -> FieldElement:
     v = X.x - S.x
     return v / l
 
-
-def iter_subgroup(gen: Point) -> Iterator[Point]:
-    """Points of <gen> in the order O, gen, 2*gen, ..."""
-    cur = gen.curve.infinity
-    while True:
-        yield cur
-        cur = cur + gen
-        if cur.is_infinity:
-            return

@@ -53,14 +53,6 @@ class DlpSolution:
         return tuple(step.method for step in self.steps)
 
 
-@dataclass(frozen=True)
-class DlpInstance:
-    group: Group
-    generator: Any
-    target: Any
-    order: Factorization
-
-
 LeafSolver = Callable[[Group, Any, Any, int], DlpSolution]
 
 
@@ -180,21 +172,3 @@ def solve_extension_dlp(
     """Pohlig-Hellman where every leaf is solved in a factor group."""
     return pohlig_hellman(group, generator, target, order, leaf_solver=reduce_prime_subgroup)
 
-
-def solve_instance(instance: DlpInstance) -> DlpSolution:
-    if isinstance(instance.group, ExtensionGroup):
-        return solve_extension_dlp(
-            instance.group, instance.generator, instance.target, instance.order
-        )
-    return pohlig_hellman(
-        instance.group, instance.generator, instance.target, instance.order
-    )
-
-
-def make_random_instance(
-    group: Group, generator: Any, order: Factorization, rng
-) -> tuple[DlpInstance, int]:
-    """A fresh instance with a known answer.  `order` is the generator's order."""
-    secret = rng.randrange(order.n)
-    target = group.scalar_mul(secret, generator)
-    return DlpInstance(group, generator, target, order), secret

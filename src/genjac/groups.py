@@ -15,7 +15,7 @@ of a field, so the same extension machinery covers every case.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .curve import Curve, Point, SupportCollisionError
@@ -335,11 +335,7 @@ class CheckReport:
     """Outcome of a batch of relation checks, with labeled failures."""
 
     checks: int = 0
-    failures: list[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.failures is None:
-            self.failures = []
+    failures: list[str] = field(default_factory=list)
 
     def record(self, ok: bool, label: str) -> None:
         self.checks += 1

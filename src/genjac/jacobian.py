@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TextIO
 
 from .curve import Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record
@@ -336,10 +335,6 @@ def params_from_text(text: str, enum_bound: int = 1 << 22) -> GenJacParams:
     seed = int(entries["seed"]) if "seed" in entries else None
     prng = entries.get("prng", PRNG_NAME)
     return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed, prng=prng)
-
-
-def save_params(params: GenJacParams, fp: TextIO) -> None:
-    fp.write(params_to_text(params))
 
 
 def load_params(path: str, enum_bound: int = 1 << 22) -> GenJacParams:

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from genjac import params_to_text, run_benchmark
+from genjac import ModulusCocycle, params_to_text, run_benchmark
 from genjac.cli import main
 
 PAIRING_OUTPUT = """\
@@ -143,8 +145,38 @@ def test_missing_params_file_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_malformed_params_file_exit_2(tmp_path, capsys):
+def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
+    good = params_to_text(toy)
+    rows = [
+        ("p = 11\n", "missing parameter keys"),
+        (good.replace("ext.degree = 2", "ext.degree = 3"), "extension degree must be 2, got 3"),
+    ]
     bad = tmp_path / "bad.txt"
-    bad.write_text("p = 11\n")
-    assert main(["verify", "--params", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text, message in rows:
+        bad.write_text(text)
+        assert main(["verify", "--params", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
+
+def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, monkeypatch):
+    # a cocycle that is not symmetric: scale c(P, Q) by 2 when P sorts first
+    honest = ModulusCocycle.__call__
+
+    def skewed(self, p, q):
+        value = honest(self, p, q)
+        return value + value if p.serialize() < q.serialize() else value
+
+    monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
+    assert main(["verify", "--params", params_file, "--checks", "5",
+                 "--pairing-checks", "1", "--seed", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "CHECKS FAILED"
+    named = [line for line in lines if line.startswith("failed: ")]
+    assert 1 <= len(named) <= 3
+    match = re.fullmatch(r"failed: symmetry on \((\S+), (\S+), (\S+)\)", named[0])
+    assert match, named[0]
+    cocycle = toy.modulus_cocycle(ext=True)
+    P, Q = (toy.ext_curve.parse_point(match.group(i)) for i in (1, 2))
+    assert cocycle(P, Q) != cocycle(Q, P)

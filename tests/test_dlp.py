@@ -4,15 +4,12 @@ import random
 import pytest
 
 from genjac.dlp import (
-    DlpInstance,
     NoSolutionError,
     brute_force_dlp,
     bsgs,
-    make_random_instance,
     pohlig_hellman,
     reduce_prime_subgroup,
     solve_extension_dlp,
-    solve_instance,
 )
 from genjac.groups import CurveGroup, CyclicGroup, ExtElement, element_order
 from genjac.numbertheory import Factorization
@@ -211,22 +208,3 @@ def test_reduce_prime_subgroup_requires_extension():
     with pytest.raises(TypeError):
         reduce_prime_subgroup(CyclicGroup(5), 1, 2, 5)
 
-
-def test_solve_instance_dispatch(toy, base_jac, pinned_generator, rng):
-    inst, secret = make_random_instance(
-        base_jac, pinned_generator, Factorization.from_int(30), rng
-    )
-    assert solve_instance(inst).exponent == secret
-
-    G = CyclicGroup(100)
-    inst2, secret2 = make_random_instance(G, 3, Factorization.from_int(100), rng)
-    assert solve_instance(inst2).exponent == secret2 % 100
-
-
-def test_make_random_instance_fields(toy, base_jac, pinned_generator, rng):
-    order = Factorization.from_int(30)
-    inst, secret = make_random_instance(base_jac, pinned_generator, order, rng)
-    assert isinstance(inst, DlpInstance)
-    assert inst.group is base_jac
-    assert inst.order is order
-    assert inst.target == base_jac.scalar_mul(secret, pinned_generator)

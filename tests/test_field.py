@@ -43,6 +43,69 @@ def test_quadratic_extension_construction(F):
         ExtField(F, 2, (2, 0, 1))  # x^2 + 2 = (x+3)(x+8) mod 11
 
 
+def test_extension_rejects_other_degrees_and_p2(F):
+    with pytest.raises(ValueError, match="degree must be 2, got 3"):
+        ExtField(F, 3, (1, 1, 0, 1))
+    with pytest.raises(ValueError, match="degree must be 2, got 1"):
+        ExtField(F, 1, (1, 1))
+    with pytest.raises(ValueError, match="p = 2"):
+        ExtField(PrimeField(2), 2, (1, 1, 1))
+    with pytest.raises(ValueError, match="monic"):
+        ExtField(F, 2, (1, 0, 2))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_irreducible_quadratic_count(p):
+    # a monic quadratic is irreducible iff it has no root in F_p; counting
+    # roots by brute force gives the independent answer (p^2 - p) / 2
+    base = PrimeField(p)
+    accepted = set()
+    for t in range(p):
+        for s in range(p):
+            try:
+                ExtField(base, 2, (t, s, 1))
+            except ValueError:
+                continue
+            accepted.add((t, s))
+    rootless = {(t, s) for t in range(p) for s in range(p)
+                if all((x * x + s * x + t) % p for x in range(p))}
+    assert accepted == rootless
+    assert len(accepted) == (p * p - p) // 2
+
+
+def test_general_quadratic_arithmetic(F):
+    # u^2 + u + 1 is irreducible mod 11 (discriminant -3 = 8 is a non-square)
+    t, s = 1, 1
+    K = ExtField(F, 2, (t, s, 1))
+    u = K([0, 1])
+    assert u * u == -K(s) * u - K(t)
+    els = list(K.elements())
+    for x in els:
+        for y in els[::7]:
+            # schoolbook product, reduced with u^2 = -s*u - t
+            (a0, a1), (b0, b1) = x.coeffs, y.coeffs
+            c0, c1, c2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+            assert x * y == K([c0 - t * c2, c1 - s * c2])
+        if not x.is_zero():
+            assert x * x.inverse() == K.one
+    roots = 0
+    for x in els:
+        r = x.sqrt()
+        if r is not None:
+            assert r * r == x
+            roots += 1
+    assert roots == 61
+
+
+def test_sqrt_cost_independent_of_p():
+    K = ExtField.quadratic(PrimeField(10007))
+    x = K([3, 5]) * K([3, 5])
+    with count_mults() as c:
+        r = x.sqrt()
+    assert r * r == x
+    assert c.muls < 1000
+
+
 def test_coercion_and_mismatch(F, K):
     assert F(4) == F(15)
     assert F(F(4)) == F(4)

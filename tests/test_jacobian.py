@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from genjac.jacobian import (
     params_from_text,
     params_to_text,
     reduce_pairing_value,
-    save_params,
     tate_by_miller,
     tate_from_group_law,
 )
@@ -65,9 +63,14 @@ def test_params_roundtrip(toy):
     assert parsed.curve_order.n == 12
     assert parsed.ext_curve_order.n == 144
     assert parsed.unit_order.n == 120
-    buf = io.StringIO()
-    save_params(toy, buf)
-    assert buf.getvalue() == PARAMS_TEXT
+
+
+def test_params_roundtrip_at_largest_prime():
+    # 2^61 - 1 = 3 mod 4 is the largest prime under the 2^61 bound; every
+    # square root in F_{p^2} must avoid a search linear in p
+    params = make_toy_params(2**61 - 1, seed=1)
+    text = params_to_text(params)
+    assert params_to_text(params_from_text(text)) == text
 
 
 def test_params_parse_rejects_bad_input():
