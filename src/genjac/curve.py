@@ -5,8 +5,9 @@ rational function v/l attached to a pair of points P, Q: l is the line
 through P and Q (tangent at P when P = Q, vertical when Q = -P) and v
 is the vertical line through P + Q.  The quotient has divisor
 (P+Q) + (O) - (P) - (Q), which is exactly the shape a modulus cocycle
-needs.  Evaluating at a point of that support, or anywhere the raw
-formula degenerates, is a hard error rather than a silent wrong value.
+needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
+An evaluation point in that support is found by a zero test on l or v
+and is a hard error rather than a silent wrong value.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class Curve:
         return Point(self, f.embed(P.x), f.embed(P.y))
 
     def add(self, P: "Point", Q: "Point") -> "Point":
-        if P.curve != self or Q.curve != self:
+        if (P.curve is not self and P.curve != self) or (Q.curve is not self and Q.curve != self):
             raise ValueError("points on mismatched curves")
         if P.is_infinity:
             return Q
@@ -139,7 +140,7 @@ class Curve:
         raise RuntimeError("no curve point found; curve suspiciously small")
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Curve)
             and other.field == self.field
             and other.a == self.a
@@ -184,7 +185,7 @@ class Point:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Point)
-            and other.curve == self.curve
+            and (other.curve is self.curve or other.curve == self.curve)
             and other.x == self.x
             and other.y == self.y
         )
@@ -219,40 +220,46 @@ def element_order(P: Point, group_order: Factorization) -> int:
     return n
 
 
-def eval_line_fraction(P: Point, Q: Point, X: Point) -> FieldElement:
-    """Evaluate (v/l)(X) for the chord-vertical pair attached to P and Q.
+def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
+    """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N).
 
-    P and Q may live on the base curve while X lives on an extension of
-    it; the pair is lifted before evaluating.  When P or Q is the
-    identity the function is the constant 1.  Otherwise X must avoid
-    {O, P, Q, P+Q, -(P+Q)}: those are the zeros and poles of l and v,
-    where the quotient is 0, undefined, or 0/0.
+    P and Q may live on the base curve while M and N live on an extension
+    of it; the slope and x(P+Q) are then computed in the base field and
+    only they and P's coordinates are lifted.  When P or Q is the identity
+    the function is the constant 1.  Otherwise M and N must avoid the
+    support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
+    Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point
+    lies in the support exactly when l or v is zero there.
     """
-    curve = X.curve
-    if P.curve != curve or Q.curve != curve:
-        if curve.base_curve is not None and P.curve == curve.base_curve == Q.curve:
-            P = curve.embed_point(P)
-            Q = curve.embed_point(Q)
-        else:
-            raise ValueError("X must live on the points' curve or an extension of it")
+    curve = M.curve
+    field = curve.field
+    if N.curve != curve:
+        raise ValueError("M and N must live on the same curve")
+    lift = P.curve != curve or Q.curve != curve
+    if lift and not (curve.base_curve is not None and P.curve == curve.base_curve == Q.curve):
+        raise ValueError("M and N must live on the points' curve or an extension of it")
     if P.is_infinity or Q.is_infinity:
-        return curve.field.one
-    if X.is_infinity:
+        return field.one
+    if M.is_infinity or N.is_infinity:
         raise SupportCollisionError("the identity is in the support")
-    S = curve.add(P, Q)
-    if X == P or X == Q:
-        raise SupportCollisionError("X is a pole of the line fraction")
-    if X == S or X == curve.neg(S):
-        raise SupportCollisionError("X is a zero of the vertical line")
-    if S.is_infinity:
-        # l is the vertical through P and v is the constant 1
-        return curve.field.one / (X.x - P.x)
-    if P == Q:
+    xP, yP = (field.embed(P.x), field.embed(P.y)) if lift else (P.x, P.y)
+    if P.x == Q.x:
+        if P.y != Q.y or P.y.is_zero():
+            # P + Q = O: l is the vertical through P and v is the constant 1
+            l_m, l_n = M.x - xP, N.x - xP
+            if l_m.is_zero() or l_n.is_zero():
+                raise SupportCollisionError("M or N is a pole of the line fraction")
+            return l_n / l_m
         x2 = P.x * P.x
-        lam = (x2 + x2 + x2 + curve.a) / (P.y + P.y)
+        lam = (x2 + x2 + x2 + P.curve.a) / (P.y + P.y)
     else:
         lam = (Q.y - P.y) / (Q.x - P.x)
-    l = (X.y - P.y) - lam * (X.x - P.x)
-    v = X.x - S.x
-    return v / l
-
+    xS = lam * lam - P.x - Q.x
+    if lift:
+        lam, xS = field.embed(lam), field.embed(xS)
+    l_m = (M.y - yP) - lam * (M.x - xP)
+    l_n = (N.y - yP) - lam * (N.x - xP)
+    v_m, v_n = M.x - xS, N.x - xS
+    if l_m.is_zero() or l_n.is_zero() or v_m.is_zero() or v_n.is_zero():
+        raise SupportCollisionError("M or N lies in the support of the line fraction")
+    return v_m * l_n / (l_m * v_n)

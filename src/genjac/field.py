@@ -117,7 +117,7 @@ class _Field:
 class PrimeField(_Field):
     """F_p for a word-sized prime p."""
 
-    __slots__ = ("p", "degree", "order")
+    __slots__ = ("p", "degree", "order", "_nonresidue")
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or not is_prime(p):
@@ -127,6 +127,7 @@ class PrimeField(_Field):
         self.p = p
         self.degree = 1
         self.order = p
+        self._nonresidue = None
 
     @property
     def name(self) -> str:
@@ -145,7 +146,7 @@ class PrimeField(_Field):
 class ExtField(_Field):
     """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible."""
 
-    __slots__ = ("base", "p", "degree", "order", "poly")
+    __slots__ = ("base", "p", "degree", "order", "poly", "_nonresidue")
 
     def __init__(self, base: PrimeField, degree: int, poly: Sequence[int]) -> None:
         if not isinstance(base, PrimeField):
@@ -167,6 +168,7 @@ class ExtField(_Field):
         self.degree = 2
         self.order = p * p
         self.poly = poly
+        self._nonresidue = None
 
     @classmethod
     def quadratic(cls, base: PrimeField) -> "ExtField":
@@ -181,7 +183,7 @@ class ExtField(_Field):
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
-        if elem.field != self.base:
+        if elem.field is not self.base and elem.field != self.base:
             raise ValueError("mismatched field parameters")
         return FieldElement(self, (elem.coeffs[0], 0))
 
@@ -216,7 +218,9 @@ class FieldElement:
         self.coeffs = coeffs
 
     def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if not isinstance(other, FieldElement) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValueError("mismatched field parameters")
 
     def is_zero(self) -> bool:
@@ -278,7 +282,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.coeffs == self.coeffs
         )
 
@@ -304,11 +308,13 @@ class FieldElement:
         while t % 2 == 0:
             t //= 2
             s += 1
-        # the first non-residue in elements() order; every element of F_p
-        # is a square in F_{p^2}, so there the search starts at u (index p)
-        index = f.p if f.degree == 2 else 1
-        while (z := f._at(index)) ** ((q - 1) // 2) == one:
-            index += 1
+        # the first non-residue in elements() order, searched once per field;
+        # every element of F_p is a square in F_{p^2}, so there it starts at u
+        if (z := f._nonresidue) is None:
+            index = f.p if f.degree == 2 else 1
+            while (z := f._at(index)) ** ((q - 1) // 2) == one:
+                index += 1
+            f._nonresidue = z
         c = z**t
         x = self ** ((t + 1) // 2)
         b = self**t

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .curve import Curve, Point, SupportCollisionError, element_order, eval_line_fraction
-from .field import ExtField, FieldElement, PrimeField, coeffs_to_record
+from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
 from .groups import (
     Cocycle,
     CurveGroup,
@@ -71,7 +71,7 @@ class ModulusCocycle(Cocycle):
         self.modulus = modulus
 
     def __call__(self, p: Point, q: Point) -> FieldElement:
-        return eval_line_fraction(p, q, self.modulus.M) / eval_line_fraction(p, q, self.modulus.N)
+        return eval_line_fraction(p, q, self.modulus.M, self.modulus.N)
 
     def describe(self) -> str:
         return f"generalized-jacobian({self.modulus.M.serialize()} ; {self.modulus.N.serialize()})"
@@ -296,7 +296,7 @@ def params_to_text(params: GenJacParams) -> str:
 
 
 def params_from_text(text: str, enum_bound: int = 1 << 22) -> GenJacParams:
-    entries: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -309,31 +309,35 @@ def params_from_text(text: str, enum_bound: int = 1 << 22) -> GenJacParams:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = (lineno, value.strip())
     missing = [k for k in _PARAM_KEYS if k not in entries and k not in ("prng", "seed")]
     if missing:
         raise ValueError(f"missing parameter keys: {', '.join(missing)}")
 
-    base = PrimeField(int(entries["p"]))
-    degree = int(entries["ext.degree"])
-    from .field import parse_coeffs
+    def parsed(key: str, parse):
+        lineno, value = entries[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
-    K = ExtField(base, degree, parse_coeffs(entries["ext.poly"]))
-    E = Curve(base, base.from_record(entries["curve.a"]), base.from_record(entries["curve.b"]))
+    base = parsed("p", lambda value: PrimeField(int(value)))
+    K = ExtField(base, parsed("ext.degree", int), parsed("ext.poly", parse_coeffs))
+    E = Curve(base, parsed("curve.a", base.from_record), parsed("curve.b", base.from_record))
     EK = E.extend(K)
-    modulus = Modulus(EK.parse_point(entries["modulus.M"]), EK.parse_point(entries["modulus.N"]))
+    modulus = Modulus(parsed("modulus.M", EK.parse_point), parsed("modulus.N", EK.parse_point))
 
-    curve_order = Factorization.parse(entries["order.curve"])
-    ext_curve_order = Factorization.parse(entries["order.curve_ext"])
-    unit_order = Factorization.parse(entries["order.units"])
+    curve_order = parsed("order.curve", Factorization.parse)
+    ext_curve_order = parsed("order.curve_ext", Factorization.parse)
+    unit_order = parsed("order.units", Factorization.parse)
     if unit_order.n != K.order - 1:
         raise ValueError(f"unit group order must be {K.order - 1}, file says {unit_order.n}")
     check_rng = random.Random("genjac-order-check")
     _check_curve_order(E, curve_order.n, enum_bound, check_rng)
     _check_curve_order(EK, ext_curve_order.n, enum_bound, check_rng)
 
-    seed = int(entries["seed"]) if "seed" in entries else None
-    prng = entries.get("prng", PRNG_NAME)
+    seed = parsed("seed", int) if "seed" in entries else None
+    prng = entries["prng"][1] if "prng" in entries else PRNG_NAME
     return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed, prng=prng)
 
 

@@ -5,7 +5,7 @@ from genjac.bench import CSV_HEADER, BenchInvariantError, run_benchmark
 # frozen run: seed 2, 6 trials, 6-bit scalars, toy params seed 7
 PINNED_CSV = """\
 label,group,trials,skipped,scalar_bits,muls_median,muls_min,muls_max,elem_chars_median,ms_median
-jacobian,extension of E(F_11^2) by Gm(F_11^2) [generalized-jacobian(8;3;4;3 ; 6;4;10;1)],6,0,6,79.5,25,169,11.5,
+jacobian,extension of E(F_11^2) by Gm(F_11^2) [generalized-jacobian(8;3;4;3 ; 6;4;10;1)],6,0,6,50.5,16,106,11.5,
 product,extension of E(F_11^2) by Gm(F_11^2) [zero],6,0,6,26.5,14,45,12,
 curve,E(F_11^2),6,0,6,10.5,0,29,7.5,
 units,Gm(F_11^2),6,0,6,7.5,7,9,3.5,"""

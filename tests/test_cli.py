@@ -150,6 +150,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
     rows = [
         ("p = 11\n", "missing parameter keys"),
         (good.replace("ext.degree = 2", "ext.degree = 3"), "extension degree must be 2, got 3"),
+        (good.replace("ext.degree = 2", "ext.degree = two"), "line 7: ext.degree: invalid literal"),
+        (good.replace("modulus.M = 8,3;", "modulus.M = 8,3,1;"), "line 9: modulus.M: too many coefficients"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:

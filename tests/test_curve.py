@@ -133,13 +133,18 @@ def test_element_order_rejects_non_multiple(E):
 
 
 def _chord_values(P, Q, X):
-    """Straight re-derivation of the chord-over-vertical value at X.
+    """Straight re-derivation of the vertical and the chord at X.
 
-    Independent of eval_line_fraction's internals: recompute the slope, the
-    line, and the vertical from raw coordinates.
+    Independent of eval_line_fraction's internals: recompute the sum, the
+    slope, the line, and the vertical from raw coordinates of the lifted
+    points.  Returns (v(X), l(X)); X must be affine.
     """
+    k = X.curve.field
+    if P.is_infinity or Q.is_infinity:
+        return k.one, k.one
     S = P + Q
-    k = P.curve.field
+    if S.is_infinity:
+        return k.one, X.x - P.x
     if P.x == Q.x:
         lam = (k(3) * P.x * P.x + P.curve.a) / (k(2) * P.y)
     else:
@@ -149,13 +154,35 @@ def _chord_values(P, Q, X):
     return vertical, line
 
 
+def _oracle(P, Q, M, N):
+    """(v/l)(M) / (v/l)(N) by definition, or None when M or N is in the support."""
+    EK = M.curve
+    if P.curve != EK:
+        P, Q = EK.embed_point(P), EK.embed_point(Q)
+    if P.is_infinity or Q.is_infinity:
+        return EK.field.one
+    S = P + Q
+    support = {EK.infinity, P, Q, S, -S}
+    if M in support or N in support:
+        return None
+    (v_m, l_m), (v_n, l_n) = _chord_values(P, Q, M), _chord_values(P, Q, N)
+    return (v_m / l_m) / (v_n / l_n)
+
+
+def _fused_or_none(P, Q, M, N):
+    try:
+        return eval_line_fraction(P, Q, M, N)
+    except SupportCollisionError:
+        return None
+
+
 def test_line_fraction_matches_divisor(E, EK):
-    """The value is v/l and its zero/pole set is exactly the declared divisor.
+    """The value is v/l at (X) - (Y) and its zero/pole set is the declared divisor.
 
     For f = vertical/chord built from (P, Q) the divisor is
-    (P+Q) + (O) - (P) - (Q): evaluating over every point of E(F_121)
-    outside the support must give the finite nonzero ratio, and each
-    support point must be refused.
+    (P+Q) + (O) - (P) - (Q): pairing every point X of E(F_121) with a
+    fixed Y outside the support must give the finite nonzero ratio
+    f(X)/f(Y) in either order, and each support point must be refused.
     """
     F = E.field
     cases = [
@@ -166,47 +193,42 @@ def test_line_fraction_matches_divisor(E, EK):
     lifted_all = EK.enumerate_points()
     for P, Q in cases:
         S = P + Q
-        support = {
-            EK.embed_point(T) for T in (P, Q, S, -S) if not T.is_infinity
-        }
+        support = {EK.infinity} | {EK.embed_point(T) for T in (P, Q, S, -S)}
+        Y = next(X for X in lifted_all if X not in support)
+        v_y, l_y = _chord_values(EK.embed_point(P), EK.embed_point(Q), Y)
         checked = 0
         for X in lifted_all:
-            if X.is_infinity:
-                with pytest.raises(SupportCollisionError):
-                    eval_line_fraction(P, Q, X)
-                continue
             if X in support:
-                with pytest.raises(SupportCollisionError):
-                    eval_line_fraction(P, Q, X)
+                for M, N in ((X, Y), (Y, X)):
+                    with pytest.raises(SupportCollisionError):
+                        eval_line_fraction(P, Q, M, N)
                 continue
             v, l = _chord_values(EK.embed_point(P), EK.embed_point(Q), X)
-            got = eval_line_fraction(P, Q, X)
+            got = eval_line_fraction(P, Q, X, Y)
             assert not got.is_zero()
-            assert got == v / l
+            assert got == (v / l) / (v_y / l_y)
+            assert eval_line_fraction(P, Q, Y, X) == got.inverse()
             checked += 1
-        assert checked >= 138  # 144 minus infinity and at most 5 support points
+        assert checked >= 139  # 144 minus at most 5 support points
 
 
 def test_line_fraction_symmetry(E, EK, rng):
-    # the chord through P and Q does not depend on their order
+    # the chord through P and Q does not depend on their order, and
+    # neither does the collision verdict
     for _ in range(25):
         P, Q = E.random_point(rng), E.random_point(rng)
-        X = EK.random_point(rng)
-        try:
-            a = eval_line_fraction(P, Q, X)
-        except SupportCollisionError:
-            continue
-        assert a == eval_line_fraction(Q, P, X)
+        M, N = EK.random_point(rng), EK.random_point(rng)
+        assert _fused_or_none(P, Q, M, N) == _fused_or_none(Q, P, M, N)
 
 
 def test_line_fraction_identity_operand(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
-    X = EK.enumerate_points()[5]
-    if X.is_infinity:
-        X = EK.enumerate_points()[6]
-    assert eval_line_fraction(P, E.infinity, X) == EK.field.one
-    assert eval_line_fraction(E.infinity, P, X) == EK.field.one
+    M, N = EK.enumerate_points()[5:7]
+    assert eval_line_fraction(P, E.infinity, M, N) == EK.field.one
+    assert eval_line_fraction(E.infinity, P, M, N) == EK.field.one
+    # the constant 1 has empty support, even at the identity
+    assert eval_line_fraction(P, E.infinity, EK.infinity, N) == EK.field.one
 
 
 def test_line_fraction_vertical_case(E, EK):
@@ -214,26 +236,40 @@ def test_line_fraction_vertical_case(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
     Q = -P
-    X = next(
-        p for p in EK.enumerate_points()
-        if not p.is_infinity and p.x != EK.field.embed(P.x)
-    )
-    got = eval_line_fraction(P, Q, X)
-    assert got == EK.field.one / (X.x - EK.field.embed(P.x))
+    x_p = EK.field.embed(P.x)
+    M, N = [p for p in EK.enumerate_points() if not p.is_infinity and p.x != x_p][:2]
+    got = eval_line_fraction(P, Q, M, N)
+    assert got == (N.x - x_p) / (M.x - x_p)
+    with pytest.raises(SupportCollisionError):
+        eval_line_fraction(P, Q, EK.embed_point(P), N)
+    with pytest.raises(SupportCollisionError):
+        eval_line_fraction(P, Q, M, EK.embed_point(Q))
 
 
 def test_lift_consistency(E, EK, rng):
-    # evaluating base points against an extension X equals evaluating
+    # evaluating base points against extension M, N equals evaluating
     # their lifts: the lifting inside eval_line_fraction is transparent
     for _ in range(10):
         P, Q = E.random_point(rng), E.random_point(rng)
-        X = EK.random_point(rng)
-        try:
-            base = eval_line_fraction(P, Q, X)
-        except SupportCollisionError:
-            continue
-        lifted = eval_line_fraction(EK.embed_point(P), EK.embed_point(Q), X)
-        assert base == lifted
+        M, N = EK.random_point(rng), EK.random_point(rng)
+        lifted = (EK.embed_point(P), EK.embed_point(Q), M, N)
+        assert _fused_or_none(P, Q, M, N) == _fused_or_none(*lifted)
+
+
+def test_line_fraction_exhaustive_against_oracle(toy):
+    # every pair in E(F_121)^2 and every base pair in E(F_11)^2 at the toy
+    # modulus: same value, and the same collision set as point membership
+    M, N = toy.modulus.M, toy.modulus.N
+    ext_points = toy.ext_curve.enumerate_points()
+    base_points = toy.curve.enumerate_points()
+    collisions = 0
+    for points in (ext_points, base_points):
+        for P in points:
+            for Q in points:
+                expected = _oracle(P, Q, M, N)
+                assert _fused_or_none(P, Q, M, N) == expected, (P, Q)
+                collisions += expected is None
+    assert collisions > 0
 
 
 def test_point_hash_and_eq(E):

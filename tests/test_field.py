@@ -106,6 +106,19 @@ def test_sqrt_cost_independent_of_p():
     assert c.muls < 1000
 
 
+def test_sqrt_nonresidue_searched_once_per_field():
+    # the first root pays for the non-residue search; later roots reuse it
+    K = ExtField.quadratic(PrimeField(10007))
+    first, second = K([3, 5]) * K([3, 5]), K([7, 2]) * K([7, 2])
+    with count_mults() as c:
+        r = first.sqrt()
+    assert r * r == first and c.muls >= 150
+    with count_mults() as c:
+        r = second.sqrt()
+    assert r * r == second
+    assert c.muls < 150
+
+
 def test_coercion_and_mismatch(F, K):
     assert F(4) == F(15)
     assert F(F(4)) == F(4)
