@@ -49,6 +49,6 @@ from .jacobian import (
     tate_by_miller,
     tate_from_group_law,
 )
-from .numbertheory import Factorization, crt, factorize, is_prime, lcm, xgcd
+from .numbertheory import Factorization, crt, factorize, is_prime, xgcd
 
 __version__ = "0.1.0"

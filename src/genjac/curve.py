@@ -109,10 +109,10 @@ class Curve:
                 acc = self.add(acc, P)
         return acc
 
-    def enumerate_points(self, bound: int = ENUM_BOUND) -> list["Point"]:
+    def enumerate_points(self) -> list["Point"]:
         """All rational points including the identity; field must be desk-scale."""
-        if self.field.order > bound:
-            raise ValueError(f"field of order {self.field.order} exceeds enumeration bound {bound}")
+        if self.field.order > ENUM_BOUND:
+            raise ValueError(f"field of order {self.field.order} exceeds enumeration bound {ENUM_BOUND}")
         roots: dict[FieldElement, list[FieldElement]] = {}
         for y in self.field.elements():
             roots.setdefault(y * y, []).append(y)

@@ -12,10 +12,11 @@ a textbook Miller loop so the two routes can be compared exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .curve import Curve, Point, SupportCollisionError, element_order, eval_line_fraction
+from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
 from .groups import (
     Cocycle,
@@ -25,18 +26,14 @@ from .groups import (
     MultiplicativeGroup,
     direct_product,
 )
-from .numbertheory import Factorization, lcm
+from .numbertheory import Factorization
 
 PRNG_NAME = "mt19937"  # random.Random: the Mersenne Twister
-
-# Order claims are proven by full enumeration below this field size and
-# by sampled Lagrange checks above it.
-_ORDER_SPOT_CHECKS = 5
 
 
 @dataclass(frozen=True)
 class Modulus:
-    """Two distinct affine points of the extended curve defining the modulus."""
+    """Two affine points of the extended curve, x outside F_p, N != +-M."""
 
     M: Point
     N: Point
@@ -46,8 +43,10 @@ class Modulus:
             raise ValueError("modulus points live on different curves")
         if self.M.is_infinity or self.N.is_infinity:
             raise ValueError("modulus points must be affine")
-        if self.M == self.N:
-            raise ValueError("modulus points must be distinct")
+        if self.N in (self.M, -self.M):
+            raise ValueError("modulus points must satisfy N != M and N != -M")
+        if not (any(self.M.x.coeffs[1:]) and any(self.N.x.coeffs[1:])):
+            raise ValueError("modulus points need x outside the base field")
 
     @property
     def curve(self) -> Curve:
@@ -110,7 +109,7 @@ class GenJacParams:
         return base.merge(self.unit_order)
 
 
-def make_toy_params(p: int, seed: int, enum_bound: int = 1 << 22) -> GenJacParams:
+def make_toy_params(p: int, seed: int) -> GenJacParams:
     """Pairing-friendly toy family: y^2 = x^3 + x over F_p with p = 3 mod 4.
 
     The curve is supersingular with p+1 points over F_p and (p+1)^2 over
@@ -125,16 +124,10 @@ def make_toy_params(p: int, seed: int, enum_bound: int = 1 << 22) -> GenJacParam
     E = Curve(base, 1, 0)
     EK = E.extend(K)
 
-    rng = random.Random(seed)
-    curve_order = Factorization.from_int(p + 1)
-    ext_curve_order = Factorization.from_int((p + 1) ** 2)
+    curve_order, ext_curve_order = (Factorization.from_int(n) for n in curve_orders(E))
     unit_order = Factorization.from_int(p * p - 1)
-    # order checks draw from their own stream so the modulus depends only
-    # on (p, seed), not on the verification strategy enum_bound selects
-    check_rng = random.Random(f"genjac-order-check-{p}-{seed}")
-    _check_curve_order(E, curve_order.n, enum_bound, check_rng)
-    _check_curve_order(EK, ext_curve_order.n, enum_bound, check_rng)
 
+    rng = random.Random(seed)
     M = _sample_modulus_point(EK, rng)
     while True:
         N = _sample_modulus_point(EK, rng)
@@ -151,16 +144,25 @@ def _sample_modulus_point(EK: Curve, rng) -> Point:
             return P
 
 
-def _check_curve_order(curve: Curve, claimed: int, enum_bound: int, rng) -> None:
-    if curve.field.order <= enum_bound:
-        counted = len(curve.enumerate_points(enum_bound))
-        if counted != claimed:
-            raise ValueError(f"curve order is {counted}, claimed {claimed}")
+def curve_orders(E: Curve) -> tuple[int, int]:
+    """Exact (#E(F_p), #E(F_p^2)) from the Frobenius trace t of E over F_p.
+
+    t = p + 1 - #E(F_p) by enumeration up to ENUM_BOUND.  Above it only
+    y^2 = x^3 + ax with p = 3 mod 4 is accepted, where t = 0: x -> -x
+    flips the sign of x^3 + ax and -1 is a non-square, so each pair of
+    nonzero x carries two points.  The Weil relation t_2 = t^2 - 2p
+    (Washington, Elliptic Curves, ch. 4) gives #E(F_p^2) = (p+1)^2 - t^2.
+    """
+    if E.field.degree != 1:
+        raise ValueError("curve_orders needs a curve over a prime field")
+    p = E.field.p
+    if p <= ENUM_BOUND:
+        t = p + 1 - len(E.enumerate_points())
+    elif E.b.is_zero() and p % 4 == 3:
+        t = 0
     else:
-        for _ in range(_ORDER_SPOT_CHECKS):
-            P = curve.random_point(rng)
-            if not (claimed * P).is_infinity:
-                raise ValueError(f"claimed order {claimed} fails a Lagrange check")
+        raise ValueError(f"above p = {ENUM_BOUND} only y^2 = x^3 + ax with p = 3 mod 4 can be counted")
+    return p + 1 - t, (p + 1) ** 2 - t * t
 
 
 def pairing_order(P: Point, params: GenJacParams) -> int:
@@ -169,7 +171,7 @@ def pairing_order(P: Point, params: GenJacParams) -> int:
         raise ValueError("P must lie on the base curve")
     r = element_order(P, params.curve_order)
     s = element_order(params.modulus.difference(), params.ext_curve_order)
-    return lcm(r, s)
+    return math.lcm(r, s)
 
 
 def tate_from_group_law(P: Point, params: GenJacParams) -> FieldElement:
@@ -295,7 +297,7 @@ def params_to_text(params: GenJacParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def params_from_text(text: str, enum_bound: int = 1 << 22) -> GenJacParams:
+def params_from_text(text: str) -> GenJacParams:
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -332,15 +334,15 @@ def params_from_text(text: str, enum_bound: int = 1 << 22) -> GenJacParams:
     unit_order = parsed("order.units", Factorization.parse)
     if unit_order.n != K.order - 1:
         raise ValueError(f"unit group order must be {K.order - 1}, file says {unit_order.n}")
-    check_rng = random.Random("genjac-order-check")
-    _check_curve_order(E, curve_order.n, enum_bound, check_rng)
-    _check_curve_order(EK, ext_curve_order.n, enum_bound, check_rng)
+    for claimed, counted in zip((curve_order, ext_curve_order), curve_orders(E)):
+        if claimed.n != counted:
+            raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
     seed = parsed("seed", int) if "seed" in entries else None
     prng = entries["prng"][1] if "prng" in entries else PRNG_NAME
     return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed, prng=prng)
 
 
-def load_params(path: str, enum_bound: int = 1 << 22) -> GenJacParams:
+def load_params(path: str) -> GenJacParams:
     with open(path, "r", encoding="ascii") as fp:
-        return params_from_text(fp.read(), enum_bound)
+        return params_from_text(fp.read())

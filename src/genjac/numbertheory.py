@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, valid far beyond the 2^61 field bound.
@@ -146,7 +145,3 @@ class Factorization:
             base, _, exp = chunk.strip().partition("^")
             factors.append((int(base), int(exp) if exp else 1))
         return cls(n, tuple(factors))
-
-
-def lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)

@@ -9,8 +9,8 @@ from genjac import make_toy_params
 def toy():
     """The standard small instance: p=11, seeded modulus.
 
-    Session-scoped because construction re-verifies all group orders by
-    enumeration; every pinned value in the suite assumes this exact seed.
+    Session-scoped so that every test shares one instance; every pinned
+    value in the suite assumes this exact seed.
     """
     return make_toy_params(11, seed=7)
 

@@ -152,6 +152,12 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         (good.replace("ext.degree = 2", "ext.degree = 3"), "extension degree must be 2, got 3"),
         (good.replace("ext.degree = 2", "ext.degree = two"), "line 7: ext.degree: invalid literal"),
         (good.replace("modulus.M = 8,3;", "modulus.M = 8,3,1;"), "line 9: modulus.M: too many coefficients"),
+        (good.replace("order.curve = 12 = 2^2 * 3", "order.curve = 24 = 2^3 * 3"),
+         "curve order is 12, claimed 24"),
+        (good.replace("order.curve_ext = 144 = 2^4 * 3^2", "order.curve_ext = 132 = 2^2 * 3 * 11"),
+         "curve order is 144, claimed 132"),
+        (good.replace("modulus.M = 8,3;4,3", "modulus.M = 0;0"), "need x outside the base field"),
+        (good.replace("modulus.M = 8,3;4,3", "modulus.M = 6,4;1,10"), "N != M and N != -M"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:

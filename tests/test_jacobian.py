@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from genjac.curve import SupportCollisionError
+from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
+from genjac.field import ExtField, PrimeField, count_mults
 from genjac.groups import CurveGroup, ExtElement, element_order
 from genjac.jacobian import (
     Modulus,
+    curve_orders,
+    load_params,
     make_toy_params,
     pairing_order,
     params_from_text,
@@ -14,6 +17,7 @@ from genjac.jacobian import (
     tate_by_miller,
     tate_from_group_law,
 )
+from genjac.numbertheory import Factorization, is_prime
 
 # the exact parameter file for p=11, seed=7; every pinned value below
 # depends on this modulus
@@ -92,6 +96,10 @@ def test_modulus_validation(toy):
         Modulus(M, M)  # points must be distinct
     with pytest.raises(ValueError):
         Modulus(M, EK.infinity)  # and affine
+    with pytest.raises(ValueError, match="N != -M"):
+        Modulus(M, -M)
+    with pytest.raises(ValueError, match="outside the base field"):
+        Modulus(EK.embed_point(toy.curve.parse_point("5;3")), N)
     assert Modulus(M, N).difference() == M + (-N)
 
 
@@ -108,10 +116,67 @@ def test_toy_params_validation():
     assert c.modulus.M != a.modulus.M or c.modulus.N != a.modulus.N
 
 
-def test_toy_params_spot_check_path():
-    # a tiny enum bound forces the sampled-multiple order verification
-    params = make_toy_params(11, seed=7, enum_bound=2)
-    assert params_to_text(params) == PARAMS_TEXT
+def test_lying_ext_order_rejected_at_p10007():
+    # p(p+1) is a multiple of the exponent p+1 of E(F_{p^2}) inside the
+    # Hasse interval, so no n*P = O check can tell it from (p+1)^2
+    p = 10007
+    text = params_to_text(make_toy_params(p, seed=1))
+    true_line = f"order.curve_ext = {Factorization.from_int((p + 1) ** 2)}"
+    lie = Factorization.from_int(p * (p + 1))
+    assert true_line in text
+    with pytest.raises(ValueError, match=f"^curve order is 100160064, claimed {lie.n}$"):
+        params_from_text(text.replace(true_line, f"order.curve_ext = {lie}"))
+
+
+def _general_quadratic(base):
+    # u^2 + u + t for the first t that makes it irreducible
+    for t in range(base.p):
+        try:
+            return ExtField(base, 2, (t, 1, 1))
+        except ValueError:
+            continue
+
+
+def test_curve_orders_match_enumeration():
+    # the Weil relation against counting E(F_p^2) point by point, on
+    # ordinary and supersingular curves and a non-default ext.poly
+    traces = set()
+    for p in (7, 11, 13, 19, 23):
+        base = PrimeField(p)
+        K = _general_quadratic(base)
+        for a, b in ((1, 0), (1, 1), (2, 3), (0, 1), (3, 5)):
+            try:
+                E = Curve(base, a, b)
+            except ValueError:
+                continue  # singular
+            n, n_ext = curve_orders(E)
+            assert n == len(E.enumerate_points())
+            assert n_ext == len(E.extend(K).enumerate_points())
+            traces.add(p + 1 - n)
+    assert 0 in traces and len(traces) > 5
+
+
+def test_curve_orders_above_enumeration_bound():
+    p = 2**61 - 1  # = 3 mod 4
+    base = PrimeField(p)
+    assert curve_orders(Curve(base, 1, 0)) == (p + 1, (p + 1) ** 2)
+    with pytest.raises(ValueError, match=r"only y\^2 = x\^3 \+ ax"):
+        curve_orders(Curve(base, 1, 1))  # not supersingular by this argument
+    q = next(q for q in range(ENUM_BOUND + 1, ENUM_BOUND + 1000, 4) if is_prime(q))  # = 1 mod 4
+    with pytest.raises(ValueError, match="only y"):
+        curve_orders(Curve(PrimeField(q), 1, 0))
+    with pytest.raises(ValueError, match="prime field"):
+        curve_orders(Curve(base, 1, 0).extend(ExtField.quadratic(base)))
+
+
+def test_load_params_cost_is_linear_in_p(tmp_path):
+    # counting E(F_p) costs O(p) multiplications; enumerating E(F_{p^2})
+    # would cost millions at this p
+    path = tmp_path / "p1019.txt"
+    path.write_text(params_to_text(make_toy_params(1019, seed=1)))
+    with count_mults() as counter:
+        load_params(str(path))
+    assert counter.muls < 10**5
 
 
 def test_modulus_points_have_irrational_x(toy):

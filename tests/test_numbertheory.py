@@ -1,6 +1,6 @@
 import pytest
 
-from genjac.numbertheory import Factorization, crt, factorize, is_prime, lcm, xgcd
+from genjac.numbertheory import Factorization, crt, factorize, is_prime, xgcd
 
 
 def test_is_prime_small_table():
@@ -53,12 +53,6 @@ def test_crt():
     assert crt([]) == (0, 1)
     with pytest.raises(ValueError):
         crt([(1, 4), (2, 6)])
-
-
-def test_lcm():
-    assert lcm(12, 18) == 36
-    assert lcm(1, 7) == 7
-    assert lcm(5, 5) == 5
 
 
 def test_factorization_roundtrip_and_str():
