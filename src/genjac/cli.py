@@ -44,9 +44,12 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("GENJAC_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"GENJAC_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_gen_params(args: argparse.Namespace) -> int:

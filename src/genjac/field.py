@@ -2,12 +2,14 @@
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic, elements stored as coefficient pairs (a0, a1)
-meaning a0 + a1*u.  Products reduce with u^2 = -s*u - t and inverses
-are the conjugate over the norm (Devegili, O hEigeartaigh, Scott and
-Dahab, "Multiplication and squaring on pairing-friendly fields", ePrint
-2006/471).  Every element multiplication or division records one tick
-in each counter scoped over the operation; nothing else is
-instrumented, so the counts compare the work different group laws ask
+meaning a0 + a1*u.  Each element operation is straight-line code on
+the one or two coefficients, in closed form: products reduce with
+u^2 = -s*u - t and inverses are the conjugate over the norm (Devegili,
+O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
+pairing-friendly fields", ePrint 2006/471).  Every element
+multiplication or division records one tick in each counter scoped
+over the operation; addition, subtraction, negation and inversion
+record none, so the counts compare the work different group laws ask
 of the field.
 """
 
@@ -57,11 +59,6 @@ def count_mults() -> Iterator[MulCounter]:
         yield counter
     finally:
         _counters.reset(token)
-
-
-def _tick(degree: int) -> None:
-    for counter in _counters.get():
-        counter.record(degree)
 
 
 class _Field:
@@ -187,17 +184,6 @@ class ExtField(_Field):
             raise ValueError("mismatched field parameters")
         return FieldElement(self, (elem.coeffs[0], 0))
 
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int]:
-        (a0, a1), (b0, b1), (t, s, _) = a, b, self.poly
-        hi = a1 * b1  # times u^2 = -s*u - t
-        return (a0 * b0 - t * hi) % self.p, (a0 * b1 + a1 * b0 - s * hi) % self.p
-
-    def _inverse(self, a: tuple[int, ...]) -> tuple[int, int]:
-        # conjugate (a0 - s*a1) - a1*u over the norm a0^2 - s*a0*a1 + t*a1^2
-        (a0, a1), (t, s, _), p = a, self.poly, self.p
-        inv = pow(a0 * a0 - s * a0 * a1 + t * a1 * a1, -1, p)
-        return (a0 - s * a1) * inv % p, -a1 * inv % p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtField) and other.p == self.p and other.poly == self.poly
 
@@ -217,53 +203,64 @@ class FieldElement:
         self.field = field
         self.coeffs = coeffs
 
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or (
-            other.field is not self.field and other.field != self.field
-        ):
-            raise ValueError("mismatched field parameters")
-
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        # coeffs[-1] is coeffs[0] in F_p
+        return not self.coeffs[0] and not self.coeffs[-1]
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         f = self.field
+        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+            raise ValueError("mismatched field parameters")
+        a, b, p = self.coeffs, other.coeffs, f.p
         if f.degree == 1:
-            return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
-        return FieldElement(f, tuple((x + y) % f.p for x, y in zip(self.coeffs, other.coeffs)))
+            return FieldElement(f, ((a[0] + b[0]) % p,))
+        return FieldElement(f, ((a[0] + b[0]) % p, (a[1] + b[1]) % p))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         f = self.field
+        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+            raise ValueError("mismatched field parameters")
+        a, b, p = self.coeffs, other.coeffs, f.p
         if f.degree == 1:
-            return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
-        return FieldElement(f, tuple((x - y) % f.p for x, y in zip(self.coeffs, other.coeffs)))
+            return FieldElement(f, ((a[0] - b[0]) % p,))
+        return FieldElement(f, ((a[0] - b[0]) % p, (a[1] - b[1]) % p))
 
     def __neg__(self) -> "FieldElement":
-        f = self.field
-        return FieldElement(f, tuple(-x % f.p for x in self.coeffs))
+        f, a = self.field, self.coeffs
+        if f.degree == 1:
+            return FieldElement(f, (-a[0] % f.p,))
+        return FieldElement(f, (-a[0] % f.p, -a[1] % f.p))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
         f = self.field
-        _tick(f.degree)
-        if f.degree == 1:
-            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
-        return FieldElement(f, f._mul(self.coeffs, other.coeffs))
+        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+            raise ValueError("mismatched field parameters")
+        degree, p = f.degree, f.p
+        for counter in _counters.get():
+            counter.record(degree)
+        if degree == 1:
+            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
+        (a0, a1), (b0, b1), (t, s, _) = self.coeffs, other.coeffs, f.poly
+        hi = a1 * b1  # times u^2 = -s*u - t
+        return FieldElement(f, ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         # divides via inverse-and-multiply, so one counter tick per division
-        self._check(other)
+        f = self.field
+        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+            raise ValueError("mismatched field parameters")
         return self * other.inverse()
 
     def inverse(self) -> "FieldElement":
-        f = self.field
-        if self.is_zero():
+        f, a = self.field, self.coeffs
+        if not a[0] and not a[-1]:
             raise ZeroDivisionError(f"division by zero in {f!r}")
         if f.degree == 1:
-            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
-        return FieldElement(f, f._inverse(self.coeffs))
+            return FieldElement(f, (pow(a[0], -1, f.p),))
+        (a0, a1), (t, s, _), p = a, f.poly, f.p
+        # conjugate (a0 - s*a1) - a1*u over the norm a0^2 - s*a0*a1 + t*a1^2
+        inv = pow(a0 * a0 - s * a0 * a1 + t * a1 * a1, -1, p)
+        return FieldElement(f, ((a0 - s * a1) * inv % p, -a1 * inv % p))
 
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int) or n < 0:

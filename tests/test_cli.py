@@ -99,6 +99,14 @@ def test_attack_flag_overrides_env(params_file, capsys, monkeypatch):
     assert capsys.readouterr().out == ATTACK_OUTPUT
 
 
+def test_non_integer_env_seed_exit_2(params_file, capsys, monkeypatch):
+    monkeypatch.setenv("GENJAC_SEED", "abc")
+    for argv in (["verify", "--params", params_file], ["gen-params", "--p", "11"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: GENJAC_SEED must be an integer, got 'abc'\n"
+
+
 def test_attack_explicit_secret(params_file, capsys):
     assert main(["attack", "--params", params_file, "--seed", "5",
                  "--secret", "31"]) == 0

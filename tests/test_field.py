@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -128,8 +129,62 @@ def test_coercion_and_mismatch(F, K):
         K(F(3))
     with pytest.raises(ValueError, match="mismatched field parameters"):
         F(K([1, 2]))
-    with pytest.raises(ValueError, match="mismatched field parameters"):
-        F(3) + PrimeField(7)(3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        # an equal but distinct field object is the same field
+        assert op(F(3), PrimeField(11)(4)) == op(F(3), F(4))
+        for x, y in [(F(3), PrimeField(7)(3)), (F(3), K(3)), (K(3), F(3)), (K(1), 3), (F(1), 3)]:
+            with pytest.raises(ValueError, match="mismatched field parameters"):
+                op(x, y)
+    with pytest.raises(ZeroDivisionError):
+        F(3) / F.zero
+    with pytest.raises(ZeroDivisionError):
+        K([1, 2]) / K.zero
+
+
+@pytest.mark.parametrize("p, poly", [(11, None), (11, (1, 0, 1)), (7, (3, 1, 1))])
+def test_arithmetic_exhaustive_against_oracle(p, poly):
+    # F_11, F_11[u]/(u^2 + 1) and F_7[u]/(u^2 + u + 3): every pair of
+    # elements against schoolbook arithmetic on plain ints
+    K = PrimeField(p) if poly is None else ExtField(PrimeField(p), 2, poly)
+    els = list(K.elements())
+    zero, one = K.zero.coeffs, K.one.coeffs
+
+    def add(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def mul(a, b):
+        if poly is None:
+            return (a[0] * b[0] % p,)
+        (t, s, _), (a0, a1), (b0, b1) = poly, a, b
+        c0, c1, c2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+        return (c0 - t * c2) % p, (c1 - s * c2) % p  # u^2 = -s*u - t
+
+    # inverses by search, independent of the norm formula
+    inv = {a.coeffs: b.coeffs for a in els for b in els if mul(a.coeffs, b.coeffs) == one}
+    assert len(inv) == len(els) - 1
+    with count_mults() as c:
+        for x in els:
+            assert x.is_zero() == (x.coeffs == zero)
+            assert (-x).coeffs == sub(zero, x.coeffs)
+            if not x.is_zero():
+                assert x.inverse().coeffs == inv[x.coeffs]
+            for y in els:
+                assert (x + y).coeffs == add(x.coeffs, y.coeffs)
+                assert (x - y).coeffs == sub(x.coeffs, y.coeffs)
+    assert c.muls == 0
+    pairs = [(x, y) for x in els for y in els]
+    with count_mults() as c:
+        for x, y in pairs:
+            assert (x * y).coeffs == mul(x.coeffs, y.coeffs)
+    assert c.by_degree == {K.degree: len(pairs)}
+    divisions = [(x, y) for x, y in pairs if not y.is_zero()]
+    with count_mults() as c:
+        for x, y in divisions:
+            assert (x / y).coeffs == mul(x.coeffs, inv[y.coeffs])
+    assert c.by_degree == {K.degree: len(divisions)}
 
 
 def test_prime_arithmetic_pinned(F):
