@@ -309,8 +309,13 @@ def test_reduce_pairing_value_requires_divisibility(toy):
 
 def test_miller_rejects_wrong_order(toy):
     P = toy.curve.parse_point("5;3")  # order 3
+    M, N = toy.modulus.M, toy.modulus.N
+    for m in (1, 2, 4, 5):
+        with pytest.raises(ValueError, match=r"m\*P must be the identity"):
+            tate_by_miller(P, M, N, m)
     with pytest.raises(ValueError):
-        tate_by_miller(P, toy.modulus.M, toy.modulus.N, 5)
+        tate_by_miller(P, M, N, 0)
+    assert tate_by_miller(toy.curve.infinity, M, N, 1) == toy.ext_curve.field.one
 
 
 def test_tate_chain_never_collides_for_base_points(toy):
