@@ -27,7 +27,6 @@ from .groups import (
     ExtElement,
     ExtensionGroup,
     MultiplicativeGroup,
-    NotInImageError,
     ZeroCocycle,
     direct_product,
     element_order,
@@ -49,6 +48,6 @@ from .jacobian import (
     tate_by_miller,
     tate_from_group_law,
 )
-from .numbertheory import Factorization, crt, factorize, is_prime, xgcd
+from .numbertheory import Factorization, crt, factorize, is_prime
 
 __version__ = "0.1.0"

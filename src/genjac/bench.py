@@ -106,21 +106,15 @@ def run_benchmark(
     if scalar_bits < 2:
         raise ValueError("scalar_bits must be at least 2")
     rng = random.Random(seed)
-    jac = params.jacobian(ext=True)
-    prod = params.product(ext=True)
-    curve_group = params.curve_group(ext=True)
-    unit_group = params.units()
-
-    labels = ("jacobian", "product", "curve", "units")
+    # the jacobian comes first: a support collision there skips the trial
+    # before any other group runs
     groups: dict[str, Group] = {
-        "jacobian": jac,
-        "product": prod,
-        "curve": curve_group,
-        "units": unit_group,
+        "jacobian": params.jacobian(ext=True),
+        "product": params.product(ext=True),
+        "curve": params.curve_group(ext=True),
+        "units": params.units(),
     }
-    muls: dict[str, list[int]] = {label: [] for label in labels}
-    chars: dict[str, list[int]] = {label: [] for label in labels}
-    times: dict[str, list[float]] = {label: [] for label in labels}
+    samples: dict[str, list[tuple]] = {label: [] for label in groups}
 
     skipped = 0
     done = 0
@@ -130,66 +124,54 @@ def run_benchmark(
         if attempts > MAX_RESAMPLE_FACTOR * trials:
             raise RuntimeError("modulus support collisions exhausted the retry budget")
         a = params.ext_curve.random_point(rng)
-        b = unit_group.sample(rng)
+        b = groups["units"].sample(rng)
         n = rng.randrange(1 << (scalar_bits - 1), 1 << scalar_bits)
         x = ExtElement(a, b)
+        operands = {"jacobian": x, "product": x, "curve": a, "units": b}
         try:
-            m_jac, c_jac, t_jac, r_jac = _measure(jac, n, x)
+            trial = {label: _measure(group, n, operands[label]) for label, group in groups.items()}
         except SupportCollisionError:
             skipped += 1
             continue
-        m_prod, c_prod, t_prod, r_prod = _measure(prod, n, x)
-        m_e, c_e, t_e, r_e = _measure(curve_group, n, a)
-        m_u, c_u, t_u, r_u = _measure(unit_group, n, b)
         if strict:
-            _check_trial(n, r_jac, r_prod, r_e, r_u, m_jac, m_prod, m_e, m_u)
-        for label, m, c, t in (
-            ("jacobian", m_jac, c_jac, t_jac),
-            ("product", m_prod, c_prod, t_prod),
-            ("curve", m_e, c_e, t_e),
-            ("units", m_u, c_u, t_u),
-        ):
-            muls[label].append(m)
-            chars[label].append(c)
-            times[label].append(t)
+            _check_trial(trial)
+        for label, sample in trial.items():
+            samples[label].append(sample)
         done += 1
 
-    descriptions = {
-        "jacobian": jac.describe(),
-        "product": prod.describe(),
-        "curve": curve_group.describe(),
-        "units": unit_group.describe(),
-    }
-    rows = tuple(
-        BenchRow(
+    rows = []
+    for label, group in groups.items():
+        muls, chars, times, _ = zip(*samples[label])
+        rows.append(BenchRow(
             label=label,
-            group=descriptions[label].replace(",", ";"),
+            group=group.describe().replace(",", ";"),
             trials=done,
             skipped=skipped if label == "jacobian" else 0,
             scalar_bits=scalar_bits,
-            muls_median=statistics.median(muls[label]),
-            muls_min=min(muls[label]),
-            muls_max=max(muls[label]),
-            elem_chars_median=statistics.median(chars[label]),
-            ms_median=statistics.median(times[label]),
-        )
-        for label in labels
-    )
+            muls_median=statistics.median(muls),
+            muls_min=min(muls),
+            muls_max=max(muls),
+            elem_chars_median=statistics.median(chars),
+            ms_median=statistics.median(times),
+        ))
     return BenchReport(
-        seed=seed, prng=PRNG_NAME, scalar_bits=scalar_bits, trials=done, rows=rows
+        seed=seed, prng=PRNG_NAME, scalar_bits=scalar_bits, trials=done, rows=tuple(rows)
     )
 
 
-def _check_trial(n, r_jac, r_prod, r_e, r_u, m_jac, m_prod, m_e, m_u) -> None:
-    if r_jac.a_part != r_e or r_prod.a_part != r_e:
+def _check_trial(trial: dict[str, tuple]) -> None:
+    muls = {label: sample[0] for label, sample in trial.items()}
+    res = {label: sample[3] for label, sample in trial.items()}
+    if res["jacobian"].a_part != res["curve"] or res["product"].a_part != res["curve"]:
         raise BenchInvariantError("curve components disagree across groups")
-    if r_prod.b_part != r_u:
+    if res["product"].b_part != res["units"]:
         raise BenchInvariantError("unit component of the product disagrees")
-    if m_jac < m_prod:
+    if muls["jacobian"] < muls["product"]:
         raise BenchInvariantError(
-            f"extension cost {m_jac} fell below the product cost {m_prod}"
+            f"extension cost {muls['jacobian']} fell below the product cost {muls['product']}"
         )
-    if m_prod < m_e + m_u:
+    if muls["product"] < muls["curve"] + muls["units"]:
         raise BenchInvariantError(
-            f"product cost {m_prod} fell below the factor costs {m_e}+{m_u}"
+            f"product cost {muls['product']} fell below the factor costs "
+            f"{muls['curve']}+{muls['units']}"
         )

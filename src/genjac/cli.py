@@ -52,6 +52,19 @@ def _resolve_seed(value: int | None) -> int:
         raise ValueError(f"GENJAC_SEED must be an integer, got {env!r}") from None
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, anything else is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _cmd_gen_params(args: argparse.Namespace) -> int:
     params = make_toy_params(args.p, seed=_resolve_seed(args.seed))
     text = params_to_text(params)
@@ -164,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-run consistency checks")
     p.add_argument("--params", required=True)
-    p.add_argument("--checks", type=int, default=100)
-    p.add_argument("--pairing-checks", type=int, default=10)
+    p.add_argument("--checks", type=_int_at_least(1), default=100)
+    p.add_argument("--pairing-checks", type=_int_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -56,7 +56,7 @@ class Curve:
         if record == "inf":
             return self.infinity
         xs, _, ys = record.partition(";")
-        if not ys:
+        if not ys or ";" in ys:
             raise ValueError(f"bad point record {record!r}")
         return self.point(self.field.from_record(xs), self.field.from_record(ys))
 
@@ -168,20 +168,6 @@ class Point:
     def is_infinity(self) -> bool:
         return self.x is None
 
-    def __add__(self, other: "Point") -> "Point":
-        return self.curve.add(self, other)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return self.curve.add(self, self.curve.neg(other))
-
-    def __neg__(self) -> "Point":
-        return self.curve.neg(self)
-
-    def __rmul__(self, n: int) -> "Point":
-        if not isinstance(n, int):
-            return NotImplemented
-        return self.curve.scalar_mul(n, self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Point)
@@ -208,12 +194,12 @@ class Point:
 
 def element_order(P: Point, group_order: Factorization) -> int:
     """Exact order of P given a factored multiple of it (usually the group order)."""
-    n = group_order.n
-    if not (n * P).is_infinity:
+    curve, n = P.curve, group_order.n
+    if not curve.scalar_mul(n, P).is_infinity:
         raise ValueError(f"group order {n} is inconsistent with the point")
     for l, e in group_order.factors:
         for _ in range(e):
-            if n % l == 0 and (n // l * P).is_infinity:
+            if n % l == 0 and curve.scalar_mul(n // l, P).is_infinity:
                 n //= l
             else:
                 break

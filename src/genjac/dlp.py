@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable
 
-from .groups import ExtensionGroup, Group, NotInImageError
+from .groups import ExtensionGroup, Group
 from .numbertheory import Factorization, crt
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
@@ -152,11 +152,9 @@ def reduce_prime_subgroup(
     if not isinstance(group, ExtensionGroup):
         raise TypeError("reduce_prime_subgroup only applies to extension groups")
     if generator.a_part == group.a_group.identity:
-        try:
-            fiber_target = group.unembed(target)
-        except NotInImageError:
+        if target.a_part != group.a_group.identity:
             raise NoSolutionError("target is outside the fiber spanned by the generator")
-        leaf = bsgs(group.b_group, group.unembed(generator), fiber_target, order)
+        leaf = bsgs(group.b_group, generator.b_part, target.b_part, order)
         steps = (Step("pulled-back-to-B", f"prime {order}"),) + leaf.steps
     else:
         leaf = bsgs(group.a_group, generator.a_part, target.a_part, order)

@@ -23,10 +23,6 @@ from .field import FieldElement, _Field
 from .numbertheory import Factorization
 
 
-class NotInImageError(Exception):
-    """Element is not in the embedded copy of the fiber group."""
-
-
 class Group(ABC):
     """Commutative group written additively."""
 
@@ -282,20 +278,6 @@ class ExtensionGroup(Group):
 
     def serialize(self, x: ExtElement) -> str:
         return f"{self.a_group.serialize(x.a_part)}|{self.b_group.serialize(x.b_part)}"
-
-    def embed(self, b) -> ExtElement:
-        """The injection B -> C, b -> (0, b)."""
-        return ExtElement(self.a_group.identity, b)
-
-    def project(self, x: ExtElement):
-        """The projection C -> A."""
-        return x.a_part
-
-    def unembed(self, x: ExtElement):
-        """Partial inverse of embed; defined only on the embedded copy of B."""
-        if x.a_part != self.a_group.identity:
-            raise NotInImageError("element does not lie in the embedded fiber")
-        return x.b_part
 
     def elements(self) -> Iterator[ExtElement]:
         for a in self.a_group.elements():

@@ -43,7 +43,7 @@ class Modulus:
             raise ValueError("modulus points live on different curves")
         if self.M.is_infinity or self.N.is_infinity:
             raise ValueError("modulus points must be affine")
-        if self.N in (self.M, -self.M):
+        if self.N in (self.M, self.curve.neg(self.M)):
             raise ValueError("modulus points must satisfy N != M and N != -M")
         if not (any(self.M.x.coeffs[1:]) and any(self.N.x.coeffs[1:])):
             raise ValueError("modulus points need x outside the base field")
@@ -53,7 +53,7 @@ class Modulus:
         return self.M.curve
 
     def difference(self) -> Point:
-        return self.M - self.N
+        return self.curve.add(self.M, self.curve.neg(self.N))
 
 
 class ModulusCocycle(Cocycle):
@@ -131,7 +131,7 @@ def make_toy_params(p: int, seed: int) -> GenJacParams:
     M = _sample_modulus_point(EK, rng)
     while True:
         N = _sample_modulus_point(EK, rng)
-        if N != M and N != -M:
+        if N != M and N != EK.neg(M):
             break
     return GenJacParams(E, EK, Modulus(M, N), curve_order, ext_curve_order, unit_order, seed=seed)
 
@@ -206,12 +206,7 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
             raise ValueError("P must lie on the evaluation curve or its base curve")
     if m < 1:
         raise ValueError("the pairing order must be positive")
-    if not curve.scalar_mul(m, P).is_infinity:
-        raise ValueError("m*P must be the identity")
-    one = curve.field.one
-    if P.is_infinity or m == 1:
-        return one
-    f_m, f_n = one, one
+    f_m = f_n = curve.field.one
     T = P
     for bit in bin(m)[3:]:
         v_m, v_n, T = _miller_step(T, T, M, N)
@@ -221,6 +216,8 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
             v_m, v_n, T = _miller_step(T, P, M, N)
             f_m = f_m * v_m
             f_n = f_n * v_n
+    if not T.is_infinity:
+        raise ValueError("m*P must be the identity")
     return f_m / f_n
 
 
@@ -230,7 +227,8 @@ def _miller_step(T: Point, Q: Point, M: Point, N: Point):
     S = curve.add(T, Q)
     if T.is_infinity or Q.is_infinity:
         # adding the identity contributes the constant function 1; this
-        # happens when the pairing order is a proper multiple of ord(P)
+        # happens when P is the identity or the pairing order is a proper
+        # multiple of ord(P)
         one = curve.field.one
         return one, one, S
     if S.is_infinity:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witness set, valid far beyond the 2^61 field bound.
@@ -70,16 +71,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine (residue, modulus) pairs with pairwise coprime moduli.
 
@@ -87,11 +78,10 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """
     x, m = 0, 1
     for r, n in residues:
-        g, s, _ = xgcd(m, n)
-        if g != 1:
+        if math.gcd(m, n) != 1:
             raise ValueError(f"moduli {m} and {n} are not coprime")
-        # s*m = 1 mod n, so the correction term leaves x mod m untouched
-        x = (x + (r - x) * s % n * m) % (m * n)
+        # the correction term is a multiple of m, so it leaves x mod m untouched
+        x = (x + (r - x) * pow(m, -1, n) % n * m) % (m * n)
         m *= n
     return x, m
 
@@ -115,9 +105,6 @@ class Factorization:
     @classmethod
     def from_int(cls, n: int) -> "Factorization":
         return cls(n, tuple(factorize(n)))
-
-    def primes(self) -> list[int]:
-        return [p for p, _ in self.factors]
 
     def merge(self, other: "Factorization") -> "Factorization":
         """Factorization of the product n * other.n."""

@@ -1,6 +1,8 @@
 import pytest
 
+from genjac import bench
 from genjac.bench import CSV_HEADER, BenchInvariantError, run_benchmark
+from genjac.groups import CurveGroup, ExtensionGroup, MultiplicativeGroup
 
 # frozen run: seed 2, 6 trials, 6-bit scalars, toy params seed 7
 PINNED_CSV = """\
@@ -71,3 +73,26 @@ def test_argument_validation(toy):
 
 def test_invariant_error_is_exported():
     assert issubclass(BenchInvariantError, Exception)
+
+
+@pytest.mark.parametrize("target, distort, message", [
+    (CurveGroup, lambda m, r, g: (m, g.identity), "curve components disagree"),
+    (MultiplicativeGroup, lambda m, r, g: (m, g.add(r, r)), "unit component of the product"),
+    (ExtensionGroup, lambda m, r, g: (-1, r), "extension cost -1 fell below"),
+    (MultiplicativeGroup, lambda m, r, g: (m + 10**6, r), "fell below the factor costs"),
+])
+def test_strict_mode_checks_every_trial(toy, monkeypatch, target, distort, message):
+    # distort one group's measurement (of the extensions, the jacobian's);
+    # strict mode must name the broken fact
+    honest = bench._measure
+
+    def measure(group, n, x):
+        muls, chars, ms, result = honest(group, n, x)
+        if isinstance(group, target) and "[zero]" not in group.describe():
+            muls, result = distort(muls, result, group)
+        return muls, chars, ms, result
+
+    monkeypatch.setattr(bench, "_measure", measure)
+    with pytest.raises(BenchInvariantError, match=message):
+        run_benchmark(toy, trials=5, scalar_bits=5, seed=1)
+    assert run_benchmark(toy, trials=5, scalar_bits=5, seed=1, strict=False).trials == 5

@@ -72,6 +72,8 @@ def test_pairing_identity_point(params_file, capsys):
 def test_pairing_bad_point(params_file, capsys):
     assert main(["pairing", "--params", params_file, "--point", "5;4"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["pairing", "--params", params_file, "--point", "5;3;1"]) == 2
+    assert capsys.readouterr().err == "error: bad point record '5;3;1'\n"
 
 
 def test_attack_pinned_output(params_file, capsys):
@@ -148,6 +150,21 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_verify_check_counts_are_bounded(params_file, capsys):
+    # a verify that checks nothing must not report "all checks passed"
+    for flag, value, low in (("--checks", "0", 1), ("--checks", "-3", 1),
+                             ("--checks", "abc", 1), ("--pairing-checks", "-1", 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--params", params_file, flag, value])
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"genjac verify: error: argument {flag}: "
+                          f"expected an integer >= {low}, got {value!r}"]
+    assert main(["verify", "--params", params_file, "--checks", "1",
+                 "--pairing-checks", "0", "--seed", "1"]) == 0
+    assert "pairing cross-check: 0 checks, 0 failures" in capsys.readouterr().out
+
+
 def test_missing_params_file_exit_2(capsys):
     assert main(["attack", "--params", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -166,6 +183,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
          "curve order is 144, claimed 132"),
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 0;0"), "need x outside the base field"),
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 6,4;1,10"), "N != M and N != -M"),
+        (good.replace("modulus.M = 8,3;4,3", "modulus.M = 8,3;4,3;1"),
+         "line 9: modulus.M: bad point record '8,3;4,3;1'"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:

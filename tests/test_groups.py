@@ -10,7 +10,6 @@ from genjac.groups import (
     ExtElement,
     ExtensionGroup,
     MultiplicativeGroup,
-    NotInImageError,
     ZeroCocycle,
     direct_product,
     element_order,
@@ -40,7 +39,7 @@ def test_curve_and_unit_groups(toy):
     assert EG.identity.is_infinity
     P = toy.curve.parse_point("5;3")
     assert EG.add(P, P) == toy.curve.parse_point("5;8")
-    assert EG.neg(P) == -P
+    assert EG.neg(P) == toy.curve.neg(P)
     assert EG.serialize(P) == "5;3"
     assert EG.describe() == "E(F_11)"
 
@@ -159,18 +158,6 @@ def test_extension_group_inverse_law(toy, rng):
             continue
         assert total == jac.identity
         checked += 1
-
-
-def test_embed_project_unembed():
-    A, B = CyclicGroup(6), CyclicGroup(8)
-    C = direct_product(A, B)
-    x = C.embed(5)
-    assert x == ExtElement(0, 5)
-    assert C.project(x) == 0
-    assert C.unembed(x) == 5
-    with pytest.raises(NotInImageError):
-        C.unembed(ExtElement(3, 5))
-    assert C.project(ExtElement(3, 5)) == 3
 
 
 def test_extension_elements_and_sample(rng):

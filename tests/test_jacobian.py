@@ -97,10 +97,10 @@ def test_modulus_validation(toy):
     with pytest.raises(ValueError):
         Modulus(M, EK.infinity)  # and affine
     with pytest.raises(ValueError, match="N != -M"):
-        Modulus(M, -M)
+        Modulus(M, EK.neg(M))
     with pytest.raises(ValueError, match="outside the base field"):
         Modulus(EK.embed_point(toy.curve.parse_point("5;3")), N)
-    assert Modulus(M, N).difference() == M + (-N)
+    assert Modulus(M, N).difference() == EK.add(M, EK.neg(N))
 
 
 def test_toy_params_validation():
@@ -216,7 +216,7 @@ def test_extension_law_matches_display_formula(toy, rng):
         x = ExtElement(E.random_point(rng), U.sample(rng))
         y = ExtElement(E.random_point(rng), U.sample(rng))
         got = jac.add(x, y)
-        assert got.a_part == x.a_part + y.a_part
+        assert got.a_part == E.add(x.a_part, y.a_part)
         assert got.b_part == x.b_part * y.b_part * c(x.a_part, y.a_part)
 
 
@@ -283,7 +283,7 @@ def test_reduced_bilinearity(toy, rng):
         P = rng.choice(pts)
         a = rng.randrange(0, 40)
         t_P = reduce_pairing_value(tate_from_group_law(P, toy), pairing_order(P, toy), q)
-        Q = a * P
+        Q = toy.curve.scalar_mul(a, P)
         t_Q = reduce_pairing_value(tate_from_group_law(Q, toy), pairing_order(Q, toy), q)
         assert t_Q == t_P ** a
 

@@ -1,6 +1,6 @@
 import pytest
 
-from genjac.numbertheory import Factorization, crt, factorize, is_prime, xgcd
+from genjac.numbertheory import Factorization, crt, factorize, is_prime
 
 
 def test_is_prime_small_table():
@@ -38,20 +38,11 @@ def test_factorize_rejects_hard_composites():
         factorize((2**61 - 1) * (2**89 - 1))
 
 
-def test_xgcd():
-    for a, b in [(12, 18), (35, 64), (0, 5), (7, 0), (1, 1)]:
-        g, s, t = xgcd(a, b)
-        assert s * a + t * b == g
-        import math
-
-        assert g == math.gcd(a, b)
-
-
 def test_crt():
     x, m = crt([(2, 3), (3, 5), (2, 7)])
     assert (x, m) == (23, 105)
     assert crt([]) == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4 and 6 are not coprime"):
         crt([(1, 4), (2, 6)])
 
 
@@ -77,4 +68,4 @@ def test_factorization_merge_and_primes():
     merged = a.merge(b)
     assert merged.n == 144 * 120
     assert merged.factors == ((2, 7), (3, 3), (5, 1))
-    assert a.primes() == [2, 3]
+    assert a.factors == ((2, 4), (3, 2))
