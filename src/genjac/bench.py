@@ -135,13 +135,13 @@ def run_benchmark(
             continue
         if strict:
             _check_trial(trial)
-        for label, sample in trial.items():
-            samples[label].append(sample)
+        for label, (muls, chars, ms, _) in trial.items():
+            samples[label].append((muls, chars, ms))
         done += 1
 
     rows = []
     for label, group in groups.items():
-        muls, chars, times, _ = zip(*samples[label])
+        muls, chars, times = zip(*samples[label])
         rows.append(BenchRow(
             label=label,
             group=group.describe().replace(",", ";"),
