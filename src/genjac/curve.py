@@ -7,7 +7,10 @@ is the vertical line through P + Q.  The quotient has divisor
 (P+Q) + (O) - (P) - (Q), which is exactly the shape a modulus cocycle
 needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
-and is a hard error rather than a silent wrong value.
+and is a hard error rather than a silent wrong value.  Curves are
+interned like fields, so two curves are equal exactly when they are the
+same object, and a curve over F_{p^2} with coefficients in F_p has the
+same equation over F_p as its base curve.
 """
 
 from __future__ import annotations
@@ -24,21 +27,26 @@ class SupportCollisionError(Exception):
 
 
 class Curve:
-    """y^2 = x^3 + ax + b over a field of characteristic at least 5."""
+    """y^2 = x^3 + ax + b over a field of characteristic at least 5; one object per equation."""
 
     __slots__ = ("field", "a", "b", "base_curve", "_infinity")
+    _registry: dict[tuple, "Curve"] = {}
 
-    def __init__(self, field: _Field, a, b, _base: "Curve | None" = None) -> None:
+    def __new__(cls, field: _Field, a, b) -> "Curve":
         if field.p in (2, 3):
             raise ValueError("short Weierstrass form needs characteristic >= 5")
-        self.field = field
-        self.a = field(a)
-        self.b = field(b)
-        disc = field(4) * self.a * self.a * self.a + field(27) * self.b * self.b
-        if disc.is_zero():
-            raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
-        self.base_curve = _base
-        self._infinity = Point(self, None, None)
+        a, b = field(a), field(b)
+        key = (field, a.coeffs, b.coeffs)
+        if (curve := cls._registry.get(key)) is None:
+            if (field(4) * a * a * a + field(27) * b * b).is_zero():
+                raise ValueError("singular curve: 4a^3 + 27b^2 = 0")
+            curve = super().__new__(cls)
+            curve.field, curve.a, curve.b = field, a, b
+            rational = field.degree == 2 and not a.coeffs[1] and not b.coeffs[1]
+            curve.base_curve = Curve(field.base, a.coeffs[0], b.coeffs[0]) if rational else None
+            curve._infinity = Point(curve, None, None)
+            curve = cls._registry.setdefault(key, curve)
+        return curve
 
     @property
     def infinity(self) -> "Point":
@@ -62,12 +70,12 @@ class Curve:
 
     def extend(self, ext_field: ExtField) -> "Curve":
         """The same equation over an extension of this curve's field."""
-        if ext_field.base != self.field:
+        if ext_field.base is not self.field:
             raise ValueError("extension field does not contain the curve's field")
-        return Curve(ext_field, ext_field.embed(self.a), ext_field.embed(self.b), _base=self)
+        return Curve(ext_field, ext_field.embed(self.a), ext_field.embed(self.b))
 
     def embed_point(self, P: "Point") -> "Point":
-        if P.curve != self.base_curve:
+        if P.curve is not self.base_curve:
             raise ValueError("point does not come from this curve's base curve")
         if P.is_infinity:
             return self.infinity
@@ -75,7 +83,7 @@ class Curve:
         return Point(self, f.embed(P.x), f.embed(P.y))
 
     def add(self, P: "Point", Q: "Point") -> "Point":
-        if (P.curve is not self and P.curve != self) or (Q.curve is not self and Q.curve != self):
+        if P.curve is not self or Q.curve is not self:
             raise ValueError("points on mismatched curves")
         if P.is_infinity:
             return Q
@@ -139,17 +147,6 @@ class Curve:
             return Point(self, x, y)
         raise RuntimeError("no curve point found; curve suspiciously small")
 
-    def __eq__(self, other) -> bool:
-        return other is self or (
-            isinstance(other, Curve)
-            and other.field == self.field
-            and other.a == self.a
-            and other.b == self.b
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Curve", self.field, self.a.coeffs, self.b.coeffs))
-
     def __repr__(self) -> str:
         return f"Curve(y^2 = x^3 + {self.a.serialize()}*x + {self.b.serialize()} over {self.field.name})"
 
@@ -171,7 +168,7 @@ class Point:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Point)
-            and (other.curve is self.curve or other.curve == self.curve)
+            and other.curve is self.curve
             and other.x == self.x
             and other.y == self.y
         )
@@ -219,10 +216,10 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
     """
     curve = M.curve
     field = curve.field
-    if N.curve != curve:
+    if N.curve is not curve:
         raise ValueError("M and N must live on the same curve")
-    lift = P.curve != curve or Q.curve != curve
-    if lift and not (curve.base_curve is not None and P.curve == curve.base_curve == Q.curve):
+    lift = P.curve is not curve or Q.curve is not curve
+    if lift and not (P.curve is curve.base_curve and Q.curve is curve.base_curve):
         raise ValueError("M and N must live on the points' curve or an extension of it")
     if P.is_infinity or Q.is_infinity:
         return field.one

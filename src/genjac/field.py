@@ -10,7 +10,8 @@ pairing-friendly fields", ePrint 2006/471).  Every element
 multiplication or division records one tick in each counter scoped
 over the operation; addition, subtraction, negation and inversion
 record none, so the counts compare the work different group laws ask
-of the field.
+of the field.  Fields are interned, one object per parameter set, so
+two fields are equal exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class _Field:
 
     def __call__(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise ValueError("mismatched field parameters")
             return value
         if isinstance(value, int):
@@ -112,67 +113,71 @@ class _Field:
 
 
 class PrimeField(_Field):
-    """F_p for a word-sized prime p."""
+    """F_p for a word-sized prime p; one object per p."""
 
     __slots__ = ("p", "degree", "order", "_nonresidue")
+    _registry: dict[int, "PrimeField"] = {}
 
-    def __init__(self, p: int) -> None:
+    def __new__(cls, p: int) -> "PrimeField":
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p >= PRIME_BOUND:
             raise ValueError(f"prime {p} exceeds the 2^61 bound")
-        self.p = p
-        self.degree = 1
-        self.order = p
-        self._nonresidue = None
+        if (field := cls._registry.get(p)) is None:
+            field = super().__new__(cls)
+            field.p = p
+            field.degree = 1
+            field.order = p
+            field._nonresidue = None
+            field = cls._registry.setdefault(p, field)
+        return field
 
     @property
     def name(self) -> str:
         return f"F_{self.p}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
 
 class ExtField(_Field):
-    """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible."""
+    """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible; one object per poly."""
 
     __slots__ = ("base", "p", "degree", "order", "poly", "_nonresidue")
+    _registry: dict[tuple[int, tuple[int, ...]], "ExtField"] = {}
 
-    def __init__(self, base: PrimeField, degree: int, poly: Sequence[int]) -> None:
+    def __new__(cls, base: PrimeField, poly: Sequence[int]) -> "ExtField":
         if not isinstance(base, PrimeField):
             raise ValueError("extension must sit over a PrimeField")
-        if degree != 2:
-            raise ValueError(f"extension degree must be 2, got {degree}")
+        if len(poly) != 3:
+            raise ValueError(f"extension degree must be 2, got {len(poly) - 1}")
         p = base.p
         if p == 2:
             raise ValueError("quadratic extensions need an odd characteristic, got p = 2")
         poly = tuple(c % p for c in poly)
-        if len(poly) != 3 or poly[2] != 1:
-            raise ValueError("reduction polynomial must be monic of the stated degree")
-        t, s, _ = poly
+        t, s, lead = poly
+        if lead != 1:
+            raise ValueError("reduction polynomial must be monic")
         # irreducible iff the discriminant is a non-square (Euler's criterion)
         if pow(s * s - 4 * t, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"reduction polynomial {list(poly)} is reducible over F_{p}")
-        self.base = base
-        self.p = p
-        self.degree = 2
-        self.order = p * p
-        self.poly = poly
-        self._nonresidue = None
+        if (field := cls._registry.get((p, poly))) is None:
+            field = super().__new__(cls)
+            field.base = base
+            field.p = p
+            field.degree = 2
+            field.order = p * p
+            field.poly = poly
+            field._nonresidue = None
+            field = cls._registry.setdefault((p, poly), field)
+        return field
 
     @classmethod
     def quadratic(cls, base: PrimeField) -> "ExtField":
         """F_{p^2} = F_p[u]/(u^2+1); needs p = 3 mod 4 so that -1 is a non-square."""
         if base.p % 4 != 3:
             raise ValueError(f"u^2+1 is reducible over F_{base.p}; supply a polynomial")
-        return cls(base, 2, (1, 0, 1))
+        return cls(base, (1, 0, 1))
 
     @property
     def name(self) -> str:
@@ -180,15 +185,9 @@ class ExtField(_Field):
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
-        if elem.field is not self.base and elem.field != self.base:
+        if elem.field is not self.base:
             raise ValueError("mismatched field parameters")
         return FieldElement(self, (elem.coeffs[0], 0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtField) and other.p == self.p and other.poly == self.poly
-
-    def __hash__(self) -> int:
-        return hash(("ExtField", self.p, self.poly))
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, degree=2, poly={list(self.poly)})"
@@ -209,7 +208,7 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+        if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
         a, b, p = self.coeffs, other.coeffs, f.p
         if f.degree == 1:
@@ -218,7 +217,7 @@ class FieldElement:
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+        if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
         a, b, p = self.coeffs, other.coeffs, f.p
         if f.degree == 1:
@@ -233,7 +232,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+        if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
         degree, p = f.degree, f.p
         for counter in _counters.get():
@@ -247,7 +246,7 @@ class FieldElement:
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         # divides via inverse-and-multiply, so one counter tick per division
         f = self.field
-        if not (isinstance(other, FieldElement) and (other.field is f or other.field == f)):
+        if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
         return self * other.inverse()
 
@@ -279,7 +278,7 @@ class FieldElement:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
-            and (other.field is self.field or other.field == self.field)
+            and other.field is self.field
             and other.coeffs == self.coeffs
         )
 

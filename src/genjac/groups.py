@@ -98,12 +98,6 @@ class CyclicGroup(Group):
     def describe(self) -> str:
         return f"Z/{self.n}"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicGroup) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("CyclicGroup", self.n))
-
 
 class CurveGroup(Group):
     """Rational points of a short-Weierstrass curve under chord-and-tangent."""
@@ -132,12 +126,6 @@ class CurveGroup(Group):
 
     def describe(self) -> str:
         return f"E({self.curve.field.name})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CurveGroup) and other.curve == self.curve
-
-    def __hash__(self) -> int:
-        return hash(("CurveGroup", self.curve))
 
 
 class MultiplicativeGroup(Group):
@@ -170,12 +158,6 @@ class MultiplicativeGroup(Group):
 
     def describe(self) -> str:
         return f"Gm({self.field.name})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiplicativeGroup) and other.field == self.field
-
-    def __hash__(self) -> int:
-        return hash(("MultiplicativeGroup", self.field))
 
 
 @dataclass(frozen=True)

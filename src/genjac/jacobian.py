@@ -39,7 +39,7 @@ class Modulus:
     N: Point
 
     def __post_init__(self) -> None:
-        if self.M.curve != self.N.curve:
+        if self.M.curve is not self.N.curve:
             raise ValueError("modulus points live on different curves")
         if self.M.is_infinity or self.N.is_infinity:
             raise ValueError("modulus points must be affine")
@@ -62,9 +62,9 @@ class ModulusCocycle(Cocycle):
     tag = "generalized-jacobian"
 
     def __init__(self, a_group: CurveGroup, b_group: MultiplicativeGroup, modulus: Modulus) -> None:
-        if modulus.curve.field != b_group.field:
+        if modulus.curve.field is not b_group.field:
             raise ValueError("modulus points must live over the unit group's field")
-        if a_group.curve not in (modulus.curve, modulus.curve.base_curve):
+        if a_group.curve is not modulus.curve and a_group.curve is not modulus.curve.base_curve:
             raise ValueError("curve group must be the modulus curve or its base curve")
         super().__init__(a_group, b_group)
         self.modulus = modulus
@@ -167,7 +167,7 @@ def curve_orders(E: Curve) -> tuple[int, int]:
 
 def pairing_order(P: Point, params: GenJacParams) -> int:
     """lcm of the orders of P in E(k) and of M - N in E(K)."""
-    if P.curve != params.curve:
+    if P.curve is not params.curve:
         raise ValueError("P must lie on the base curve")
     r = element_order(P, params.curve_order)
     s = element_order(params.modulus.difference(), params.ext_curve_order)
@@ -196,33 +196,33 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
     cocycle machinery, so it serves as an independent cross-check of
     tate_from_group_law.  Requires m >= 1 and m*P = O.
     """
-    if M.curve != N.curve:
+    if M.curve is not N.curve:
         raise ValueError("evaluation points live on different curves")
     curve = M.curve
-    if P.curve != curve:
-        if curve.base_curve is not None and P.curve == curve.base_curve:
-            P = curve.embed_point(P)
-        else:
+    if P.curve is not curve:
+        if P.curve is not curve.base_curve:
             raise ValueError("P must lie on the evaluation curve or its base curve")
+        P = curve.embed_point(P)
     if m < 1:
         raise ValueError("the pairing order must be positive")
-    f_m = f_n = curve.field.one
+    # f((M) - (N)) as one fraction, so the loop divides once at the end
+    num = den = curve.field.one
     T = P
     for bit in bin(m)[3:]:
-        v_m, v_n, T = _miller_step(T, T, M, N)
-        f_m = f_m * f_m * v_m
-        f_n = f_n * f_n * v_n
+        step_num, step_den, T = _miller_step(T, T, M, N)
+        num = num * num * step_num
+        den = den * den * step_den
         if bit == "1":
-            v_m, v_n, T = _miller_step(T, P, M, N)
-            f_m = f_m * v_m
-            f_n = f_n * v_n
+            step_num, step_den, T = _miller_step(T, P, M, N)
+            num = num * step_num
+            den = den * step_den
     if not T.is_infinity:
         raise ValueError("m*P must be the identity")
-    return f_m / f_n
+    return num / den
 
 
 def _miller_step(T: Point, Q: Point, M: Point, N: Point):
-    """(l/v)(M), (l/v)(N), and T+Q, for l through T, Q and v vertical at T+Q."""
+    """l(M)*v(N), l(N)*v(M) and T+Q, for l through T, Q and v vertical at T+Q."""
     curve = T.curve
     S = curve.add(T, Q)
     if T.is_infinity or Q.is_infinity:
@@ -248,7 +248,7 @@ def _miller_step(T: Point, Q: Point, M: Point, N: Point):
     v_n = N.x - S.x
     if l_m.is_zero() or l_n.is_zero() or v_m.is_zero() or v_n.is_zero():
         raise SupportCollisionError("evaluation point sits on a Miller line")
-    return l_m / v_m, l_n / v_n, S
+    return l_m * v_n, l_n * v_m, S
 
 
 def reduce_pairing_value(value: FieldElement, m: int, unit_order: int) -> FieldElement:
@@ -274,6 +274,11 @@ _PARAM_KEYS = (
     "order.curve_ext",
     "order.units",
 )
+
+
+def _check_degree(value: str) -> None:
+    if int(value) != 2:
+        raise ValueError(f"extension degree must be 2, got {int(value)}")
 
 
 def params_to_text(params: GenJacParams) -> str:
@@ -322,7 +327,8 @@ def params_from_text(text: str) -> GenJacParams:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
     base = parsed("p", lambda value: PrimeField(int(value)))
-    K = ExtField(base, parsed("ext.degree", int), parsed("ext.poly", parse_coeffs))
+    parsed("ext.degree", _check_degree)
+    K = ExtField(base, parsed("ext.poly", parse_coeffs))
     E = Curve(base, parsed("curve.a", base.from_record), parsed("curve.b", base.from_record))
     EK = E.extend(K)
     modulus = Modulus(parsed("modulus.M", EK.parse_point), parsed("modulus.N", EK.parse_point))

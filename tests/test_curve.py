@@ -4,6 +4,7 @@ import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
 from genjac.field import ExtField, PrimeField
+from genjac.jacobian import tate_by_miller
 from genjac.numbertheory import Factorization
 
 
@@ -269,6 +270,25 @@ def test_line_fraction_exhaustive_against_oracle(toy):
                 assert _fused_or_none(P, Q, M, N) == expected, (P, Q)
                 collisions += expected is None
     assert collisions > 0
+
+
+def test_curves_are_interned(toy):
+    E, EK = toy.curve, toy.ext_curve
+    K = EK.field
+    assert Curve(E.field, 1, 0) is E
+    # built directly, the curve over F_121 still knows its base curve
+    direct = Curve(K, 1, 0)
+    assert direct is E.extend(K) is EK
+    assert direct.base_curve is E and E.base_curve is None
+    M = direct.parse_point(toy.modulus.M.serialize())
+    N = direct.parse_point(toy.modulus.N.serialize())
+    P, Q = E.parse_point("5;3"), E.parse_point("7;8")
+    assert eval_line_fraction(P, Q, M, N) == eval_line_fraction(P, Q, toy.modulus.M, toy.modulus.N)
+    assert tate_by_miller(P, M, N, 3) == tate_by_miller(P, toy.modulus.M, toy.modulus.N, 3)
+    # bad input is never registered, so every call rejects it
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular"):
+            Curve(E.field, 0, 0)
 
 
 def test_point_hash_and_eq(E):

@@ -132,7 +132,7 @@ def _general_quadratic(base):
     # u^2 + u + t for the first t that makes it irreducible
     for t in range(base.p):
         try:
-            return ExtField(base, 2, (t, 1, 1))
+            return ExtField(base, (t, 1, 1))
         except ValueError:
             continue
 
