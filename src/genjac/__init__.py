@@ -16,7 +16,6 @@ from .dlp import (
     brute_force_dlp,
     bsgs,
     pohlig_hellman,
-    reduce_prime_subgroup,
     solve_extension_dlp,
 )
 from .field import ExtField, FieldElement, MulCounter, PrimeField, count_mults

@@ -190,17 +190,17 @@ class Point:
 
 
 def element_order(P: Point, group_order: Factorization) -> int:
-    """Exact order of P given a factored multiple of it (usually the group order)."""
+    """Exact order of P given a factored multiple of it, by the loop of groups.element_order."""
     curve, n = P.curve, group_order.n
-    if not curve.scalar_mul(n, P).is_infinity:
-        raise ValueError(f"group order {n} is inconsistent with the point")
+    order, Q = 1, P
     for l, e in group_order.factors:
-        for _ in range(e):
-            if n % l == 0 and curve.scalar_mul(n // l, P).is_infinity:
-                n //= l
-            else:
-                break
-    return n
+        Q = curve.scalar_mul(n // l**e, P)
+        while not Q.is_infinity and order % l**e:
+            Q = curve.scalar_mul(l, Q)
+            order *= l
+    if not Q.is_infinity:
+        raise ValueError(f"group order {n} is inconsistent with the point")
+    return order
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:

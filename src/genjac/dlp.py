@@ -2,11 +2,11 @@
 
 The generic solvers (`brute_force_dlp`, `bsgs`, `pohlig_hellman`) work in any
 `Group`.  For a group built from a symmetric 2-cocycle the interesting solver
-is `solve_extension_dlp`: it runs Pohlig-Hellman but hands every prime-order
-leaf to `reduce_prime_subgroup`, which never searches the extension itself.
-Each leaf subgroup either projects isomorphically onto the base factor or
-lies inside the embedded fiber, so the search always happens in one of the
-two factor groups.
+is `solve_extension_dlp`.  It solves one discrete log in the base group A for
+the generator's projection, then one in the fiber B for the value t that
+n_A * g = (O, t) carries, where n_A is the order of the projection.  Both run
+Pohlig-Hellman with bsgs leaves, so the extension itself is never searched
+and pays only for a few scalar multiplications.
 
 Every solver verifies its candidate exponent against the target before
 returning and raises `NoSolutionError` otherwise, so a returned solution is
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable
 
+from . import groups
 from .groups import ExtensionGroup, Group
 from .numbertheory import Factorization, crt
 
@@ -139,34 +140,44 @@ def pohlig_hellman(
     return DlpSolution(combined, modulus, tuple(steps))
 
 
-def reduce_prime_subgroup(
-    group: Group, generator: Any, target: Any, order: int
-) -> DlpSolution:
-    """Leaf solver for extension groups that never searches the extension.
+def _factor_log(group: Group, base, target, order: Factorization, d: int, tag: str) -> DlpSolution:
+    """Pohlig-Hellman in one factor group for a base of order d | order.n, leaves tagged."""
+    if d == 1:
+        return DlpSolution(0, 1, ())
+    # the exponent of l in d counts the i in 1..e with l^i | d; nothing is factored again
+    exponents = ((l, sum(d % l**i == 0 for i in range(1, e + 1))) for l, e in order.factors)
 
-    The generator spans a subgroup of prime order, so exactly one of two
-    things is true: it projects isomorphically onto the base factor, or it
-    lies inside the embedded fiber.  Either way the discrete log transfers
-    to a plain group of the same order and comes back unchanged.
-    """
-    if not isinstance(group, ExtensionGroup):
-        raise TypeError("reduce_prime_subgroup only applies to extension groups")
-    if generator.a_part == group.a_group.identity:
-        if target.a_part != group.a_group.identity:
-            raise NoSolutionError("target is outside the fiber spanned by the generator")
-        leaf = bsgs(group.b_group, generator.b_part, target.b_part, order)
-        steps = (Step("pulled-back-to-B", f"prime {order}"),) + leaf.steps
-    else:
-        leaf = bsgs(group.a_group, generator.a_part, target.a_part, order)
-        steps = (Step("projected-to-A", f"prime {order}"),) + leaf.steps
-    if group.scalar_mul(leaf.exponent, generator) != target:
-        raise NoSolutionError("factor solution does not lift to the extension")
-    return DlpSolution(leaf.exponent, order, steps)
+    def leaf(factor: Group, gamma: Any, digit_target: Any, prime: int) -> DlpSolution:
+        found = bsgs(factor, gamma, digit_target, prime)
+        return DlpSolution(found.exponent, prime, (Step(tag, f"prime {prime}"),) + found.steps)
+
+    sub_order = Factorization(d, tuple((l, k) for l, k in exponents if k))
+    return pohlig_hellman(group, base, target, sub_order, leaf)
 
 
 def solve_extension_dlp(
     group: ExtensionGroup, generator: Any, target: Any, order: Factorization
 ) -> DlpSolution:
-    """Pohlig-Hellman where every leaf is solved in a factor group."""
-    return pohlig_hellman(group, generator, target, order, leaf_solver=reduce_prime_subgroup)
+    """One discrete log in each factor group; the extension is never searched.
 
+    For g = (P, b) with P of order n_A, n_A * g = (O, t) lies in the fiber.
+    The exponent is k0 + j * n_A, with k0 = log_P of target's base part and
+    j = log_t of the fiber part of target - k0 * g.
+    """
+    if not isinstance(group, ExtensionGroup):
+        raise TypeError("solve_extension_dlp only applies to extension groups")
+    A, B, n = group.a_group, group.b_group, order.n
+    n_a = groups.element_order(A, generator.a_part, order)  # module lookup: patchable at run time
+    t = group.scalar_mul(n_a, generator).b_part
+    if B.scalar_mul(n // n_a, t) != B.identity:
+        raise ValueError(f"{n} is not a multiple of the generator's order")
+    base_log = _factor_log(A, generator.a_part, target.a_part, order, n_a, "projected-to-A")
+    rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
+    if rest.a_part != A.identity:
+        raise NoSolutionError("target's base part is outside the generator's projection")
+    fiber_log = _factor_log(B, t, rest.b_part, order, n // n_a, "pulled-back-to-B")
+    exponent = (base_log.exponent + fiber_log.exponent * n_a) % n
+    if group.scalar_mul(exponent, generator) != target:
+        raise NoSolutionError("factor solutions do not lift to the extension")
+    steps = base_log.steps + fiber_log.steps + (Step("crt", f"exponent {exponent} mod {n}"),)
+    return DlpSolution(exponent, n, steps)

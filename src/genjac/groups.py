@@ -281,17 +281,21 @@ def direct_product(a_group: Group, b_group: Group) -> ExtensionGroup:
 
 
 def element_order(group: Group, x, order_multiple: Factorization) -> int:
-    """Exact order of x given a factored multiple of it."""
-    n = order_multiple.n
-    if group.scalar_mul(n, x) != group.identity:
-        raise ValueError(f"{n} is not a multiple of the element's order")
+    """Exact order of x given a factored multiple n of it.
+
+    Per prime power l^e of n, one ladder y = (n / l^e) * x, then y times l
+    until the identity; l^e * y = n * x, so the last y also tests n.
+    """
+    n, identity = order_multiple.n, group.identity
+    order, y = 1, x
     for l, e in order_multiple.factors:
-        for _ in range(e):
-            if n % l == 0 and group.scalar_mul(n // l, x) == group.identity:
-                n //= l
-            else:
-                break
-    return n
+        y = group.scalar_mul(n // l**e, x)
+        while y != identity and order % l**e:
+            y = group.scalar_mul(l, y)
+            order *= l
+    if y != identity:
+        raise ValueError(f"{n} is not a multiple of the element's order")
+    return order
 
 
 @dataclass

@@ -94,11 +94,12 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        prod = 1
+        # one entry per prime, ascending: order finders take each p^e as the whole p-part
+        prod, last = 1, 1
         for p, e in self.factors:
-            if e < 1 or not is_prime(p):
+            if e < 1 or p <= last or not is_prime(p):
                 raise ValueError(f"bad factor {p}^{e} in factorization of {self.n}")
-            prod *= p**e
+            prod, last = prod * p**e, p
         if prod != self.n:
             raise ValueError(f"factors multiply to {prod}, not {self.n}")
 

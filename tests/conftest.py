@@ -1,8 +1,10 @@
+import functools
 import random
 
 import pytest
 
 from genjac import make_toy_params
+from genjac.groups import Cocycle, ExtensionGroup
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,26 @@ def params_file(toy, tmp_path_factory):
     path = tmp_path_factory.mktemp("params") / "toy.txt"
     path.write_text(params_to_text(toy))
     return str(path)
+
+
+class _MemoizedCocycle(Cocycle):
+    """Another cocycle's values, each argument pair computed once."""
+
+    tag = "memoized"
+
+    def __init__(self, inner: Cocycle) -> None:
+        super().__init__(inner.a_group, inner.b_group)
+        self._call = functools.cache(inner)
+
+    def __call__(self, p, q):
+        return self._call(p, q)
+
+
+@pytest.fixture(scope="session")
+def memoized_extension():
+    """Build the extension group of a cocycle with its values memoized.
+
+    Oracles that add tens of thousands of times over a small base group use
+    it; the group law and every value are the same as the plain extension's.
+    """
+    return lambda cocycle: ExtensionGroup(_MemoizedCocycle(cocycle))

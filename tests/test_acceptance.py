@@ -9,8 +9,8 @@ subgroup is cubic in its order, so the largest subgroups get a complete
 addition-table check instead (g^i + g^j = g^(i+j) for all pairs), which
 entails associativity, commutativity, identity, and inverses over the
 subgroup; a smaller subgroup is still exhausted triple by triple.  The
-table runs use a value-caching wrapper around the cocycle: identical
-values, computed once per argument pair.
+table runs use the `memoized_extension` fixture of conftest.py: identical
+cocycle values, computed once per argument pair.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from genjac.curve import SupportCollisionError
 from genjac.dlp import brute_force_dlp, bsgs, pohlig_hellman, solve_extension_dlp
 from genjac.groups import (
     CoboundaryCocycle,
-    Cocycle,
     CurveGroup,
     CyclicGroup,
     ExtElement,
@@ -35,23 +34,6 @@ from genjac.groups import (
 from genjac.field import count_mults
 from genjac.jacobian import pairing_order, reduce_pairing_value, tate_by_miller
 from genjac.numbertheory import Factorization, is_prime
-
-
-class _CachedCocycle(Cocycle):
-    """Memoized view of another cocycle; same values, computed once."""
-
-    tag = "cached"
-
-    def __init__(self, inner: Cocycle) -> None:
-        super().__init__(inner.a_group, inner.b_group)
-        self.inner = inner
-        self.cache = {}
-
-    def __call__(self, p, q):
-        key = (p, q)
-        if key not in self.cache:
-            self.cache[key] = self.inner(p, q)
-        return self.cache[key]
 
 
 def _cyclic_subgroup(group, gen):
@@ -80,9 +62,9 @@ def test_criterion_1_cocycle_validity(toy):
           f"{elapsed:.1f}s)")
 
 
-def test_criterion_2_group_axioms(toy):
+def test_criterion_2_group_axioms(toy, memoized_extension):
     """Exhaustive axioms over extension subgroups and small cocycles."""
-    jac = ExtensionGroup(_CachedCocycle(toy.modulus_cocycle(ext=True)))
+    jac = memoized_extension(toy.modulus_cocycle(ext=True))
     EK = toy.ext_curve
     K = EK.field
 

@@ -23,14 +23,17 @@ transcript:
   projected-to-A: prime 2
   bsgs: order 2, 2 baby steps
   pohlig-hellman-prime(2,1): residue 1 mod 2
+  projected-to-A: prime 3
+  bsgs: order 3, 2 baby steps
+  pohlig-hellman-prime(3,1): residue 0 mod 3
+  crt: exponent 3 mod 6
   pulled-back-to-B: prime 3
   bsgs: order 3, 2 baby steps
-  pulled-back-to-B: prime 3
-  bsgs: order 3, 2 baby steps
-  pohlig-hellman-prime(3,2): residue 0 mod 9
+  pohlig-hellman-prime(3,1): residue 1 mod 3
   pulled-back-to-B: prime 5
   bsgs: order 5, 3 baby steps
-  pohlig-hellman-prime(5,1): residue 0 mod 5
+  pohlig-hellman-prime(5,1): residue 2 mod 5
+  crt: exponent 7 mod 15
   crt: exponent 45 mod 90
 recovered: 45 mod 90
 verified: true

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
+from genjac import make_toy_params
 from genjac.dlp import (
     NoSolutionError,
     brute_force_dlp,
     bsgs,
     pohlig_hellman,
-    reduce_prime_subgroup,
     solve_extension_dlp,
 )
 from genjac.groups import CurveGroup, CyclicGroup, ExtElement, element_order
@@ -189,7 +189,7 @@ def test_no_solution_fiber_mismatch(toy, base_jac):
     K = toy.ext_curve.field
     gen = ExtElement(toy.curve.infinity, K([0, 1]))
     bad = ExtElement(toy.curve.parse_point("9;1"), K([0, 1]))
-    with pytest.raises(NoSolutionError):
+    with pytest.raises(NoSolutionError, match="base part"):
         solve_extension_dlp(base_jac, gen, bad, Factorization.from_int(4))
 
 
@@ -204,7 +204,66 @@ def test_no_false_positive_on_corrupted_target(toy, base_jac, pinned_generator):
         solve_extension_dlp(base_jac, pinned_generator, corrupted, order)
 
 
-def test_reduce_prime_subgroup_requires_extension():
+def test_factor_solver_requires_extension():
     with pytest.raises(TypeError):
-        reduce_prime_subgroup(CyclicGroup(5), 1, 2, 5)
+        solve_extension_dlp(CyclicGroup(5), 1, 2, Factorization.from_int(5))
 
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factor_solver_agrees_with_brute_force_p103(seed, memoized_extension):
+    params = make_toy_params(103, seed)
+    jac = params.jacobian()
+    # the same group law with memoized cocycle values, so the linear scans stay fast
+    scan_group = memoized_extension(params.modulus_cocycle())
+    rng = random.Random(seed)
+    solved = 0
+    while solved < 4:
+        gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n = element_order(jac, gen, params.jacobian_order())
+        if n > 2 * 10**5:
+            continue
+        secret = rng.randrange(n)
+        target = jac.scalar_mul(secret, gen)
+        fast = solve_extension_dlp(jac, gen, target, Factorization.from_int(n))
+        slow = brute_force_dlp(scan_group, gen, target, n)
+        assert fast.exponent == slow.exponent == secret
+        assert fast.order == n
+        solved += 1
+
+
+def test_factor_solver_recovers_secret_p1019():
+    params = make_toy_params(1019, 1)
+    jac = params.jacobian()
+    rng = random.Random(1019)
+    for _ in range(10):
+        gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n = element_order(jac, gen, params.jacobian_order())
+        secret = rng.randrange(n)
+        target = jac.scalar_mul(secret, gen)
+        sol = solve_extension_dlp(jac, gen, target, Factorization.from_int(n))
+        assert (sol.exponent, sol.order) == (secret, n)
+        assert sol.steps[-1].detail == f"exponent {secret} mod {n}"
+
+
+def test_generator_with_trivial_fiber_value(toy, base_jac):
+    # (0,0) has order 2, and for this unit 2 * g = (O, 1): nothing to pull back
+    P = toy.curve.parse_point("0;0")
+    gen = ExtElement(P, toy.ext_curve.field([6, 1]))
+    assert base_jac.scalar_mul(2, gen) == base_jac.identity
+    for order in (Factorization.from_int(2), toy.jacobian_order()):
+        for secret in (0, 1):
+            target = base_jac.scalar_mul(secret, gen)
+            sol = solve_extension_dlp(base_jac, gen, target, order)
+            assert base_jac.scalar_mul(sol.exponent, gen) == target
+            assert sol.exponent % 2 == secret
+    sol = solve_extension_dlp(base_jac, gen, gen, Factorization.from_int(2))
+    assert sol.methods() == ("projected-to-A", "bsgs", "pohlig-hellman-prime(2,1)", "crt", "crt")
+
+
+def test_factor_solver_rejects_non_multiple_order(base_jac, pinned_generator):
+    target = base_jac.scalar_mul(7, pinned_generator)
+    # 15 misses the order 2 of the curve part; 10 and 2 miss the order 15 of
+    # the fiber value 2 * g = (O, t), and 2 leaves no fiber log to solve
+    for n in (15, 10, 2):
+        with pytest.raises(ValueError):
+            solve_extension_dlp(base_jac, pinned_generator, target, Factorization.from_int(n))

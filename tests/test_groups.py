@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genjac.curve import SupportCollisionError
+from genjac.curve import SupportCollisionError, element_order as point_order
 from genjac.groups import (
     CoboundaryCocycle,
     CurveGroup,
@@ -177,6 +177,63 @@ def test_element_order():
     assert element_order(G, 6, Factorization.from_int(12)) == 2
     with pytest.raises(ValueError):
         element_order(G, 1, Factorization.from_int(8))
+
+
+def _order_by_addition(group, x):
+    """The definition: the smallest k > 0 with k * x = 0, by repeated addition."""
+    k, acc = 1, x
+    while acc != group.identity:
+        acc = group.add(acc, x)
+        k += 1
+    return k
+
+
+def test_element_order_against_definition_cyclic():
+    G = CyclicGroup(720)
+    over_multiple = Factorization.from_int(2**7 * 3**4 * 5**2)
+    for x in G.elements():
+        assert element_order(G, x, over_multiple) == _order_by_addition(G, x)
+
+
+def test_element_order_against_definition_curve(toy):
+    EG = CurveGroup(toy.curve)
+    points = list(EG.elements())
+    assert len(points) == 12
+    for P in points:
+        expected = _order_by_addition(EG, P)
+        for multiple in (toy.curve_order, toy.jacobian_order()):
+            assert element_order(EG, P, multiple) == expected
+            assert point_order(P, multiple) == expected
+
+
+def test_element_order_against_definition_extension_subgroup(toy, memoized_extension):
+    # the order-720 subgroup of acceptance criterion 2, over F_121
+    jac = memoized_extension(toy.modulus_cocycle(ext=True))
+    EK, K = toy.ext_curve, toy.ext_curve.field
+    g = ExtElement(EK.parse_point("6,8;5,3"), K.from_record("2,7"))
+    multiple = toy.jacobian_order(ext=True)
+    x, seen = jac.identity, 0
+    while True:
+        assert element_order(jac, x, multiple) == _order_by_addition(jac, x)
+        seen += 1
+        x = jac.add(x, g)
+        if x == jac.identity:
+            break
+    assert seen == 720
+
+
+def test_element_order_rejects_non_multiples(toy):
+    G = CyclicGroup(720)
+    for n in (2**7 * 3**4, 2**3 * 3**2 * 5, 1):
+        with pytest.raises(ValueError):
+            element_order(G, 1, Factorization.from_int(n))
+    assert element_order(G, 0, Factorization.from_int(1)) == 1
+    P = toy.curve.parse_point("7;3")  # order 12
+    for n in (8, 6, 1):
+        with pytest.raises(ValueError):
+            element_order(CurveGroup(toy.curve), P, Factorization.from_int(n))
+        with pytest.raises(ValueError):
+            point_order(P, Factorization.from_int(n))
 
 
 def test_sample_admissible_triples_counts(toy, rng):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from genjac.numbertheory import Factorization, crt, factorize, is_prime
@@ -60,6 +62,12 @@ def test_factorization_validates():
         Factorization(12, ((2, 1), (3, 1)))  # product is 6, not 12
     with pytest.raises(ValueError):
         Factorization(16, ((4, 2),))  # 4 is not prime
+    # each prime once, ascending, so that p^e is the whole p-part of n
+    for factors in (((2, 1), (2, 1)), ((3, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            Factorization(math.prod(p**e for p, e in factors), factors)
+    with pytest.raises(ValueError):
+        Factorization.parse("12 = 2 * 2 * 3")
 
 
 def test_factorization_merge_and_primes():
