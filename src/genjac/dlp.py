@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Any, Callable
 
-from . import groups
-from .groups import ExtensionGroup, Group
+from .groups import ExtensionGroup, Group, fiber_split
 from .numbertheory import Factorization, crt
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
@@ -108,9 +107,11 @@ def pohlig_hellman(
 ) -> DlpSolution:
     """Solve digit by digit in each prime-power part, then recombine by CRT.
 
-    `order` must be a factored multiple of the generator's order.  The leaf
-    solver is called once per digit with a generator of prime order; swapping
-    it out is how the extension-group attack reuses this scaffold.
+    `order` must be a factored multiple n of the generator's order.  For l^e
+    in n, (n / l^e) * g times l until the identity finds l^f, the l-part of
+    the exact order, and its last value before that is the digit generator
+    the leaf solver gets once per digit; swapping the leaf solver out is how
+    the extension-group attack reuses this scaffold.
     """
     n = order.n
     if group.scalar_mul(n, generator) != group.identity:
@@ -118,19 +119,24 @@ def pohlig_hellman(
     steps: list[Step] = []
     residues: list[tuple[int, int]] = []
     for prime, exponent in order.factors:
-        gamma = group.scalar_mul(n // prime, generator)
+        cofactor = n // prime**exponent
+        y, f = group.scalar_mul(cofactor, generator), 0
+        while y != group.identity:
+            gamma, y, f = y, group.scalar_mul(prime, y), f + 1
+        if f == 0:
+            continue
         partial = 0
-        for j in range(exponent):
+        for j in range(f):
             shifted = group.sub(target, group.scalar_mul(partial, generator))
-            digit_target = group.scalar_mul(n // prime ** (j + 1), shifted)
+            digit_target = group.scalar_mul(cofactor * prime ** (f - 1 - j), shifted)
             leaf = leaf_solver(group, gamma, digit_target, prime)
             steps.extend(leaf.steps)
             partial += leaf.exponent * prime**j
-        residues.append((partial, prime**exponent))
+        residues.append((partial, prime**f))
         steps.append(
             Step(
-                f"pohlig-hellman-prime({prime},{exponent})",
-                f"residue {partial} mod {prime ** exponent}",
+                f"pohlig-hellman-prime({prime},{f})",
+                f"residue {partial} mod {prime ** f}",
             )
         )
     combined, modulus = crt(residues)
@@ -140,19 +146,16 @@ def pohlig_hellman(
     return DlpSolution(combined, modulus, tuple(steps))
 
 
-def _factor_log(group: Group, base, target, order: Factorization, d: int, tag: str) -> DlpSolution:
-    """Pohlig-Hellman in one factor group for a base of order d | order.n, leaves tagged."""
-    if d == 1:
+def _factor_log(group: Group, base, target, order: Factorization, tag: str) -> DlpSolution:
+    """Pohlig-Hellman in one factor group for a base of the given order, leaves tagged."""
+    if order.n == 1:
         return DlpSolution(0, 1, ())
-    # the exponent of l in d counts the i in 1..e with l^i | d; nothing is factored again
-    exponents = ((l, sum(d % l**i == 0 for i in range(1, e + 1))) for l, e in order.factors)
 
     def leaf(factor: Group, gamma: Any, digit_target: Any, prime: int) -> DlpSolution:
         found = bsgs(factor, gamma, digit_target, prime)
         return DlpSolution(found.exponent, prime, (Step(tag, f"prime {prime}"),) + found.steps)
 
-    sub_order = Factorization(d, tuple((l, k) for l, k in exponents if k))
-    return pohlig_hellman(group, base, target, sub_order, leaf)
+    return pohlig_hellman(group, base, target, order, leaf)
 
 
 def solve_extension_dlp(
@@ -167,17 +170,15 @@ def solve_extension_dlp(
     if not isinstance(group, ExtensionGroup):
         raise TypeError("solve_extension_dlp only applies to extension groups")
     A, B, n = group.a_group, group.b_group, order.n
-    n_a = groups.element_order(A, generator.a_part, order)  # module lookup: patchable at run time
-    t = group.scalar_mul(n_a, generator).b_part
-    if B.scalar_mul(n // n_a, t) != B.identity:
-        raise ValueError(f"{n} is not a multiple of the generator's order")
-    base_log = _factor_log(A, generator.a_part, target.a_part, order, n_a, "projected-to-A")
+    n_a, t = fiber_split(group, generator, order)
+    base_log = _factor_log(A, generator.a_part, target.a_part, order.divisor(n_a), "projected-to-A")
     rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
     if rest.a_part != A.identity:
         raise NoSolutionError("target's base part is outside the generator's projection")
-    fiber_log = _factor_log(B, t, rest.b_part, order, n // n_a, "pulled-back-to-B")
-    exponent = (base_log.exponent + fiber_log.exponent * n_a) % n
+    fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B")
+    # k0 < n_A and j < ord(t), so the exponent is already reduced mod n_A * ord(t)
+    exponent, modulus = base_log.exponent + fiber_log.exponent * n_a, n_a * fiber_log.order
     if group.scalar_mul(exponent, generator) != target:
         raise NoSolutionError("factor solutions do not lift to the extension")
-    steps = base_log.steps + fiber_log.steps + (Step("crt", f"exponent {exponent} mod {n}"),)
-    return DlpSolution(exponent, n, steps)
+    steps = base_log.steps + fiber_log.steps + (Step("crt", f"exponent {exponent} mod {modulus}"),)
+    return DlpSolution(exponent, modulus, steps)

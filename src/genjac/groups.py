@@ -280,13 +280,29 @@ def direct_product(a_group: Group, b_group: Group) -> ExtensionGroup:
     return ExtensionGroup(ZeroCocycle(a_group, b_group))
 
 
+def fiber_split(group: ExtensionGroup, x: ExtElement, order_multiple: Factorization):
+    """(n_A, t) with n_A = ord(x.a_part) and n_A * x = (0, t); ValueError unless ord(x) | n."""
+    n, B = order_multiple.n, group.b_group
+    n_a = element_order(group.a_group, x.a_part, order_multiple)
+    t = group.scalar_mul(n_a, x).b_part
+    if B.scalar_mul(n // n_a, t) != B.identity:
+        raise ValueError(f"{n} is not a multiple of the element's order")
+    return n_a, t
+
+
 def element_order(group: Group, x, order_multiple: Factorization) -> int:
     """Exact order of x given a factored multiple n of it.
 
     Per prime power l^e of n, one ladder y = (n / l^e) * x, then y times l
     until the identity; l^e * y = n * x, so the last y also tests n.
+
+    In an extension it is n_A * ord(t) for the split of `fiber_split`,
+    because a normalized cocycle makes {(0, b)} a copy of B.
     """
     n, identity = order_multiple.n, group.identity
+    if isinstance(group, ExtensionGroup):
+        n_a, t = fiber_split(group, x, order_multiple)
+        return n_a * element_order(group.b_group, t, order_multiple.divisor(n // n_a))
     order, y = 1, x
     for l, e in order_multiple.factors:
         y = group.scalar_mul(n // l**e, x)

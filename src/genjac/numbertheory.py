@@ -114,6 +114,14 @@ class Factorization:
             exps[p] = exps.get(p, 0) + e
         return Factorization(self.n * other.n, tuple(sorted(exps.items())))
 
+    def divisor(self, d: int) -> "Factorization":
+        """Factorization of a divisor d of n, read off n's primes; nothing is factored."""
+        if d < 1 or self.n % d:
+            raise ValueError(f"{d} does not divide {self.n}")
+        # the exponent of p in d counts the i in 1..e with p^i | d
+        exps = ((p, sum(d % p**i == 0 for i in range(1, e + 1))) for p, e in self.factors)
+        return Factorization(d, tuple((p, k) for p, k in exps if k))
+
     def __str__(self) -> str:
         if not self.factors:
             return "1 = 1"

@@ -102,6 +102,18 @@ def test_pohlig_hellman_requires_order_multiple():
         pohlig_hellman(G, 1, 5, Factorization.from_int(8))
 
 
+@pytest.mark.parametrize("multiple", [12, 24, 72, 60])
+def test_pohlig_hellman_accepts_proper_multiple(multiple):
+    # g = 2 has order 6 in Z/12: every multiple overstates its 2-part, 72 its
+    # 3-part too, and 60 has a prime the order lacks, which is skipped
+    G = CyclicGroup(12)
+    for k in range(12):
+        sol = pohlig_hellman(G, 2, G.scalar_mul(k, 2), Factorization.from_int(multiple))
+        assert (sol.exponent, sol.order) == (k % 6, 6)
+        primes = [m for m in sol.methods() if m.startswith("pohlig-hellman-prime")]
+        assert primes == ["pohlig-hellman-prime(2,1)", "pohlig-hellman-prime(3,1)"]
+
+
 def test_pohlig_hellman_on_curve(toy, rng):
     EG = CurveGroup(toy.curve)
     gen = toy.curve.parse_point("7;3")
@@ -229,6 +241,19 @@ def test_factor_solver_agrees_with_brute_force_p103(seed, memoized_extension):
         assert fast.exponent == slow.exponent == secret
         assert fast.order == n
         solved += 1
+
+
+def test_factor_solver_accepts_order_multiple(toy, base_jac):
+    # most generators have an order below |J|, so n / n_A overstates ord(t)
+    multiple = toy.jacobian_order()
+    rng = random.Random(3)
+    for _ in range(50):
+        gen = ExtElement(toy.curve.random_point(rng), toy.units().sample(rng))
+        n = element_order(base_jac, gen, multiple)
+        target = base_jac.scalar_mul(rng.randrange(n), gen)
+        fast = solve_extension_dlp(base_jac, gen, target, multiple)
+        slow = brute_force_dlp(base_jac, gen, target, n)
+        assert (fast.exponent, fast.order) == (slow.exponent, n)
 
 
 def test_factor_solver_recovers_secret_p1019():

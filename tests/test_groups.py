@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from genjac import make_toy_params
 from genjac.curve import SupportCollisionError, element_order as point_order
 from genjac.groups import (
     CoboundaryCocycle,
@@ -189,10 +190,12 @@ def _order_by_addition(group, x):
 
 
 def test_element_order_against_definition_cyclic():
-    G = CyclicGroup(720)
     over_multiple = Factorization.from_int(2**7 * 3**4 * 5**2)
-    for x in G.elements():
-        assert element_order(G, x, over_multiple) == _order_by_addition(G, x)
+    A, B = CyclicGroup(12), CyclicGroup(8)
+    twisted = ExtensionGroup(CoboundaryCocycle.random(A, B, random.Random(12)))
+    for G in (CyclicGroup(720), direct_product(A, B), twisted):
+        for x in G.elements():
+            assert element_order(G, x, over_multiple) == _order_by_addition(G, x)
 
 
 def test_element_order_against_definition_curve(toy):
@@ -234,6 +237,33 @@ def test_element_order_rejects_non_multiples(toy):
             element_order(CurveGroup(toy.curve), P, Factorization.from_int(n))
         with pytest.raises(ValueError):
             point_order(P, Factorization.from_int(n))
+    # order 30 with curve part of order 2 and 2 * g = (O, t), t of order 15: 15
+    # misses the curve part's order, 10 and 2 miss t's
+    g = ExtElement(toy.curve.parse_point("0;0"), toy.ext_curve.field([0, 7]))
+    for n in (15, 10, 2):
+        with pytest.raises(ValueError, match=f"^{n} is not a multiple of the element's order$"):
+            element_order(toy.jacobian(), g, Factorization.from_int(n))
+
+
+class _CountingExtension(ExtensionGroup):
+    adds = 0
+
+    def add(self, x, y):
+        self.adds += 1
+        return super().add(x, y)
+
+
+def test_extension_element_order_takes_one_extension_ladder():
+    params = make_toy_params(1019, 1)
+    jac = _CountingExtension(params.modulus_cocycle())
+    rng = random.Random(1019)
+    for _ in range(5):
+        g = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n_a = element_order(params.curve_group(), g.a_part, params.curve_order)
+        jac.adds = 0
+        n = element_order(jac, g, params.jacobian_order())
+        assert jac.adds <= 2 * n_a.bit_length()
+        assert n % n_a == 0 and jac.scalar_mul(n, g) == jac.identity
 
 
 def test_sample_admissible_triples_counts(toy, rng):

@@ -77,3 +77,13 @@ def test_factorization_merge_and_primes():
     assert merged.n == 144 * 120
     assert merged.factors == ((2, 7), (3, 3), (5, 1))
     assert a.factors == ((2, 4), (3, 2))
+
+
+def test_factorization_divisor():
+    f = Factorization.from_int(2**7 * 3**4 * 139**2 * 5003)
+    assert f.divisor(1) == Factorization(1, ())
+    assert f.divisor(f.n) == f
+    assert f.divisor(2**3 * 139**2) == Factorization(2**3 * 139**2, ((2, 3), (139, 2)))
+    for d in (5, 2**8, 0):
+        with pytest.raises(ValueError, match="does not divide"):
+            f.divisor(d)
