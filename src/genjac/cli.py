@@ -26,9 +26,8 @@ from .curve import SupportCollisionError
 from .dlp import NoSolutionError, solve_extension_dlp
 from .groups import CheckReport, ExtElement, element_order, sample_admissible_triples, \
     sample_operable_triples, verify_cocycle, verify_group_axioms
-from .jacobian import load_params, make_toy_params, pairing_order, params_to_text, \
+from .jacobian import PRNG_NAME, load_params, make_toy_params, pairing_order, params_to_text, \
     reduce_pairing_value, tate_by_miller, tate_from_group_law
-from .numbertheory import Factorization
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +79,7 @@ def _cmd_gen_params(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = load_params(args.params)
     rng = random.Random(_resolve_seed(args.seed))
-    print(f"params: p={params.curve.field.p} seed={params.seed} prng={params.prng}")
+    print(f"params: p={params.curve.field.p} seed={params.seed} prng={PRNG_NAME}")
     print(f"orders: curve {params.curve_order}; extended {params.ext_curve_order}; "
           f"units {params.unit_order}")
 
@@ -134,7 +133,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     jac = params.jacobian()
     gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
     n = element_order(jac, gen, params.jacobian_order())
-    order = Factorization.from_int(n)
+    order = params.jacobian_order().divisor(n)
     secret = rng.randrange(n) if args.secret is None else args.secret
     if not 0 <= secret < n:
         raise ValueError(f"secret must lie in [0, {n})")

@@ -15,8 +15,10 @@ same equation over F_p as its base curve.
 
 from __future__ import annotations
 
+import math
+
 from .field import ExtField, FieldElement, _Field
-from .numbertheory import Factorization
+from .numbertheory import Factorization, order_parts
 
 # Point enumeration walks the whole field; keep it desk-scale.
 ENUM_BOUND = 1 << 22
@@ -105,18 +107,6 @@ class Curve:
             return P
         return Point(self, P.x, -P.y)
 
-    def scalar_mul(self, n: int, P: "Point") -> "Point":
-        if n < 0:
-            return self.scalar_mul(-n, self.neg(P))
-        if n == 0 or P.is_infinity:
-            return self._infinity
-        acc = P
-        for bit in bin(n)[3:]:
-            acc = self.add(acc, acc)
-            if bit == "1":
-                acc = self.add(acc, P)
-        return acc
-
     def enumerate_points(self) -> list["Point"]:
         """All rational points including the identity; field must be desk-scale."""
         if self.field.order > ENUM_BOUND:
@@ -190,17 +180,9 @@ class Point:
 
 
 def element_order(P: Point, group_order: Factorization) -> int:
-    """Exact order of P given a factored multiple of it, by the loop of groups.element_order."""
-    curve, n = P.curve, group_order.n
-    order, Q = 1, P
-    for l, e in group_order.factors:
-        Q = curve.scalar_mul(n // l**e, P)
-        while not Q.is_infinity and order % l**e:
-            Q = curve.scalar_mul(l, Q)
-            order *= l
-    if not Q.is_infinity:
-        raise ValueError(f"group order {n} is inconsistent with the point")
-    return order
+    """Exact order of P given a factored multiple of it, by `order_parts` on the curve law."""
+    parts = order_parts(P.curve.add, P.curve.infinity, P, group_order)
+    return math.prod(l**f for l, _, f, _ in parts)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:

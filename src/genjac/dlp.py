@@ -6,7 +6,9 @@ is `solve_extension_dlp`.  It solves one discrete log in the base group A for
 the generator's projection, then one in the fiber B for the value t that
 n_A * g = (O, t) carries, where n_A is the order of the projection.  Both run
 Pohlig-Hellman with bsgs leaves, so the extension itself is never searched
-and pays only for a few scalar multiplications.
+and pays only for a few scalar multiplications.  `pohlig_hellman` reads the
+generator's exact order and its digit generators off `order_parts`, so any
+factored multiple of that order will do.
 
 Every solver verifies its candidate exponent against the target before
 returning and raises `NoSolutionError` otherwise, so a returned solution is
@@ -20,7 +22,7 @@ from math import isqrt
 from typing import Any, Callable
 
 from .groups import ExtensionGroup, Group, fiber_split
-from .numbertheory import Factorization, crt
+from .numbertheory import Factorization, crt, order_parts
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
 # at this bound holds 2^20 serialized elements, which is desk-scale memory.
@@ -108,23 +110,18 @@ def pohlig_hellman(
     """Solve digit by digit in each prime-power part, then recombine by CRT.
 
     `order` must be a factored multiple n of the generator's order.  For l^e
-    in n, (n / l^e) * g times l until the identity finds l^f, the l-part of
-    the exact order, and its last value before that is the digit generator
-    the leaf solver gets once per digit; swapping the leaf solver out is how
-    the extension-group attack reuses this scaffold.
+    in n, `order_parts` finds l^f, the l-part of the exact order, and the
+    digit generator of order l that the leaf solver gets once per digit;
+    swapping the leaf solver out is how the extension-group attack reuses
+    this scaffold.
     """
     n = order.n
-    if group.scalar_mul(n, generator) != group.identity:
-        raise ValueError(f"{n} is not a multiple of the generator's order")
     steps: list[Step] = []
     residues: list[tuple[int, int]] = []
-    for prime, exponent in order.factors:
-        cofactor = n // prime**exponent
-        y, f = group.scalar_mul(cofactor, generator), 0
-        while y != group.identity:
-            gamma, y, f = y, group.scalar_mul(prime, y), f + 1
+    for prime, exponent, f, gamma in order_parts(group.add, group.identity, generator, order):
         if f == 0:
             continue
+        cofactor = n // prime**exponent
         partial = 0
         for j in range(f):
             shifted = group.sub(target, group.scalar_mul(partial, generator))

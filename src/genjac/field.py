@@ -16,11 +16,12 @@ two fields are equal exactly when they are the same object.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Sequence
 
-from .numbertheory import is_prime
+from .numbertheory import double_and_add, is_prime
 
 # Characteristic stays word-sized; exact Python ints do the rest.
 PRIME_BOUND = 1 << 61
@@ -268,12 +269,7 @@ class FieldElement:
             if self.is_zero():
                 raise ArithmeticError("0**0 is undefined")
             return self.field.one
-        acc = self
-        for bit in bin(n)[3:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        return double_and_add(operator.mul, self, n)
 
     def __eq__(self, other) -> bool:
         return (

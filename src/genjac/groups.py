@@ -14,13 +14,14 @@ of a field, so the same extension machinery covers every case.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .curve import Curve, Point, SupportCollisionError
 from .field import FieldElement, _Field
-from .numbertheory import Factorization
+from .numbertheory import Factorization, double_and_add, order_parts
 
 
 class Group(ABC):
@@ -49,14 +50,7 @@ class Group(ABC):
     def scalar_mul(self, n: int, x):
         if n < 0:
             n, x = -n, self.neg(x)
-        if n == 0:
-            return self.identity
-        acc = x
-        for bit in bin(n)[3:]:
-            acc = self.add(acc, acc)
-            if bit == "1":
-                acc = self.add(acc, x)
-        return acc
+        return double_and_add(self.add, x, n) if n else self.identity
 
     def elements(self) -> Iterator:
         raise NotImplementedError(f"{self.describe()} is not enumerable")
@@ -291,27 +285,17 @@ def fiber_split(group: ExtensionGroup, x: ExtElement, order_multiple: Factorizat
 
 
 def element_order(group: Group, x, order_multiple: Factorization) -> int:
-    """Exact order of x given a factored multiple n of it.
-
-    Per prime power l^e of n, one ladder y = (n / l^e) * x, then y times l
-    until the identity; l^e * y = n * x, so the last y also tests n.
+    """Exact order of x given a factored multiple n of it, by `order_parts`.
 
     In an extension it is n_A * ord(t) for the split of `fiber_split`,
     because a normalized cocycle makes {(0, b)} a copy of B.
     """
-    n, identity = order_multiple.n, group.identity
     if isinstance(group, ExtensionGroup):
         n_a, t = fiber_split(group, x, order_multiple)
-        return n_a * element_order(group.b_group, t, order_multiple.divisor(n // n_a))
-    order, y = 1, x
-    for l, e in order_multiple.factors:
-        y = group.scalar_mul(n // l**e, x)
-        while y != identity and order % l**e:
-            y = group.scalar_mul(l, y)
-            order *= l
-    if y != identity:
-        raise ValueError(f"{n} is not a multiple of the element's order")
-    return order
+        fiber_multiple = order_multiple.divisor(order_multiple.n // n_a)
+        return n_a * element_order(group.b_group, t, fiber_multiple)
+    parts = order_parts(group.add, group.identity, x, order_multiple)
+    return math.prod(l**f for l, _, f, _ in parts)
 
 
 @dataclass
@@ -346,8 +330,9 @@ def verify_cocycle(cocycle: Cocycle, triples: list[tuple]) -> CheckReport:
     report = CheckReport()
     for p, q, r in triples:
         label = f"({A.serialize(p)}, {A.serialize(q)}, {A.serialize(r)})"
-        report.record(cocycle(p, q) == cocycle(q, p), f"symmetry on {label}")
-        lhs = B.add(cocycle(p, q), cocycle(A.add(p, q), r))
+        c_pq = cocycle(p, q)
+        report.record(c_pq == cocycle(q, p), f"symmetry on {label}")
+        lhs = B.add(c_pq, cocycle(A.add(p, q), r))
         rhs = B.add(cocycle(q, r), cocycle(p, A.add(q, r)))
         report.record(lhs == rhs, f"cocycle relation on {label}")
     return report
@@ -359,11 +344,9 @@ def verify_group_axioms(group: Group, triples: list[tuple]) -> CheckReport:
     e = group.identity
     for x, y, z in triples:
         label = f"({group.serialize(x)}, {group.serialize(y)}, {group.serialize(z)})"
-        report.record(group.add(x, y) == group.add(y, x), f"commutativity on {label}")
-        report.record(
-            group.add(group.add(x, y), z) == group.add(x, group.add(y, z)),
-            f"associativity on {label}",
-        )
+        xy = group.add(x, y)
+        report.record(xy == group.add(y, x), f"commutativity on {label}")
+        report.record(group.add(xy, z) == group.add(x, group.add(y, z)), f"associativity on {label}")
         report.record(group.add(x, e) == x, f"identity on {label}")
         report.record(group.add(x, group.neg(x)) == e, f"inverse on {label}")
     return report

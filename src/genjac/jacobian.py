@@ -87,7 +87,6 @@ class GenJacParams:
     ext_curve_order: Factorization
     unit_order: Factorization
     seed: int | None = None
-    prng: str = PRNG_NAME
 
     def units(self) -> MultiplicativeGroup:
         return MultiplicativeGroup(self.ext_curve.field)
@@ -281,10 +280,15 @@ def _check_degree(value: str) -> None:
         raise ValueError(f"extension degree must be 2, got {int(value)}")
 
 
+def _check_prng(value: str) -> None:
+    if value != PRNG_NAME:
+        raise ValueError(f"only {PRNG_NAME} is supported, got {value!r}")
+
+
 def params_to_text(params: GenJacParams) -> str:
     lines = ["# genjac parameters"]
     if params.seed is not None:
-        lines.append(f"prng = {params.prng}")
+        lines.append(f"prng = {PRNG_NAME}")
         lines.append(f"seed = {params.seed}")
     lines.append(f"p = {params.curve.field.p}")
     lines.append(f"curve.a = {params.curve.a.serialize()}")
@@ -326,6 +330,8 @@ def params_from_text(text: str) -> GenJacParams:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
+    if "prng" in entries:
+        parsed("prng", _check_prng)
     base = parsed("p", lambda value: PrimeField(int(value)))
     parsed("ext.degree", _check_degree)
     K = ExtField(base, parsed("ext.poly", parse_coeffs))
@@ -343,8 +349,7 @@ def params_from_text(text: str) -> GenJacParams:
             raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
     seed = parsed("seed", int) if "seed" in entries else None
-    prng = entries["prng"][1] if "prng" in entries else PRNG_NAME
-    return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed, prng=prng)
+    return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed)
 
 
 def load_params(path: str) -> GenJacParams:

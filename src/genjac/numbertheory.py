@@ -1,4 +1,10 @@
-"""Integer helpers shared across the package: primality, factoring, CRT."""
+"""Integer helpers shared across the package: primality, factoring, CRT.
+
+It also holds the two loops that the field, curve, group and solver
+layers share, written against a bare addition function: the
+double-and-add ladder and the search for an element's exact order from a
+factored multiple of it.
+"""
 
 from __future__ import annotations
 
@@ -84,6 +90,34 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
         x = (x + (r - x) * pow(m, -1, n) % n * m) % (m * n)
         m *= n
     return x, m
+
+
+def double_and_add(add, x, n: int):
+    """n * x for n >= 1, left to right; `add` is the group law written additively."""
+    acc = x
+    for bit in bin(n)[3:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, x)
+    return acc
+
+
+def order_parts(add, identity, x, multiple: Factorization) -> list[tuple]:
+    """(l, e, f, gamma) per prime power l^e of a factored multiple n of ord(x).
+
+    y = (n / l^e) * x, then y times l until the identity: l^f is the l-part
+    of ord(x) and gamma, the last y before the identity, has order l (None
+    when f = 0).  l^e * y = n * x, so the last y also tests n.
+    """
+    n, y, parts = multiple.n, x, []
+    for l, e in multiple.factors:
+        y, f, gamma = double_and_add(add, x, n // l**e), 0, None
+        while y != identity and f < e:
+            gamma, y, f = y, double_and_add(add, y, l), f + 1
+        parts.append((l, e, f, gamma))
+    if y != identity:
+        raise ValueError(f"{n} is not a multiple of the element's order")
+    return parts
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ def test_criterion_4_pairing_extraction(toy):
         a = rng.randrange(0, 40)
         m_P = pairing_order(P, toy)
         t_P = jac.scalar_mul(m_P, ExtElement(P, one)).b_part.inverse()
-        Q = toy.curve.scalar_mul(a, P)
+        Q = CurveGroup(toy.curve).scalar_mul(a, P)
         m_Q = pairing_order(Q, toy)
         t_Q = jac.scalar_mul(m_Q, ExtElement(Q, one)).b_part.inverse()
         lhs = reduce_pairing_value(t_Q, m_Q, q)

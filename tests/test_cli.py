@@ -188,6 +188,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 6,4;1,10"), "N != M and N != -M"),
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 8,3;4,3;1"),
          "line 9: modulus.M: bad point record '8,3;4,3;1'"),
+        (good.replace("prng = mt19937", "prng = pcg64"), "line 2: prng: only mt19937 is supported, got 'pcg64'"),
+        (good.replace("prng = mt19937", "prng = "), "line 2: prng: only mt19937 is supported, got ''"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:

@@ -19,7 +19,8 @@ from genjac.groups import (
     verify_cocycle,
     verify_group_axioms,
 )
-from genjac.numbertheory import Factorization
+from genjac.dlp import pohlig_hellman
+from genjac.numbertheory import Factorization, order_parts
 
 
 def test_cyclic_group_basics():
@@ -189,13 +190,22 @@ def _order_by_addition(group, x):
     return k
 
 
+def _assert_order_search(group, x, multiple, expected):
+    """Every order search against the order by definition, and each digit generator's order."""
+    assert element_order(group, x, multiple) == expected
+    solution = pohlig_hellman(group, x, x, multiple)
+    assert (solution.exponent, solution.order) == (1 % expected, expected)
+    for l, _, f, gamma in order_parts(group.add, group.identity, x, multiple):
+        assert gamma is None if f == 0 else _order_by_addition(group, gamma) == l
+
+
 def test_element_order_against_definition_cyclic():
     over_multiple = Factorization.from_int(2**7 * 3**4 * 5**2)
     A, B = CyclicGroup(12), CyclicGroup(8)
     twisted = ExtensionGroup(CoboundaryCocycle.random(A, B, random.Random(12)))
     for G in (CyclicGroup(720), direct_product(A, B), twisted):
         for x in G.elements():
-            assert element_order(G, x, over_multiple) == _order_by_addition(G, x)
+            _assert_order_search(G, x, over_multiple, _order_by_addition(G, x))
 
 
 def test_element_order_against_definition_curve(toy):
@@ -205,7 +215,7 @@ def test_element_order_against_definition_curve(toy):
     for P in points:
         expected = _order_by_addition(EG, P)
         for multiple in (toy.curve_order, toy.jacobian_order()):
-            assert element_order(EG, P, multiple) == expected
+            _assert_order_search(EG, P, multiple, expected)
             assert point_order(P, multiple) == expected
 
 
