@@ -22,6 +22,7 @@ from .numbertheory import Factorization, order_parts
 
 # Point enumeration walks the whole field; keep it desk-scale.
 ENUM_BOUND = 1 << 22
+POINT_DRAWS = 10000  # x-coordinates random_point tries before it gives up
 
 
 class SupportCollisionError(Exception):
@@ -121,10 +122,10 @@ class Curve:
                 points.append(Point(self, x, y))
         return points
 
-    def random_point(self, rng, max_tries: int = 10000) -> "Point":
+    def random_point(self, rng) -> "Point":
         """A uniform-ish random affine point, via random x and a square-root attempt."""
         f = self.field
-        for _ in range(max_tries):
+        for _ in range(POINT_DRAWS):
             x = f.sample(rng)
             rhs = x * x * x + self.a * x + self.b
             if rhs.is_zero():

@@ -116,7 +116,7 @@ class _Field:
 class PrimeField(_Field):
     """F_p for a word-sized prime p; one object per p."""
 
-    __slots__ = ("p", "degree", "order", "_nonresidue")
+    __slots__ = ("p", "degree", "order", "_nonresidue_t")
     _registry: dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int) -> "PrimeField":
@@ -129,7 +129,7 @@ class PrimeField(_Field):
             field.p = p
             field.degree = 1
             field.order = p
-            field._nonresidue = None
+            field._nonresidue_t = None
             field = cls._registry.setdefault(p, field)
         return field
 
@@ -144,7 +144,7 @@ class PrimeField(_Field):
 class ExtField(_Field):
     """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible; one object per poly."""
 
-    __slots__ = ("base", "p", "degree", "order", "poly", "_nonresidue")
+    __slots__ = ("base", "p", "degree", "order", "poly", "_nonresidue_t")
     _registry: dict[tuple[int, tuple[int, ...]], "ExtField"] = {}
 
     def __new__(cls, base: PrimeField, poly: Sequence[int]) -> "ExtField":
@@ -169,7 +169,7 @@ class ExtField(_Field):
             field.degree = 2
             field.order = p * p
             field.poly = poly
-            field._nonresidue = None
+            field._nonresidue_t = None
             field = cls._registry.setdefault((p, poly), field)
         return field
 
@@ -286,36 +286,38 @@ class FieldElement:
         return ",".join(str(c) for c in self.coeffs)
 
     def sqrt(self) -> "FieldElement | None":
-        """A square root if one exists, else None (Tonelli-Shanks in F_q)."""
+        """A square root if one exists, else None, by one Tonelli-Shanks loop.
+
+        q - 1 = 2^m * t, t odd; x = a^((t+1)/2) and b = a^t, so x^2 = a*b (Cohen,
+        GTM 138, Alg. 1.5.1).  b of order 2^m means a is a non-square; otherwise
+        a power of c = z^t, z a fixed non-square, fixes x and lowers b's order.
+        """
         f = self.field
-        q = f.order
         if self.is_zero():
             return self
         one = f.one
-        if self ** ((q - 1) // 2) != one:
-            return None
-        if q % 4 == 3:
-            return self ** ((q + 1) // 4)
-        s, t = 0, q - 1
+        m, t = 0, f.order - 1
         while t % 2 == 0:
             t //= 2
-            s += 1
-        # the first non-residue in elements() order, searched once per field;
-        # every element of F_p is a square in F_{p^2}, so there it starts at u
-        if (z := f._nonresidue) is None:
-            index = f.p if f.degree == 2 else 1
-            while (z := f._at(index)) ** ((q - 1) // 2) == one:
-                index += 1
-            f._nonresidue = z
-        c = z**t
-        x = self ** ((t + 1) // 2)
-        b = self**t
-        m = s
+            m += 1
+        w = self ** (t // 2)
+        x = self * w
+        b = x * w
+        c = f._nonresidue_t
         while b != one:
-            i, probe = 0, b
+            i, probe = 1, b * b
             while probe != one:
                 probe = probe * probe
                 i += 1
+            if i == m:
+                return None
+            if c is None:
+                # the first non-square in elements() order, once per field; all
+                # of F_p is square in F_{p^2}, so there the search starts at u
+                index = f.p if f.degree == 2 else 1
+                while (z := f._at(index)) ** ((f.order - 1) // 2) == one:
+                    index += 1
+                c = f._nonresidue_t = z**t
             e = c ** (1 << (m - i - 1))
             x = x * e
             c = e * e

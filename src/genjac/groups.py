@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Iterator
 
 from .curve import Curve, Point, SupportCollisionError
@@ -318,85 +319,79 @@ class CheckReport:
         return f"{self.checks} checks, {len(self.failures)} failures"
 
 
-def verify_cocycle(cocycle: Cocycle, triples: list[tuple]) -> CheckReport:
-    """Check symmetry and the cocycle relation on each supplied A-triple.
-
-    Relations, written additively in B:
+def _cocycle_relations(cocycle: Cocycle, p, q, r) -> list[tuple[bool, str]]:
+    """(holds, name) for each cocycle relation on one A-triple, written additively in B:
 
         c(p, q) = c(q, p)
         c(p, q) + c(p+q, r) = c(q, r) + c(p, q+r)
     """
     A, B = cocycle.a_group, cocycle.b_group
+    c_pq = cocycle(p, q)
+    lhs = B.add(c_pq, cocycle(A.add(p, q), r))
+    rhs = B.add(cocycle(q, r), cocycle(p, A.add(q, r)))
+    return [(c_pq == cocycle(q, p), "symmetry"), (lhs == rhs, "cocycle relation")]
+
+
+def _axiom_relations(group: Group, x, y, z) -> list[tuple[bool, str]]:
+    """(holds, name) for commutativity, associativity, identity and inverse on one triple."""
+    e, xy = group.identity, group.add(x, y)
+    return [
+        (xy == group.add(y, x), "commutativity"),
+        (group.add(xy, z) == group.add(x, group.add(y, z)), "associativity"),
+        (group.add(x, e) == x, "identity"),
+        (group.add(x, group.neg(x)) == e, "inverse"),
+    ]
+
+
+def _verify(group: Group, relations, triples: list[tuple]) -> CheckReport:
     report = CheckReport()
-    for p, q, r in triples:
-        label = f"({A.serialize(p)}, {A.serialize(q)}, {A.serialize(r)})"
-        c_pq = cocycle(p, q)
-        report.record(c_pq == cocycle(q, p), f"symmetry on {label}")
-        lhs = B.add(c_pq, cocycle(A.add(p, q), r))
-        rhs = B.add(cocycle(q, r), cocycle(p, A.add(q, r)))
-        report.record(lhs == rhs, f"cocycle relation on {label}")
+    for triple in triples:
+        label = "(" + ", ".join(group.serialize(x) for x in triple) + ")"
+        for holds, name in relations(*triple):
+            report.record(holds, f"{name} on {label}")
     return report
+
+
+def verify_cocycle(cocycle: Cocycle, triples: list[tuple]) -> CheckReport:
+    """Check symmetry and the cocycle relation on each supplied A-triple."""
+    return _verify(cocycle.a_group, partial(_cocycle_relations, cocycle), triples)
 
 
 def verify_group_axioms(group: Group, triples: list[tuple]) -> CheckReport:
     """Commutativity, associativity, identity, and inverse on each triple."""
-    report = CheckReport()
-    e = group.identity
-    for x, y, z in triples:
-        label = f"({group.serialize(x)}, {group.serialize(y)}, {group.serialize(z)})"
-        xy = group.add(x, y)
-        report.record(xy == group.add(y, x), f"commutativity on {label}")
-        report.record(group.add(xy, z) == group.add(x, group.add(y, z)), f"associativity on {label}")
-        report.record(group.add(x, e) == x, f"identity on {label}")
-        report.record(group.add(x, group.neg(x)) == e, f"inverse on {label}")
-    return report
+    return _verify(group, partial(_axiom_relations, group), triples)
 
 
-def sample_admissible_triples(cocycle: Cocycle, count: int, rng, max_tries: int = 100000):
+# draws a sampler makes, admissible or not, before it gives up
+SAMPLE_DRAWS = 100000
+
+
+def _sample_triples(group: Group, relations, count: int, rng, kind: str):
+    # a draw is kept when every relation evaluates without a support collision
+    out: list[tuple] = []
+    skipped = 0
+    while len(out) < count:
+        if len(out) + skipped == SAMPLE_DRAWS:
+            raise RuntimeError(f"could not find {count} {kind} triples in {SAMPLE_DRAWS} draws")
+        triple = group.sample(rng), group.sample(rng), group.sample(rng)
+        try:
+            relations(*triple)
+        except SupportCollisionError:
+            skipped += 1
+            continue
+        out.append(triple)
+    return out, skipped
+
+
+def sample_admissible_triples(cocycle: Cocycle, count: int, rng):
     """Random A-triples on which both cocycle relations evaluate cleanly.
 
     Modulus cocycles refuse to evaluate when an argument pair's support
     hits the modulus; such draws are skipped.  Returns (triples, skipped).
     """
-    A = cocycle.a_group
-    out: list[tuple] = []
-    skipped = 0
-    for _ in range(max_tries):
-        if len(out) >= count:
-            break
-        p, q, r = A.sample(rng), A.sample(rng), A.sample(rng)
-        try:
-            cocycle(p, q)
-            cocycle(q, p)
-            cocycle(A.add(p, q), r)
-            cocycle(q, r)
-            cocycle(p, A.add(q, r))
-        except SupportCollisionError:
-            skipped += 1
-            continue
-        out.append((p, q, r))
-    else:
-        raise RuntimeError(f"could not find {count} admissible triples in {max_tries} draws")
-    return out, skipped
+    return _sample_triples(cocycle.a_group, partial(_cocycle_relations, cocycle), count, rng, "admissible")
 
 
-def sample_operable_triples(group: Group, count: int, rng, max_tries: int = 100000):
+def sample_operable_triples(group: Group, count: int, rng):
     """Random element triples on which all four axiom checks evaluate cleanly."""
-    out: list[tuple] = []
-    skipped = 0
-    for _ in range(max_tries):
-        if len(out) >= count:
-            break
-        x, y, z = group.sample(rng), group.sample(rng), group.sample(rng)
-        try:
-            group.add(group.add(x, y), z)
-            group.add(x, group.add(y, z))
-            group.add(y, x)
-            group.add(x, group.neg(x))
-        except SupportCollisionError:
-            skipped += 1
-            continue
-        out.append((x, y, z))
-    else:
-        raise RuntimeError(f"could not find {count} operable triples in {max_tries} draws")
-    return out, skipped
+    return _sample_triples(group, partial(_axiom_relations, group), count, rng, "operable")

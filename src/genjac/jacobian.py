@@ -111,9 +111,9 @@ class GenJacParams:
 def make_toy_params(p: int, seed: int) -> GenJacParams:
     """Pairing-friendly toy family: y^2 = x^3 + x over F_p with p = 3 mod 4.
 
-    The curve is supersingular with p+1 points over F_p and (p+1)^2 over
-    F_{p^2}, and the whole (p+1)-torsion is rational over F_{p^2}.  The
-    modulus points are sampled with x outside F_p, which keeps every
+    Supersingular: p+1 points over F_p, (p+1)^2 over F_{p^2} with the whole
+    (p+1)-torsion rational there, so every order comes from the factors of
+    p - 1 and p + 1.  Modulus points have x outside F_p, which keeps every
     base-curve operation clear of support collisions.
     """
     if p % 4 != 3:
@@ -123,8 +123,8 @@ def make_toy_params(p: int, seed: int) -> GenJacParams:
     E = Curve(base, 1, 0)
     EK = E.extend(K)
 
-    curve_order, ext_curve_order = (Factorization.from_int(n) for n in curve_orders(E))
-    unit_order = Factorization.from_int(p * p - 1)
+    curve_order, minus = Factorization.from_int(p + 1), Factorization.from_int(p - 1)
+    ext_curve_order, unit_order = curve_order.merge(curve_order), minus.merge(curve_order)
 
     rng = random.Random(seed)
     M = _sample_modulus_point(EK, rng)

@@ -111,7 +111,7 @@ def test_sqrt_nonresidue_searched_once_per_field():
     # the first root pays for the non-residue search; later roots reuse it.
     # The field is interned, so forget what an earlier test may have found.
     K = ExtField.quadratic(PrimeField(10007))
-    K._nonresidue = None
+    K._nonresidue_t = None
     first, second = K([3, 5]) * K([3, 5]), K([7, 2]) * K([7, 2])
     with count_mults() as c:
         r = first.sqrt()
@@ -226,25 +226,23 @@ def test_fermat_and_pow(F, K):
         K.zero.inverse()
 
 
-def test_sqrt(F, K):
-    for c in range(11):
-        r = F(c).sqrt()
-        if r is not None:
-            assert r * r == F(c)
-    squares = {c for c in range(11) if F(c).sqrt() is not None}
-    # 0 plus the five quadratic residues mod 11
-    assert squares == {0, 1, 3, 4, 5, 9}
-    # 121 = 1 mod 4, so the extension exercises the general path
-    found_root = found_nonresidue = 0
-    for x in K.elements():
+@pytest.mark.parametrize(
+    "p, poly",
+    [(11, None), (13, None), (17, None), (11, (1, 0, 1)), (7, (3, 1, 1)), (17, (14, 0, 1))],
+    ids=["F_11", "F_13", "F_17", "F_11^2", "F_7^2-u^2+u+3", "F_17^2-u^2+14"],
+)
+def test_sqrt(p, poly):
+    # every element against Euler's criterion; q - 1 = 2^s * t with t = 1
+    # in F_17 and s = 5 in F_17[u]/(u^2+14), and F_13 and F_17 are prime
+    # fields with p = 1 mod 4
+    field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
+    half = (field.order - 1) // 2
+    for x in field.elements():
         r = x.sqrt()
-        if r is None:
-            found_nonresidue += 1
+        if x.is_zero() or x**half == field.one:
+            assert r is not None and r * r == x
         else:
-            found_root += 1
-            assert r * r == x
-    assert found_root == 61  # 0 and the 60 squares in a cyclic group of order 120
-    assert found_nonresidue == 60
+            assert r is None
 
 
 def test_elements_enumeration(F, K):

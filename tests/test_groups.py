@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genjac import make_toy_params
+from genjac import groups, make_toy_params
 from genjac.curve import SupportCollisionError, element_order as point_order
 from genjac.groups import (
     CoboundaryCocycle,
@@ -283,6 +283,23 @@ def test_sample_admissible_triples_counts(toy, rng):
     assert skipped >= 0
     report = verify_cocycle(cocycle, triples)
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "sampler, subject",
+    [
+        (sample_admissible_triples, ZeroCocycle(CyclicGroup(9), CyclicGroup(5))),
+        (sample_operable_triples, CyclicGroup(9)),
+    ],
+    ids=["admissible", "operable"],
+)
+def test_sampler_draw_budget(sampler, subject, rng, monkeypatch):
+    # the count may fill on the last draw the budget allows
+    monkeypatch.setattr(groups, "SAMPLE_DRAWS", 3)
+    triples, skipped = sampler(subject, 3, rng)
+    assert len(triples) == 3 and skipped == 0
+    with pytest.raises(RuntimeError, match="in 3 draws"):
+        sampler(subject, 4, rng)
 
 
 def test_describe_strings(toy):

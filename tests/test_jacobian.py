@@ -71,10 +71,13 @@ def test_params_roundtrip(toy):
 
 def test_params_roundtrip_at_largest_prime():
     # 2^61 - 1 = 3 mod 4 is the largest prime under the 2^61 bound; every
-    # square root in F_{p^2} must avoid a search linear in p
-    params = make_toy_params(2**61 - 1, seed=1)
-    text = params_to_text(params)
-    assert params_to_text(params_from_text(text)) == text
+    # square root in F_{p^2} must avoid a search linear in p.  In the other
+    # three, p - 1 and p + 1 each have a prime factor above the 2^26 trial
+    # division bound, so (p+1)^2 and p^2 - 1 factor only through p +- 1
+    for p in (2**61 - 1, 751470104887, 645287597312663, 1119299203706606807):
+        params = make_toy_params(p, seed=1)
+        text = params_to_text(params)
+        assert params_to_text(params_from_text(text)) == text
 
 
 def test_params_parse_rejects_bad_input():
