@@ -14,6 +14,15 @@ agreement: true
 reduced value: 5,8 (exponent 10)
 """
 
+VERIFY_OUTPUT = """\
+params: p=11 seed=7 prng=mt19937
+orders: curve 12 = 2^2 * 3; extended 144 = 2^4 * 3^2; units 120 = 2^3 * 3 * 5
+cocycle relations: 100 checks, 0 failures (7 draws skipped)
+group axioms: 200 checks, 0 failures (5 draws skipped)
+pairing cross-check: 5 checks, 0 failures
+all checks passed
+"""
+
 ATTACK_OUTPUT = """\
 group: extension of E(F_11) by Gm(F_11^2) [generalized-jacobian(8,3;4,3 ; 6,4;10,1)]
 generator: 9;10|6,8 (order 90 = 2 * 3^2 * 5)
@@ -58,6 +67,13 @@ def test_verify_passes(params_file, capsys):
     out = capsys.readouterr().out
     assert "0 failures" in out
     assert out.endswith("all checks passed\n")
+
+
+def test_verify_pinned_output(params_file, capsys):
+    # the README transcript: it pins the samplers' draw order and skip counts
+    assert main(["verify", "--params", params_file, "--checks", "50",
+                 "--pairing-checks", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == VERIFY_OUTPUT
 
 
 def test_pairing_pinned_output(params_file, capsys):
