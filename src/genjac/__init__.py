@@ -21,7 +21,6 @@ from .dlp import (
 from .field import ExtField, FieldElement, MulCounter, PrimeField, count_mults
 from .groups import (
     CoboundaryCocycle,
-    CurveGroup,
     CyclicGroup,
     ExtElement,
     ExtensionGroup,

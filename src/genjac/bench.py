@@ -24,9 +24,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .curve import SupportCollisionError
 from .field import count_mults
-from .groups import ExtElement, Group
+from .groups import ExtElement, Group, SupportCollisionError
 from .jacobian import PRNG_NAME, GenJacParams
 
 CSV_HEADER = (
@@ -36,6 +35,8 @@ CSV_HEADER = (
 
 # Give up if collisions force more resamples than this per requested trial.
 MAX_RESAMPLE_FACTOR = 50
+MIN_TRIALS = 5  # fewer trials give no stable median
+MIN_SCALAR_BITS = 2
 
 
 class BenchInvariantError(Exception):
@@ -101,17 +102,17 @@ def run_benchmark(
     strict: bool = True,
 ) -> BenchReport:
     """Multiply random elements in all four groups and tabulate the cost."""
-    if trials < 5:
-        raise ValueError("need at least 5 trials for a stable median")
-    if scalar_bits < 2:
-        raise ValueError("scalar_bits must be at least 2")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials for a stable median")
+    if scalar_bits < MIN_SCALAR_BITS:
+        raise ValueError(f"scalar_bits must be at least {MIN_SCALAR_BITS}")
     rng = random.Random(seed)
     # the jacobian comes first: a support collision there skips the trial
     # before any other group runs
     groups: dict[str, Group] = {
         "jacobian": params.jacobian(ext=True),
         "product": params.product(ext=True),
-        "curve": params.curve_group(ext=True),
+        "curve": params.ext_curve,
         "units": params.units(),
     }
     samples: dict[str, list[tuple]] = {label: [] for label in groups}

@@ -21,11 +21,10 @@ import os
 import random
 import sys
 
-from .bench import BenchInvariantError, run_benchmark
-from .curve import SupportCollisionError
+from .bench import MIN_SCALAR_BITS, MIN_TRIALS, BenchInvariantError, run_benchmark
 from .dlp import NoSolutionError, solve_extension_dlp
-from .groups import CheckReport, ExtElement, element_order, sample_admissible_triples, \
-    sample_operable_triples, verify_cocycle, verify_group_axioms
+from .groups import CheckReport, ExtElement, SupportCollisionError, element_order, \
+    sample_admissible_triples, sample_operable_triples, verify_cocycle, verify_group_axioms
 from .jacobian import PRNG_NAME, load_params, make_toy_params, pairing_order, params_to_text, \
     reduce_pairing_value, tate_by_miller, tate_from_group_law
 
@@ -116,7 +115,7 @@ def _cmd_pairing(args: argparse.Namespace) -> int:
     lhs = tate_from_group_law(P, params)
     rhs = tate_by_miller(P, params.modulus.M, params.modulus.N, m)
     reduced = reduce_pairing_value(lhs, m, params.unit_order.n)
-    point_order = element_order(params.curve_group(), P, params.curve_order)
+    point_order = element_order(params.curve, P, params.curve_order)
     print(f"point: {P.serialize()} (order {point_order})")
     print(f"pairing order: {m}")
     print(f"group-law value: {lhs.serialize()}")
@@ -194,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="multiplication-count comparison, CSV on stdout")
     p.add_argument("--params", required=True)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--bits", type=int, default=8, help="scalar width in bits")
+    p.add_argument("--trials", type=_int_at_least(MIN_TRIALS), default=8)
+    p.add_argument("--bits", type=_int_at_least(MIN_SCALAR_BITS), default=8, help="scalar width in bits")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time", action="store_true", help="fill the wall-clock column")
     p.set_defaults(func=_cmd_bench)

@@ -10,14 +10,18 @@ An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  Curves are
 interned like fields, so two curves are equal exactly when they are the
 same object, and a curve over F_{p^2} with coefficients in F_p has the
-same equation over F_p as its base curve.
+same equation over F_p as its base curve.  A curve is a `groups.Group`
+under chord-and-tangent: `identity` is the point at infinity, and scalar
+multiplication and subtraction are the generic ones.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .field import ExtField, FieldElement, _Field
+from .groups import Group, SupportCollisionError
 from .numbertheory import Factorization, order_parts
 
 # Point enumeration walks the whole field; keep it desk-scale.
@@ -25,11 +29,7 @@ ENUM_BOUND = 1 << 22
 POINT_DRAWS = 10000  # x-coordinates random_point tries before it gives up
 
 
-class SupportCollisionError(Exception):
-    """Evaluation point lies in the zero/pole support of the requested function."""
-
-
-class Curve:
+class Curve(Group):
     """y^2 = x^3 + ax + b over a field of characteristic at least 5; one object per equation."""
 
     __slots__ = ("field", "a", "b", "base_curve", "_infinity")
@@ -54,6 +54,8 @@ class Curve:
     @property
     def infinity(self) -> "Point":
         return self._infinity
+
+    identity = infinity
 
     def point(self, x, y) -> "Point":
         x, y = self.field(x), self.field(y)
@@ -107,6 +109,18 @@ class Curve:
         if P.is_infinity:
             return P
         return Point(self, P.x, -P.y)
+
+    def serialize(self, P: "Point") -> str:
+        return P.serialize()
+
+    def elements(self) -> Iterator["Point"]:
+        return iter(self.enumerate_points())
+
+    def sample(self, rng) -> "Point":
+        return self.random_point(rng)
+
+    def describe(self) -> str:
+        return f"E({self.field.name})"
 
     def enumerate_points(self) -> list["Point"]:
         """All rational points including the identity; field must be desk-scale."""

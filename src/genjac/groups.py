@@ -9,7 +9,10 @@ with identity (0, 0) and inverse (-a, -(b + c(a, -a))).  Embedding B as
 {(0, b)} and projecting to A makes 0 -> B -> C -> A -> 0 exact; that
 exactness is what the discrete-log reduction in dlp.py exploits.  All
 backends write their law additively, including the multiplicative group
-of a field, so the same extension machinery covers every case.
+of a field, so the same extension machinery covers every case.  The
+curve backend is `curve.Curve` itself, a `Group` subclass, so this module
+imports nothing from the curve layer; `SupportCollisionError` lives here
+because the samplers skip the draws that raise it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,18 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Iterator
 
-from .curve import Curve, Point, SupportCollisionError
 from .field import FieldElement, _Field
 from .numbertheory import Factorization, double_and_add, order_parts
 
 
+class SupportCollisionError(Exception):
+    """Evaluation point lies in the zero/pole support of the requested function."""
+
+
 class Group(ABC):
     """Commutative group written additively."""
+
+    __slots__ = ()
 
     @property
     @abstractmethod
@@ -92,35 +100,6 @@ class CyclicGroup(Group):
 
     def describe(self) -> str:
         return f"Z/{self.n}"
-
-
-class CurveGroup(Group):
-    """Rational points of a short-Weierstrass curve under chord-and-tangent."""
-
-    def __init__(self, curve: Curve) -> None:
-        self.curve = curve
-
-    @property
-    def identity(self) -> Point:
-        return self.curve.infinity
-
-    def add(self, x: Point, y: Point) -> Point:
-        return self.curve.add(x, y)
-
-    def neg(self, x: Point) -> Point:
-        return self.curve.neg(x)
-
-    def serialize(self, x: Point) -> str:
-        return x.serialize()
-
-    def elements(self) -> Iterator[Point]:
-        return iter(self.curve.enumerate_points())
-
-    def sample(self, rng) -> Point:
-        return self.curve.random_point(rng)
-
-    def describe(self) -> str:
-        return f"E({self.curve.field.name})"
 
 
 class MultiplicativeGroup(Group):

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
-from .groups import (
-    Cocycle,
-    CurveGroup,
-    ExtElement,
-    ExtensionGroup,
-    MultiplicativeGroup,
-    direct_product,
-)
+from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup, direct_product
 from .numbertheory import Factorization
 
 PRNG_NAME = "mt19937"  # random.Random: the Mersenne Twister
@@ -52,19 +45,16 @@ class Modulus:
     def curve(self) -> Curve:
         return self.M.curve
 
-    def difference(self) -> Point:
-        return self.curve.add(self.M, self.curve.neg(self.N))
-
 
 class ModulusCocycle(Cocycle):
     """c(P, Q) = f_{P,Q}(M) / f_{P,Q}(N) into the units of the big field."""
 
     tag = "generalized-jacobian"
 
-    def __init__(self, a_group: CurveGroup, b_group: MultiplicativeGroup, modulus: Modulus) -> None:
+    def __init__(self, a_group: Curve, b_group: MultiplicativeGroup, modulus: Modulus) -> None:
         if modulus.curve.field is not b_group.field:
             raise ValueError("modulus points must live over the unit group's field")
-        if a_group.curve is not modulus.curve and a_group.curve is not modulus.curve.base_curve:
+        if a_group is not modulus.curve and a_group is not modulus.curve.base_curve:
             raise ValueError("curve group must be the modulus curve or its base curve")
         super().__init__(a_group, b_group)
         self.modulus = modulus
@@ -91,17 +81,14 @@ class GenJacParams:
     def units(self) -> MultiplicativeGroup:
         return MultiplicativeGroup(self.ext_curve.field)
 
-    def curve_group(self, ext: bool = False) -> CurveGroup:
-        return CurveGroup(self.ext_curve if ext else self.curve)
-
     def modulus_cocycle(self, ext: bool = False) -> ModulusCocycle:
-        return ModulusCocycle(self.curve_group(ext), self.units(), self.modulus)
+        return ModulusCocycle(self.ext_curve if ext else self.curve, self.units(), self.modulus)
 
     def jacobian(self, ext: bool = False) -> ExtensionGroup:
         return ExtensionGroup(self.modulus_cocycle(ext))
 
     def product(self, ext: bool = False) -> ExtensionGroup:
-        return direct_product(self.curve_group(ext), self.units())
+        return direct_product(self.ext_curve if ext else self.curve, self.units())
 
     def jacobian_order(self, ext: bool = False) -> Factorization:
         base = self.ext_curve_order if ext else self.curve_order
@@ -169,7 +156,7 @@ def pairing_order(P: Point, params: GenJacParams) -> int:
     if P.curve is not params.curve:
         raise ValueError("P must lie on the base curve")
     r = element_order(P, params.curve_order)
-    s = element_order(params.modulus.difference(), params.ext_curve_order)
+    s = element_order(params.ext_curve.sub(params.modulus.M, params.modulus.N), params.ext_curve_order)
     return math.lcm(r, s)
 
 

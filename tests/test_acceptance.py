@@ -22,7 +22,6 @@ from genjac.curve import SupportCollisionError
 from genjac.dlp import brute_force_dlp, bsgs, pohlig_hellman, solve_extension_dlp
 from genjac.groups import (
     CoboundaryCocycle,
-    CurveGroup,
     CyclicGroup,
     ExtElement,
     ExtensionGroup,
@@ -176,7 +175,7 @@ def test_criterion_4_pairing_extraction(toy):
         a = rng.randrange(0, 40)
         m_P = pairing_order(P, toy)
         t_P = jac.scalar_mul(m_P, ExtElement(P, one)).b_part.inverse()
-        Q = CurveGroup(toy.curve).scalar_mul(a, P)
+        Q = toy.curve.scalar_mul(a, P)
         m_Q = pairing_order(Q, toy)
         t_Q = jac.scalar_mul(m_Q, ExtElement(Q, one)).b_part.inverse()
         lhs = reduce_pairing_value(t_Q, m_Q, q)
@@ -193,7 +192,6 @@ def test_criterion_5_cost_inequality(toy):
     rng = random.Random(55)
     jac = toy.jacobian(ext=True)
     prod = toy.product(ext=True)
-    curve_group = CurveGroup(toy.ext_curve)
     units = toy.units()
     trials = 0
     skipped = 0
@@ -207,7 +205,7 @@ def test_criterion_5_cost_inequality(toy):
             skipped += 1
             continue
         with count_mults() as curve_count:
-            curve_group.add(x.a_part, y.a_part)
+            toy.ext_curve.add(x.a_part, y.a_part)
         with count_mults() as unit_count:
             units.add(x.b_part, y.b_part)
         assert jac_count.muls >= curve_count.muls + unit_count.muls

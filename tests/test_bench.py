@@ -1,8 +1,10 @@
 import pytest
 
 from genjac import bench
-from genjac.bench import CSV_HEADER, BenchInvariantError, run_benchmark
-from genjac.groups import CurveGroup, ExtensionGroup, MultiplicativeGroup
+from genjac.bench import CSV_HEADER, MAX_RESAMPLE_FACTOR, BenchInvariantError, run_benchmark
+from genjac.curve import Curve
+from genjac.groups import ExtensionGroup, MultiplicativeGroup, SupportCollisionError
+from genjac.jacobian import ModulusCocycle
 
 # frozen run: seed 2, 6 trials, 6-bit scalars, toy params seed 7
 PINNED_CSV = """\
@@ -71,12 +73,46 @@ def test_argument_validation(toy):
         run_benchmark(toy, scalar_bits=1)
 
 
+def _count_collisions(monkeypatch, always: bool) -> dict:
+    # wrap the modulus cocycle; with always=True every evaluation collides
+    honest = ModulusCocycle.__call__
+    seen = {"collisions": 0}
+
+    def cocycle(self, p, q):
+        try:
+            if always:
+                raise SupportCollisionError("forced collision")
+            return honest(self, p, q)
+        except SupportCollisionError:
+            seen["collisions"] += 1
+            raise
+
+    monkeypatch.setattr(ModulusCocycle, "__call__", cocycle)
+    return seen
+
+
+def test_collisions_skip_jacobian_trials_only(toy, monkeypatch):
+    # seed 20 walks two jacobian chains through the modulus support
+    seen = _count_collisions(monkeypatch, always=False)
+    report = run_benchmark(toy, trials=5, scalar_bits=4, seed=20)
+    assert seen["collisions"] == 2
+    assert [row.skipped for row in report.rows] == [2, 0, 0, 0]
+    assert report.trials == 5 and all(row.trials == 5 for row in report.rows)
+
+
+def test_collisions_exhaust_the_retry_budget(toy, monkeypatch):
+    seen = _count_collisions(monkeypatch, always=True)
+    with pytest.raises(RuntimeError, match="exhausted the retry budget"):
+        run_benchmark(toy, trials=5, scalar_bits=4, seed=0)
+    assert seen["collisions"] == MAX_RESAMPLE_FACTOR * 5
+
+
 def test_invariant_error_is_exported():
     assert issubclass(BenchInvariantError, Exception)
 
 
 @pytest.mark.parametrize("target, distort, message", [
-    (CurveGroup, lambda m, r, g: (m, g.identity), "curve components disagree"),
+    (Curve, lambda m, r, g: (m, g.identity), "curve components disagree"),
     (MultiplicativeGroup, lambda m, r, g: (m, g.add(r, r)), "unit component of the product"),
     (ExtensionGroup, lambda m, r, g: (-1, r), "extension cost -1 fell below"),
     (MultiplicativeGroup, lambda m, r, g: (m + 10**6, r), "fell below the factor costs"),

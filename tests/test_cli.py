@@ -3,6 +3,7 @@ import re
 import pytest
 
 from genjac import ModulusCocycle, params_to_text, run_benchmark
+from genjac.bench import CSV_HEADER
 from genjac.cli import main
 
 PAIRING_OUTPUT = """\
@@ -184,6 +185,21 @@ def test_verify_check_counts_are_bounded(params_file, capsys):
     assert "pairing cross-check: 0 checks, 0 failures" in capsys.readouterr().out
 
 
+def test_bench_sizes_are_bounded(params_file, capsys):
+    # too few trials or too narrow a scalar is a usage error, not a failed run
+    for flag, value, low in (("--trials", "3", 5), ("--trials", "abc", 5),
+                             ("--bits", "1", 2), ("--bits", "-4", 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--params", params_file, flag, value])
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"genjac bench: error: argument {flag}: "
+                          f"expected an integer >= {low}, got {value!r}"]
+    assert main(["bench", "--params", params_file, "--trials", "5",
+                 "--bits", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+
+
 def test_missing_params_file_exit_2(capsys):
     assert main(["attack", "--params", "/no/such/file"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -206,6 +222,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
          "line 9: modulus.M: bad point record '8,3;4,3;1'"),
         (good.replace("prng = mt19937", "prng = pcg64"), "line 2: prng: only mt19937 is supported, got 'pcg64'"),
         (good.replace("prng = mt19937", "prng = "), "line 2: prng: only mt19937 is supported, got ''"),
+        (good.replace("p = 11\n", "p 11\n"), "line 4: expected 'key = value', got 'p 11'"),
+        (good.replace("curve.a = 1", "curve.a = "), "line 5: curve.a: empty coefficient record"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:
@@ -214,6 +232,11 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
+
+
+def test_gen_params_rejects_prime_beyond_bound(capsys):
+    assert main(["gen-params", "--p", "2305843009213693967"]) == 2
+    assert capsys.readouterr().err == "error: prime 2305843009213693967 exceeds the 2^61 bound\n"
 
 
 def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, monkeypatch):

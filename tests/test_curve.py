@@ -4,7 +4,6 @@ import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
 from genjac.field import ExtField, PrimeField
-from genjac.groups import CurveGroup
 from genjac.jacobian import tate_by_miller
 from genjac.numbertheory import Factorization
 
@@ -68,7 +67,7 @@ def test_order_profile(E):
 def test_extension_exponent(EK):
     # E(F_121) = Z/12 x Z/12: everything dies at 12, nothing at 4 or 6 everywhere
     pts = EK.enumerate_points()
-    assert all(CurveGroup(EK).scalar_mul(12, p).is_infinity for p in pts)
+    assert all(EK.scalar_mul(12, p).is_infinity for p in pts)
     orders = {element_order(p, ORDER_144) for p in pts}
     assert max(orders) == 12
 
@@ -83,10 +82,9 @@ def test_group_law_edge_cases(E):
     assert E.add(P, E.neg(P)) == O
     assert E.add(T, T) == O
     assert E.neg(O) == O
-    EG = CurveGroup(E)
-    assert EG.scalar_mul(0, P) == O and EG.scalar_mul(1, P) == P
-    assert EG.scalar_mul(-1, P) == E.neg(P)
-    assert EG.scalar_mul(14, P) == EG.scalar_mul(2, P)  # order 3
+    assert E.scalar_mul(0, P) == O and E.scalar_mul(1, P) == P
+    assert E.scalar_mul(-1, P) == E.neg(P)
+    assert E.scalar_mul(14, P) == E.scalar_mul(2, P)  # order 3
 
 
 def test_scalar_mul_matches_repeated_addition(E, rng):
@@ -96,7 +94,7 @@ def test_scalar_mul_matches_repeated_addition(E, rng):
         acc = E.infinity
         for _ in range(n):
             acc = E.add(acc, P)
-        assert CurveGroup(E).scalar_mul(n, P) == acc
+        assert E.scalar_mul(n, P) == acc
 
 
 def test_serialize_parse_roundtrip(E, EK):

@@ -11,7 +11,7 @@ from genjac.dlp import (
     pohlig_hellman,
     solve_extension_dlp,
 )
-from genjac.groups import CurveGroup, CyclicGroup, ExtElement, element_order
+from genjac.groups import CyclicGroup, ExtElement, element_order
 from genjac.numbertheory import Factorization
 
 
@@ -115,13 +115,13 @@ def test_pohlig_hellman_accepts_proper_multiple(multiple):
 
 
 def test_pohlig_hellman_on_curve(toy, rng):
-    EG = CurveGroup(toy.curve)
-    gen = toy.curve.parse_point("7;3")
-    assert element_order(EG, gen, toy.curve_order) == 12
+    E = toy.curve
+    gen = E.parse_point("7;3")
+    assert element_order(E, gen, toy.curve_order) == 12
     for _ in range(20):
         x = rng.randrange(12)
-        t = EG.scalar_mul(x, gen)
-        sol = pohlig_hellman(EG, gen, t, Factorization.from_int(12))
+        t = E.scalar_mul(x, gen)
+        sol = pohlig_hellman(E, gen, t, Factorization.from_int(12))
         assert sol.exponent == x
 
 

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +8,6 @@ from genjac import groups, make_toy_params
 from genjac.curve import SupportCollisionError, element_order as point_order
 from genjac.groups import (
     CoboundaryCocycle,
-    CurveGroup,
     CyclicGroup,
     ExtElement,
     ExtensionGroup,
@@ -37,13 +38,20 @@ def test_cyclic_group_basics():
 
 
 def test_curve_and_unit_groups(toy):
-    EG = CurveGroup(toy.curve)
-    assert EG.identity.is_infinity
-    P = toy.curve.parse_point("5;3")
-    assert EG.add(P, P) == toy.curve.parse_point("5;8")
-    assert EG.neg(P) == toy.curve.neg(P)
-    assert EG.serialize(P) == "5;3"
-    assert EG.describe() == "E(F_11)"
+    E = toy.curve
+    assert E.identity is E.infinity
+    P = E.parse_point("5;3")
+    assert E.add(P, P) == E.parse_point("5;8")
+    assert E.sub(P, P) is E.identity
+    assert E.sub(E.identity, P) == E.parse_point("5;8")  # P has order 3
+    assert E.serialize(P) == "5;3"
+    assert E.describe() == "E(F_11)"
+    assert toy.ext_curve.describe() == "E(F_11^2)"
+    assert list(E.elements()) == E.enumerate_points()
+    # sampling is random_point: the same draws from the same seed
+    a, b = random.Random(5), random.Random(5)
+    for C in (E, toy.ext_curve):
+        assert [C.sample(a) for _ in range(20)] == [C.random_point(b) for _ in range(20)]
 
     U = MultiplicativeGroup(toy.ext_curve.field)
     K = toy.ext_curve.field
@@ -52,6 +60,21 @@ def test_curve_and_unit_groups(toy):
     assert U.neg(K(2)) == K(2).inverse()
     assert U.describe() == "Gm(F_11^2)"
     assert len(list(U.elements())) == 120
+
+
+def test_groups_imports_no_higher_layer():
+    # the layers run numbertheory -> field -> groups -> curve -> jacobian
+    modules = set()
+    for node in ast.walk(ast.parse(Path(groups.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules.add(base)
+            if not base:  # from . import name
+                modules.update(alias.name for alias in node.names)
+    layers = {part for module in modules for part in module.split(".")}
+    assert not layers & {"curve", "jacobian"}, sorted(modules)
 
 
 def test_unit_group_sample_never_zero(toy, rng):
@@ -209,13 +232,13 @@ def test_element_order_against_definition_cyclic():
 
 
 def test_element_order_against_definition_curve(toy):
-    EG = CurveGroup(toy.curve)
-    points = list(EG.elements())
+    E = toy.curve
+    points = list(E.elements())
     assert len(points) == 12
     for P in points:
-        expected = _order_by_addition(EG, P)
+        expected = _order_by_addition(E, P)
         for multiple in (toy.curve_order, toy.jacobian_order()):
-            _assert_order_search(EG, P, multiple, expected)
+            _assert_order_search(E, P, multiple, expected)
             assert point_order(P, multiple) == expected
 
 
@@ -244,7 +267,7 @@ def test_element_order_rejects_non_multiples(toy):
     P = toy.curve.parse_point("7;3")  # order 12
     for n in (8, 6, 1):
         with pytest.raises(ValueError):
-            element_order(CurveGroup(toy.curve), P, Factorization.from_int(n))
+            element_order(toy.curve, P, Factorization.from_int(n))
         with pytest.raises(ValueError):
             point_order(P, Factorization.from_int(n))
     # order 30 with curve part of order 2 and 2 * g = (O, t), t of order 15: 15
@@ -269,7 +292,7 @@ def test_extension_element_order_takes_one_extension_ladder():
     rng = random.Random(1019)
     for _ in range(5):
         g = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
-        n_a = element_order(params.curve_group(), g.a_part, params.curve_order)
+        n_a = element_order(params.curve, g.a_part, params.curve_order)
         jac.adds = 0
         n = element_order(jac, g, params.jacobian_order())
         assert jac.adds <= 2 * n_a.bit_length()

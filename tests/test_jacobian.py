@@ -4,7 +4,7 @@ import pytest
 
 from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
 from genjac.field import ExtField, PrimeField, count_mults
-from genjac.groups import CurveGroup, ExtElement, element_order
+from genjac.groups import ExtElement, element_order
 from genjac.jacobian import (
     Modulus,
     curve_orders,
@@ -103,7 +103,7 @@ def test_modulus_validation(toy):
         Modulus(M, EK.neg(M))
     with pytest.raises(ValueError, match="outside the base field"):
         Modulus(EK.embed_point(toy.curve.parse_point("5;3")), N)
-    assert Modulus(M, N).difference() == EK.add(M, EK.neg(N))
+    assert EK.sub(M, N) == EK.add(M, EK.neg(N))
 
 
 def test_toy_params_validation():
@@ -242,15 +242,14 @@ def test_inverse_absorbs_cocycle(toy, rng):
 
 def test_pairing_order_is_lcm(toy):
     E = toy.curve
-    EG = CurveGroup(E)
-    EKG = CurveGroup(toy.ext_curve)
-    d = element_order(EKG, toy.modulus.difference(), toy.ext_curve_order)
+    EK = toy.ext_curve
+    d = element_order(EK, EK.sub(toy.modulus.M, toy.modulus.N), toy.ext_curve_order)
     for P in E.enumerate_points():
         m = pairing_order(P, toy)
         if P.is_infinity:
             assert m == d
             continue
-        r = element_order(EG, P, toy.curve_order)
+        r = element_order(E, P, toy.curve_order)
         assert m % r == 0 and m % d == 0
         assert m == (r * d) // __import__("math").gcd(r, d)
 
@@ -286,7 +285,7 @@ def test_reduced_bilinearity(toy, rng):
         P = rng.choice(pts)
         a = rng.randrange(0, 40)
         t_P = reduce_pairing_value(tate_from_group_law(P, toy), pairing_order(P, toy), q)
-        Q = CurveGroup(toy.curve).scalar_mul(a, P)
+        Q = toy.curve.scalar_mul(a, P)
         t_Q = reduce_pairing_value(tate_from_group_law(Q, toy), pairing_order(Q, toy), q)
         assert t_Q == t_P ** a
 
@@ -319,6 +318,19 @@ def test_miller_rejects_wrong_order(toy):
     with pytest.raises(ValueError):
         tate_by_miller(P, M, N, 0)
     assert tate_by_miller(toy.curve.infinity, M, N, 1) == toy.ext_curve.field.one
+
+
+def test_miller_refuses_evaluation_points_on_its_lines(toy):
+    EK, N = toy.ext_curve, toy.modulus.N
+    # 0;0 has order 2, so its doubling line is the vertical x = 0 through M
+    P = toy.curve.parse_point("0;0")
+    with pytest.raises(SupportCollisionError, match="sits on a Miller line"):
+        tate_by_miller(P, EK.embed_point(P), N, 2)
+    # 7;3 has order 12: the tangent at P and the chord through 2P and P
+    # pass through M = P, and no vertical does, since 6P = 0;0
+    P = toy.curve.parse_point("7;3")
+    with pytest.raises(SupportCollisionError, match="sits on a Miller line"):
+        tate_by_miller(P, EK.embed_point(P), N, 12)
 
 
 def test_tate_chain_never_collides_for_base_points(toy):
