@@ -22,7 +22,7 @@ import random
 import sys
 
 from .bench import MIN_SCALAR_BITS, MIN_TRIALS, BenchInvariantError, run_benchmark
-from .dlp import NoSolutionError, solve_extension_dlp
+from .dlp import BSGS_ORDER_BOUND, NoSolutionError, solve_extension_dlp
 from .groups import CheckReport, ExtElement, SupportCollisionError, element_order, \
     sample_admissible_triples, sample_operable_triples, verify_cocycle, verify_group_axioms
 from .jacobian import PRNG_NAME, load_params, make_toy_params, pairing_order, params_to_text, \
@@ -133,6 +133,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
     n = element_order(jac, gen, params.jacobian_order())
     order = params.jacobian_order().divisor(n)
+    # every prime of the order becomes one baby-step leaf; refuse before any output
+    if (prime := max((l for l, _ in order.factors), default=1)) > BSGS_ORDER_BOUND:
+        raise ValueError(f"generator order has prime {prime} above the baby-step bound {BSGS_ORDER_BOUND}")
     secret = rng.randrange(n) if args.secret is None else args.secret
     if not 0 <= secret < n:
         raise ValueError(f"secret must lie in [0, {n})")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
@@ -94,6 +95,11 @@ class GenJacParams:
         base = self.ext_curve_order if ext else self.curve_order
         return base.merge(self.unit_order)
 
+    @cached_property
+    def modulus_order(self) -> int:
+        """Order of M - N in E(K), found on first use and kept with these parameters."""
+        return element_order(self.ext_curve.sub(self.modulus.M, self.modulus.N), self.ext_curve_order)
+
 
 def make_toy_params(p: int, seed: int) -> GenJacParams:
     """Pairing-friendly toy family: y^2 = x^3 + x over F_p with p = 3 mod 4.
@@ -155,9 +161,7 @@ def pairing_order(P: Point, params: GenJacParams) -> int:
     """lcm of the orders of P in E(k) and of M - N in E(K)."""
     if P.curve is not params.curve:
         raise ValueError("P must lie on the base curve")
-    r = element_order(P, params.curve_order)
-    s = element_order(params.ext_curve.sub(params.modulus.M, params.modulus.N), params.ext_curve_order)
-    return math.lcm(r, s)
+    return math.lcm(element_order(P, params.curve_order), params.modulus_order)
 
 
 def tate_from_group_law(P: Point, params: GenJacParams) -> FieldElement:

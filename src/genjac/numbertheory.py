@@ -108,16 +108,31 @@ def order_parts(add, identity, x, multiple: Factorization) -> list[tuple]:
     y = (n / l^e) * x, then y times l until the identity: l^f is the l-part
     of ord(x) and gamma, the last y before the identity, has order l (None
     when f = 0).  l^e * y = n * x, so the last y also tests n.
+
+    The cofactor multiples come from halving the list of prime powers, as
+    in the divide-and-conquer order algorithms of A. V. Sutherland, *Order
+    Computations in Generic Groups* (MIT PhD thesis, 2007, ch. 7): about
+    log n * ceil(log2 k) group operations for k primes, not k * log n.
     """
     n, y, parts = multiple.n, x, []
-    for l, e in multiple.factors:
-        y, f, gamma = double_and_add(add, x, n // l**e), 0, None
+    powers = [l**e for l, e in multiple.factors]
+    for (l, e), y in zip(multiple.factors, _cofactor_multiples(add, x, powers)):
+        f, gamma = 0, None
         while y != identity and f < e:
             gamma, y, f = y, double_and_add(add, y, l), f + 1
         parts.append((l, e, f, gamma))
     if y != identity:
         raise ValueError(f"{n} is not a multiple of the element's order")
     return parts
+
+
+def _cofactor_multiples(add, z, powers: list[int]) -> list:
+    """(prod(powers) / q) * z for each q in powers; each half starts from z times the other's product."""
+    if len(powers) < 2:
+        return [z] * len(powers)
+    left, right = powers[: len(powers) // 2], powers[len(powers) // 2 :]
+    return (_cofactor_multiples(add, double_and_add(add, z, math.prod(right)), left)
+            + _cofactor_multiples(add, double_and_add(add, z, math.prod(left)), right))
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,18 @@ def test_attack_secret_out_of_range(params_file, capsys):
     assert "secret must lie in" in capsys.readouterr().err
 
 
+def test_attack_refuses_prime_beyond_bsgs_bound(tmp_path, capsys):
+    # near 2^60 the generator's order (seed 1) has the prime 43049969373331031 > 2^40
+    path = str(tmp_path / "big.txt")
+    assert main(["gen-params", "--p", "1119299203706606807", "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--params", path, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: generator order has prime 43049969373331031 "
+                            f"above the baby-step bound {2**40}\n")
+
+
 def test_bench_matches_library(toy, params_file, capsys):
     assert main(["bench", "--params", params_file, "--trials", "6",
                  "--bits", "6", "--seed", "2"]) == 0

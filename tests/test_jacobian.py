@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from genjac import jacobian
 from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
 from genjac.field import ExtField, PrimeField, count_mults
 from genjac.groups import ExtElement, element_order
@@ -252,6 +253,37 @@ def test_pairing_order_is_lcm(toy):
         r = element_order(E, P, toy.curve_order)
         assert m % r == 0 and m % d == 0
         assert m == (r * d) // __import__("math").gcd(r, d)
+
+
+@pytest.mark.parametrize("p, seed", [(11, 7), (103, 1)])
+def test_modulus_order_by_repeated_addition(p, seed):
+    params = make_toy_params(p, seed)
+    EK = params.ext_curve
+    D = EK.sub(params.modulus.M, params.modulus.N)
+    acc, k = D, 1
+    while not acc.is_infinity:
+        acc, k = EK.add(acc, D), k + 1
+    assert params.modulus_order == k
+
+
+def test_modulus_order_is_found_once(tmp_path, monkeypatch):
+    calls = []
+    counted = jacobian.element_order
+
+    def counting(P, group_order):
+        calls.append(P)
+        return counted(P, group_order)
+
+    monkeypatch.setattr(jacobian, "element_order", counting)
+    path = tmp_path / "p103.txt"
+    path.write_text(params_to_text(make_toy_params(103, seed=1)))
+    params = load_params(str(path))
+    assert calls == []
+    P = params.curve.random_point(random.Random(1))
+    first = pairing_order(P, params)
+    assert len(calls) == 2
+    assert pairing_order(P, params) == first
+    assert len(calls) == 3
 
 
 def test_tate_table(toy):

@@ -1,8 +1,12 @@
 import math
+import random
 
 import pytest
 
-from genjac.numbertheory import Factorization, crt, factorize, is_prime
+from genjac.curve import Curve
+from genjac.field import PrimeField
+from genjac.groups import CyclicGroup
+from genjac.numbertheory import Factorization, crt, double_and_add, factorize, is_prime, order_parts
 
 
 def test_is_prime_small_table():
@@ -87,3 +91,58 @@ def test_factorization_divisor():
     for d in (5, 2**8, 0):
         with pytest.raises(ValueError, match="does not divide"):
             f.divisor(d)
+
+
+def _order_parts_oracle(add, identity, x, multiple):
+    # one full-length ladder per prime: y = (n / l^e) * x, then the l-loop
+    parts = []
+    for l, e in multiple.factors:
+        y, f, gamma = double_and_add(add, x, multiple.n // l**e), 0, None
+        while y != identity and f < e:
+            gamma, y, f = y, double_and_add(add, y, l), f + 1
+        parts.append((l, e, f, gamma))
+    return parts
+
+
+def _counting(add):
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return add(x, y)
+
+    return counted, calls
+
+
+def _check_against_oracle(group, elements, multiple):
+    k = len(multiple.factors)
+    for x in elements:
+        add, calls = _counting(group.add)
+        parts = order_parts(add, group.identity, x, multiple)
+        oracle_add, oracle_calls = _counting(group.add)
+        assert parts == _order_parts_oracle(oracle_add, group.identity, x, multiple)
+        assert calls[0] < oracle_calls[0] if k >= 3 else calls[0] == oracle_calls[0]
+        # drop each prime of ord(x) in turn: the rest is no multiple of the order
+        for l, e, f, _ in parts:
+            if f:
+                rest = multiple.divisor(multiple.n // l**e)
+                with pytest.raises(ValueError, match="not a multiple"):
+                    order_parts(group.add, group.identity, x, rest)
+
+
+@pytest.mark.parametrize("n", [1, 8, 72, 360, 2520])
+def test_order_parts_matches_per_prime_oracle_cyclic(n):
+    # 2520 = 2^3 * 3^2 * 5 * 7; the smaller n cover k = 0 to 3 primes
+    group = CyclicGroup(n)
+    _check_against_oracle(group, group.elements(), Factorization.from_int(n))
+
+
+def test_order_parts_matches_per_prime_oracle_curve():
+    # |J| = 2^7 * 3^4 * 139^2 * 5003 at p = 10007, a multiple of every order in E(F_p)
+    p = 10007
+    E = Curve(PrimeField(p), 1, 0)
+    rng = random.Random(1)
+    points = [E.random_point(rng) for _ in range(20)]
+    multiple = Factorization.from_int((p + 1) ** 2 * (p - 1))
+    assert multiple.factors == ((2, 7), (3, 4), (139, 2), (5003, 1))
+    _check_against_oracle(E, points, multiple)
