@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from .field import count_mults
-from .groups import ExtElement, Group, SupportCollisionError
+from .groups import ExtElement, Group, SupportCollisionError, direct_product
 from .jacobian import PRNG_NAME, GenJacParams
 
 CSV_HEADER = (
@@ -111,7 +111,7 @@ def run_benchmark(
     # before any other group runs
     groups: dict[str, Group] = {
         "jacobian": params.jacobian(ext=True),
-        "product": params.product(ext=True),
+        "product": direct_product(params.ext_curve, params.units()),
         "curve": params.ext_curve,
         "units": params.units(),
     }

@@ -17,12 +17,11 @@ multiplication and subtraction are the generic ones.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from .field import ExtField, FieldElement, _Field
-from .groups import Group, SupportCollisionError
-from .numbertheory import Factorization, order_parts
+from .groups import Group, SupportCollisionError, element_order as _group_element_order
+from .numbertheory import Factorization
 
 # Point enumeration walks the whole field; keep it desk-scale.
 ENUM_BOUND = 1 << 22
@@ -195,9 +194,8 @@ class Point:
 
 
 def element_order(P: Point, group_order: Factorization) -> int:
-    """Exact order of P given a factored multiple of it, by `order_parts` on the curve law."""
-    parts = order_parts(P.curve.add, P.curve.infinity, P, group_order)
-    return math.prod(l**f for l, _, f, _ in parts)
+    """Exact order of P given a factored multiple of it: `groups.element_order` on P's curve."""
+    return _group_element_order(P.curve, P, group_order)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:

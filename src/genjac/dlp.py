@@ -2,13 +2,14 @@
 
 The generic solvers (`brute_force_dlp`, `bsgs`, `pohlig_hellman`) work in any
 `Group`.  For a group built from a symmetric 2-cocycle the interesting solver
-is `solve_extension_dlp`.  It solves one discrete log in the base group A for
-the generator's projection, then one in the fiber B for the value t that
-n_A * g = (O, t) carries, where n_A is the order of the projection.  Both run
-Pohlig-Hellman with bsgs leaves, so the extension itself is never searched
-and pays only for a few scalar multiplications.  `pohlig_hellman` reads the
-generator's exact order and its digit generators off `order_parts`, so any
-factored multiple of that order will do.
+is `solve_extension_dlp`, which is exactly two Pohlig-Hellman runs with bsgs
+leaves.  The first solves the discrete log of the generator's projection in
+the base group A, and the modulus it returns is n_A, the projection's order.
+The second solves in the fiber B for the value t that n_A * g = (O, t)
+carries.  The extension itself is never searched and pays only for a few
+scalar multiplications.  `pohlig_hellman` reads the generator's exact order
+and its digit generators off `order_parts`, so any factored multiple of that
+order will do, and its digit ladders never run past the exact order.
 
 Every solver verifies its candidate exponent against the target before
 returning and raises `NoSolutionError` otherwise, so a returned solution is
@@ -18,10 +19,10 @@ always correct even on inconsistent inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Any, Callable
 
-from .groups import ExtensionGroup, Group, fiber_split
+from .groups import ExtensionGroup, Group
 from .numbertheory import Factorization, crt, order_parts
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
@@ -113,19 +114,23 @@ def pohlig_hellman(
     in n, `order_parts` finds l^f, the l-part of the exact order, and the
     digit generator of order l that the leaf solver gets once per digit;
     swapping the leaf solver out is how the extension-group attack reuses
-    this scaffold.
+    this scaffold.  Each digit ladder's scalar is reduced mod the exact
+    order, the modulus returned, which kills every target in the
+    generator's subgroup; any other target fails the final check anyway.
     """
     n = order.n
+    parts = order_parts(group.add, group.identity, generator, order)
+    exact = prod(prime**f for prime, _, f, _ in parts)
     steps: list[Step] = []
     residues: list[tuple[int, int]] = []
-    for prime, exponent, f, gamma in order_parts(group.add, group.identity, generator, order):
+    for prime, exponent, f, gamma in parts:
         if f == 0:
             continue
         cofactor = n // prime**exponent
         partial = 0
         for j in range(f):
             shifted = group.sub(target, group.scalar_mul(partial, generator))
-            digit_target = group.scalar_mul(cofactor * prime ** (f - 1 - j), shifted)
+            digit_target = group.scalar_mul(cofactor * prime ** (f - 1 - j) % exact, shifted)
             leaf = leaf_solver(group, gamma, digit_target, prime)
             steps.extend(leaf.steps)
             partial += leaf.exponent * prime**j
@@ -144,8 +149,8 @@ def pohlig_hellman(
 
 
 def _factor_log(group: Group, base, target, order: Factorization, tag: str) -> DlpSolution:
-    """Pohlig-Hellman in one factor group for a base of the given order, leaves tagged."""
-    if order.n == 1:
+    """Pohlig-Hellman in one factor group against a multiple of the base's order, leaves tagged."""
+    if base == group.identity:
         return DlpSolution(0, 1, ())
 
     def leaf(factor: Group, gamma: Any, digit_target: Any, prime: int) -> DlpSolution:
@@ -160,15 +165,18 @@ def solve_extension_dlp(
 ) -> DlpSolution:
     """One discrete log in each factor group; the extension is never searched.
 
-    For g = (P, b) with P of order n_A, n_A * g = (O, t) lies in the fiber.
-    The exponent is k0 + j * n_A, with k0 = log_P of target's base part and
-    j = log_t of the fiber part of target - k0 * g.
+    For g = (P, b), k0 = log_P of target's base part comes from Pohlig-Hellman
+    in A against n, whose modulus is n_A = ord(P).  Then n_A * g = (O, t) lies
+    in the fiber, and j = log_t of the fiber part of target - k0 * g comes
+    from Pohlig-Hellman in B against n / n_A, whose order search raises
+    ValueError unless t^(n / n_A) = 1.  The exponent is k0 + j * n_A.
     """
     if not isinstance(group, ExtensionGroup):
         raise TypeError("solve_extension_dlp only applies to extension groups")
     A, B, n = group.a_group, group.b_group, order.n
-    n_a, t = fiber_split(group, generator, order)
-    base_log = _factor_log(A, generator.a_part, target.a_part, order.divisor(n_a), "projected-to-A")
+    base_log = _factor_log(A, generator.a_part, target.a_part, order, "projected-to-A")
+    n_a = base_log.order
+    t = group.scalar_mul(n_a, generator).b_part
     rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
     if rest.a_part != A.identity:
         raise NoSolutionError("target's base part is outside the generator's projection")

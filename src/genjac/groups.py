@@ -21,7 +21,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .field import FieldElement, _Field
 from .numbertheory import Factorization, double_and_add, order_parts
@@ -134,15 +134,11 @@ class MultiplicativeGroup(Group):
         return f"Gm({self.field.name})"
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(NamedTuple):
     """Element of an extension group: a base-group part and a fiber part."""
 
     a_part: Any
     b_part: Any
-
-    def __repr__(self) -> str:
-        return f"({self.a_part!r}, {self.b_part!r})"
 
 
 class Cocycle(ABC):
@@ -254,26 +250,20 @@ def direct_product(a_group: Group, b_group: Group) -> ExtensionGroup:
     return ExtensionGroup(ZeroCocycle(a_group, b_group))
 
 
-def fiber_split(group: ExtensionGroup, x: ExtElement, order_multiple: Factorization):
-    """(n_A, t) with n_A = ord(x.a_part) and n_A * x = (0, t); ValueError unless ord(x) | n."""
-    n, B = order_multiple.n, group.b_group
-    n_a = element_order(group.a_group, x.a_part, order_multiple)
-    t = group.scalar_mul(n_a, x).b_part
-    if B.scalar_mul(n // n_a, t) != B.identity:
-        raise ValueError(f"{n} is not a multiple of the element's order")
-    return n_a, t
-
-
 def element_order(group: Group, x, order_multiple: Factorization) -> int:
     """Exact order of x given a factored multiple n of it, by `order_parts`.
 
-    In an extension it is n_A * ord(t) for the split of `fiber_split`,
-    because a normalized cocycle makes {(0, b)} a copy of B.
+    In an extension it is n_A * ord(t), with n_A = ord(x.a_part) found in A
+    against n and n_A * x = (0, t) from one ladder, because a normalized
+    cocycle makes {(0, b)} a copy of B; ord(t) is found in B against n / n_A.
     """
     if isinstance(group, ExtensionGroup):
-        n_a, t = fiber_split(group, x, order_multiple)
-        fiber_multiple = order_multiple.divisor(order_multiple.n // n_a)
-        return n_a * element_order(group.b_group, t, fiber_multiple)
+        n, B = order_multiple.n, group.b_group
+        n_a = element_order(group.a_group, x.a_part, order_multiple)
+        t = group.scalar_mul(n_a, x).b_part
+        if B.scalar_mul(n // n_a, t) != B.identity:
+            raise ValueError(f"{n} is not a multiple of the element's order")
+        return n_a * element_order(B, t, order_multiple.divisor(n // n_a))
     parts = order_parts(group.add, group.identity, x, order_multiple)
     return math.prod(l**f for l, _, f, _ in parts)
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
-from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup, direct_product
+from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
 
 PRNG_NAME = "mt19937"  # random.Random: the Mersenne Twister
@@ -88,12 +88,8 @@ class GenJacParams:
     def jacobian(self, ext: bool = False) -> ExtensionGroup:
         return ExtensionGroup(self.modulus_cocycle(ext))
 
-    def product(self, ext: bool = False) -> ExtensionGroup:
-        return direct_product(self.ext_curve if ext else self.curve, self.units())
-
-    def jacobian_order(self, ext: bool = False) -> Factorization:
-        base = self.ext_curve_order if ext else self.curve_order
-        return base.merge(self.unit_order)
+    def jacobian_order(self) -> Factorization:
+        return self.curve_order.merge(self.unit_order)
 
     @cached_property
     def modulus_order(self) -> int:

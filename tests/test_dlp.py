@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from genjac import make_toy_params
+from genjac import dlp, groups, make_toy_params
 from genjac.dlp import (
     NoSolutionError,
     brute_force_dlp,
@@ -12,7 +12,7 @@ from genjac.dlp import (
     solve_extension_dlp,
 )
 from genjac.groups import CyclicGroup, ExtElement, element_order
-from genjac.numbertheory import Factorization
+from genjac.numbertheory import Factorization, order_parts
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,26 @@ def test_pohlig_hellman_accepts_proper_multiple(multiple):
         assert (sol.exponent, sol.order) == (k % 6, 6)
         primes = [m for m in sol.methods() if m.startswith("pohlig-hellman-prime")]
         assert primes == ["pohlig-hellman-prime(2,1)", "pohlig-hellman-prime(3,1)"]
+
+
+class _ScalarRecordingCyclic(CyclicGroup):
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.scalars: list[int] = []
+
+    def scalar_mul(self, n: int, x: int) -> int:
+        self.scalars.append(n)
+        return super().scalar_mul(n, x)
+
+
+def test_pohlig_hellman_ladders_stay_below_the_exact_order():
+    # 6 has order 120 in Z/720: the cofactors of the multiple 720 are
+    # reduced mod 120 before any digit ladder runs
+    G = _ScalarRecordingCyclic(720)
+    for k in range(120):
+        sol = pohlig_hellman(G, 6, 6 * k, Factorization.from_int(720))
+        assert (sol.exponent, sol.order) == (k, 120)
+    assert max(G.scalars) < 120
 
 
 def test_pohlig_hellman_on_curve(toy, rng):
@@ -292,3 +312,31 @@ def test_factor_solver_rejects_non_multiple_order(base_jac, pinned_generator):
     for n in (15, 10, 2):
         with pytest.raises(ValueError):
             solve_extension_dlp(base_jac, pinned_generator, target, Factorization.from_int(n))
+
+
+def test_extension_dlp_makes_one_order_search_per_factor(monkeypatch):
+    # n_A is the modulus of the curve-side Pohlig-Hellman, and t is checked by
+    # the fiber side's own order search: no third search
+    params = make_toy_params(10007, 1)
+    jac, units = params.jacobian(), params.units()
+    rng = random.Random(1)
+    while True:
+        gen = ExtElement(params.curve.random_point(rng), units.sample(rng))
+        n_a = element_order(params.curve, gen.a_part, params.curve_order)
+        t = jac.scalar_mul(n_a, gen).b_part
+        if n_a > 1 and t != units.identity:
+            break
+    n = element_order(jac, gen, params.jacobian_order())
+    secret = rng.randrange(n)
+    target = jac.scalar_mul(secret, gen)
+    searched = []
+
+    def counting(add, identity, x, multiple):
+        searched.append(x)
+        return order_parts(add, identity, x, multiple)
+
+    monkeypatch.setattr(groups, "order_parts", counting)
+    monkeypatch.setattr(dlp, "order_parts", counting)
+    sol = solve_extension_dlp(jac, gen, target, params.jacobian_order().divisor(n))
+    assert (sol.exponent, sol.order) == (secret, n)
+    assert searched == [gen.a_part, t]

@@ -247,7 +247,7 @@ def test_element_order_against_definition_extension_subgroup(toy, memoized_exten
     jac = memoized_extension(toy.modulus_cocycle(ext=True))
     EK, K = toy.ext_curve, toy.ext_curve.field
     g = ExtElement(EK.parse_point("6,8;5,3"), K.from_record("2,7"))
-    multiple = toy.jacobian_order(ext=True)
+    multiple = toy.ext_curve_order.merge(toy.unit_order)
     x, seen = jac.identity, 0
     while True:
         assert element_order(jac, x, multiple) == _order_by_addition(jac, x)
@@ -328,5 +328,5 @@ def test_sampler_draw_budget(sampler, subject, rng, monkeypatch):
 def test_describe_strings(toy):
     jac = toy.jacobian()
     assert jac.describe().startswith("extension of E(F_11) by Gm(F_11^2)")
-    prod = toy.product()
+    prod = direct_product(toy.curve, toy.units())
     assert "[zero]" in prod.describe()
