@@ -7,19 +7,23 @@ is the vertical line through P + Q.  The quotient has divisor
 (P+Q) + (O) - (P) - (Q), which is exactly the shape a modulus cocycle
 needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
-and is a hard error rather than a silent wrong value.  Curves are
-interned like fields, so two curves are equal exactly when they are the
-same object, and a curve over F_{p^2} with coefficients in F_p has the
-same equation over F_p as its base curve.  A curve is a `groups.Group`
-under chord-and-tangent: `identity` is the point at infinity, and scalar
-multiplication and subtraction are the generic ones.
+and is a hard error rather than a silent wrong value.  The group law,
+the line fraction and point enumeration run on coefficient tuples
+through the field kernels and count what the textbook formulas would;
+the Miller loop in `jacobian` stays in `FieldElement` arithmetic as the
+cocycle's independent oracle.  Curves are interned like fields, so two
+curves are equal exactly when they are the same object, and a curve
+over F_{p^2} with coefficients in F_p has the same equation over F_p as
+its base curve.  A curve is a `groups.Group` under chord-and-tangent:
+`identity` is the point at infinity, and scalar multiplication and
+subtraction are the generic ones.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .field import ExtField, FieldElement, _Field
+from .field import ExtField, FieldElement, _Field, tick
 from .groups import Group, SupportCollisionError, element_order as _group_element_order
 from .numbertheory import Factorization
 
@@ -89,20 +93,17 @@ class Curve(Group):
     def add(self, P: "Point", Q: "Point") -> "Point":
         if P.curve is not self or Q.curve is not self:
             raise ValueError("points on mismatched curves")
-        if P.is_infinity:
+        if P.x is None:  # the identity, tested without the is_infinity property call
             return Q
-        if Q.is_infinity:
+        if Q.x is None:
             return P
-        if P.x == Q.x:
-            if P.y != Q.y or P.y.is_zero():
-                return self._infinity
-            x2 = P.x * P.x
-            lam = (x2 + x2 + x2 + self.a) / (P.y + P.y)
-        else:
-            lam = (Q.y - P.y) / (Q.x - P.x)
-        x3 = lam * lam - P.x - Q.x
-        y3 = lam * (P.x - x3) - P.y
-        return Point(self, x3, y3)
+        if (chord := _chord(P, Q)) is None:
+            return self._infinity
+        lam, x3 = chord
+        f = self.field
+        tick(f.degree)
+        y3 = f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x.coeffs, x3)), P.y.coeffs)
+        return Point(self, FieldElement(f, x3), FieldElement(f, y3))
 
     def neg(self, P: "Point") -> "Point":
         if P.is_infinity:
@@ -123,16 +124,18 @@ class Curve(Group):
 
     def enumerate_points(self) -> list["Point"]:
         """All rational points including the identity; field must be desk-scale."""
-        if self.field.order > ENUM_BOUND:
-            raise ValueError(f"field of order {self.field.order} exceeds enumeration bound {ENUM_BOUND}")
-        roots: dict[FieldElement, list[FieldElement]] = {}
-        for y in self.field.elements():
-            roots.setdefault(y * y, []).append(y)
+        f = self.field
+        if f.order > ENUM_BOUND:
+            raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
+        add, mul, a, b = f.add_coeffs, f.mul_coeffs, self.a.coeffs, self.b.coeffs
+        tick(f.degree, 4 * f.order)  # y^2, x^2, x^3 and a*x per element
+        roots: dict[tuple[int, ...], list[FieldElement]] = {}
+        for y in f.coeff_tuples():
+            roots.setdefault(mul(y, y), []).append(FieldElement(f, y))
         points = [self._infinity]
-        for x in self.field.elements():
-            rhs = x * x * x + self.a * x + self.b
-            for y in roots.get(rhs, ()):
-                points.append(Point(self, x, y))
+        for x in f.coeff_tuples():
+            ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
+            points += (Point(self, FieldElement(f, x), y) for y in ys)
         return points
 
     def random_point(self, rng) -> "Point":
@@ -170,12 +173,11 @@ class Point:
         return self.x is None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Point)
-            and other.curve is self.curve
-            and other.x == self.x
-            and other.y == self.y
-        )
+        if not (isinstance(other, Point) and other.curve is self.curve):
+            return False
+        if self.x is None or other.x is None:
+            return self.x is other.x
+        return self.x.coeffs == other.x.coeffs and self.y.coeffs == other.y.coeffs
 
     def __hash__(self) -> int:
         if self.is_infinity:
@@ -196,6 +198,23 @@ class Point:
 def element_order(P: Point, group_order: Factorization) -> int:
     """Exact order of P given a factored multiple of it: `groups.element_order` on P's curve."""
     return _group_element_order(P.curve, P, group_order)
+
+
+def _chord(P: Point, Q: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(lambda, x(P+Q)) as coefficients for affine P, Q on one curve; None when P + Q = O."""
+    f, xP, yP, xQ = P.curve.field, P.x.coeffs, P.y.coeffs, Q.x.coeffs
+    add, sub, mul = f.add_coeffs, f.sub_coeffs, f.mul_coeffs
+    if xP == xQ:
+        if yP != Q.y.coeffs or not any(yP):
+            return None
+        x2 = mul(xP, xP)
+        num, den = add(add(add(x2, x2), x2), P.curve.a.coeffs), add(yP, yP)
+        tick(f.degree, 3)  # x^2, the division and lambda^2
+    else:
+        num, den = sub(Q.y.coeffs, yP), sub(xQ, xP)
+        tick(f.degree, 2)  # the division and lambda^2
+    lam = mul(num, FieldElement(f, den).inverse().coeffs)
+    return lam, sub(sub(mul(lam, lam), xP), xQ)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
@@ -220,24 +239,24 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
         return field.one
     if M.is_infinity or N.is_infinity:
         raise SupportCollisionError("the identity is in the support")
-    xP, yP = (field.embed(P.x), field.embed(P.y)) if lift else (P.x, P.y)
-    if P.x == Q.x:
-        if P.y != Q.y or P.y.is_zero():
-            # P + Q = O: l is the vertical through P and v is the constant 1
-            l_m, l_n = M.x - xP, N.x - xP
-            if l_m.is_zero() or l_n.is_zero():
-                raise SupportCollisionError("M or N is a pole of the line fraction")
-            return l_n / l_m
-        x2 = P.x * P.x
-        lam = (x2 + x2 + x2 + P.curve.a) / (P.y + P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    xS = lam * lam - P.x - Q.x
+    sub, mul = field.sub_coeffs, field.mul_coeffs
+    xP, yP, xM, xN = P.x.coeffs, P.y.coeffs, M.x.coeffs, N.x.coeffs
     if lift:
-        lam, xS = field.embed(lam), field.embed(xS)
-    l_m = (M.y - yP) - lam * (M.x - xP)
-    l_n = (N.y - yP) - lam * (N.x - xP)
-    v_m, v_n = M.x - xS, N.x - xS
-    if l_m.is_zero() or l_n.is_zero() or v_m.is_zero() or v_n.is_zero():
+        xP, yP = (xP[0], 0), (yP[0], 0)
+    if (chord := _chord(P, Q)) is None:
+        # P + Q = O: l is the vertical through P and v is the constant 1
+        l_m, l_n = sub(xM, xP), sub(xN, xP)
+        if not (any(l_m) and any(l_n)):
+            raise SupportCollisionError("M or N is a pole of the line fraction")
+        return FieldElement(field, l_n) / FieldElement(field, l_m)
+    lam, xS = chord
+    if lift:
+        lam, xS = (lam[0], 0), (xS[0], 0)
+    tick(field.degree, 2)  # the two line products, counted before the zero tests
+    l_m = sub(sub(M.y.coeffs, yP), mul(lam, sub(xM, xP)))
+    l_n = sub(sub(N.y.coeffs, yP), mul(lam, sub(xN, xP)))
+    v_m, v_n = sub(xM, xS), sub(xN, xS)
+    if not (any(l_m) and any(l_n) and any(v_m) and any(v_n)):
         raise SupportCollisionError("M or N lies in the support of the line fraction")
-    return v_m * l_n / (l_m * v_n)
+    tick(field.degree, 2)  # v_m * l_n and l_m * v_n; the division ticks itself
+    return FieldElement(field, mul(v_m, l_n)) / FieldElement(field, mul(l_m, v_n))

@@ -2,16 +2,19 @@
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic, elements stored as coefficient pairs (a0, a1)
-meaning a0 + a1*u.  Each element operation is straight-line code on
-the one or two coefficients, in closed form: products reduce with
-u^2 = -s*u - t and inverses are the conjugate over the norm (Devegili,
+meaning a0 + a1*u.  Each field has straight-line kernels on coefficient
+tuples (`add_coeffs`, `sub_coeffs`, `mul_coeffs`; products reduce with
+u^2 = -s*u - t), and `FieldElement` arithmetic is their checked
+wrapper.  Inverses are the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
-pairing-friendly fields", ePrint 2006/471).  Every element
-multiplication or division records one tick in each counter scoped
-over the operation; addition, subtraction, negation and inversion
-record none, so the counts compare the work different group laws ask
-of the field.  Fields are interned, one object per parameter set, so
-two fields are equal exactly when they are the same object.
+pairing-friendly fields", ePrint 2006/471), only in
+`FieldElement.inverse`.  Every multiplication or division records one
+tick in each counter scoped over the operation; addition, subtraction,
+negation and inversion record none, so the counts compare the work
+different group laws ask of the field.  A kernel caller records its own
+products and divisions with `tick(degree, k)`, before any point where it
+can raise.  Fields are interned, one object per parameter set, so two
+fields are equal exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ class MulCounter:
         self.muls = 0
         self.by_degree: dict[int, int] = {}
 
-    def record(self, degree: int) -> None:
-        self.muls += 1
-        self.by_degree[degree] = self.by_degree.get(degree, 0) + 1
-
     def __repr__(self) -> str:
         return f"MulCounter(muls={self.muls}, by_degree={self.by_degree})"
 
@@ -61,6 +60,13 @@ def count_mults() -> Iterator[MulCounter]:
         yield counter
     finally:
         _counters.reset(token)
+
+
+def tick(degree: int, k: int = 1) -> None:
+    """Record k multiplications or divisions in a degree-`degree` field in every active counter."""
+    for counter in _counters.get():
+        counter.muls += k
+        counter.by_degree[degree] = counter.by_degree.get(degree, 0) + k
 
 
 class _Field:
@@ -102,9 +108,14 @@ class _Field:
         hi, lo = divmod(index, self.p)
         return FieldElement(self, (lo, hi))
 
+    def coeff_tuples(self) -> Iterator[tuple[int, ...]]:
+        """Coefficients of all field elements, in a fixed base-p little-endian order."""
+        digits = range(self.p)
+        return zip(digits) if self.degree == 1 else ((lo, hi) for hi in digits for lo in digits)
+
     def elements(self) -> Iterator["FieldElement"]:
-        """All field elements, in a fixed base-p little-endian order."""
-        return map(self._at, range(self.order))
+        """All field elements, in coeff_tuples() order."""
+        return (FieldElement(self, c) for c in self.coeff_tuples())
 
     def sample(self, rng) -> "FieldElement":
         return self._at(rng.randrange(self.order))
@@ -136,6 +147,15 @@ class PrimeField(_Field):
     @property
     def name(self) -> str:
         return f"F_{self.p}"
+
+    def add_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return ((a[0] + b[0]) % self.p,)
+
+    def sub_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return ((a[0] - b[0]) % self.p,)
+
+    def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return (a[0] * b[0] % self.p,)
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -184,6 +204,17 @@ class ExtField(_Field):
     def name(self) -> str:
         return f"F_{self.p}^2"
 
+    def add_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
+
+    def sub_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return ((a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p)
+
+    def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        (a0, a1), (b0, b1), (t, s, _), p = a, b, self.poly, self.p
+        hi = a1 * b1  # times u^2 = -s*u - t
+        return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
+
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
         if elem.field is not self.base:
@@ -211,19 +242,13 @@ class FieldElement:
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        a, b, p = self.coeffs, other.coeffs, f.p
-        if f.degree == 1:
-            return FieldElement(f, ((a[0] + b[0]) % p,))
-        return FieldElement(f, ((a[0] + b[0]) % p, (a[1] + b[1]) % p))
+        return FieldElement(f, f.add_coeffs(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        a, b, p = self.coeffs, other.coeffs, f.p
-        if f.degree == 1:
-            return FieldElement(f, ((a[0] - b[0]) % p,))
-        return FieldElement(f, ((a[0] - b[0]) % p, (a[1] - b[1]) % p))
+        return FieldElement(f, f.sub_coeffs(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "FieldElement":
         f, a = self.field, self.coeffs
@@ -235,21 +260,17 @@ class FieldElement:
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        degree, p = f.degree, f.p
-        for counter in _counters.get():
-            counter.record(degree)
-        if degree == 1:
-            return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        (a0, a1), (b0, b1), (t, s, _) = self.coeffs, other.coeffs, f.poly
-        hi = a1 * b1  # times u^2 = -s*u - t
-        return FieldElement(f, ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p))
+        tick(f.degree)
+        return FieldElement(f, f.mul_coeffs(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         # divides via inverse-and-multiply, so one counter tick per division
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        return self * other.inverse()
+        inv = other.inverse()
+        tick(f.degree)
+        return FieldElement(f, f.mul_coeffs(self.coeffs, inv.coeffs))
 
     def inverse(self) -> "FieldElement":
         f, a = self.field, self.coeffs

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
-from genjac.field import ExtField, PrimeField
+from genjac.field import ExtField, PrimeField, count_mults
 from genjac.jacobian import tate_by_miller
 from genjac.numbertheory import Factorization
 
@@ -132,23 +132,46 @@ def test_element_order_rejects_non_multiple(E):
         element_order(P, Factorization.from_int(8))
 
 
+def _schoolbook(P, Q):
+    """(lambda, P + Q) for affine P, Q by chord and tangent, or (None, O).
+
+    Written out in FieldElement arithmetic from the textbook formulas, so it
+    shares no code with Curve.add or eval_line_fraction; the sum is
+    validated by Curve.point.
+    """
+    E, k = P.curve, P.curve.field
+    if P.x == Q.x and P.y == -Q.y:
+        return None, E.infinity
+    if P.x == Q.x:
+        lam = (k(3) * P.x * P.x + E.a) / (k(2) * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return lam, E.point(x3, lam * (P.x - x3) - P.y)
+
+
+def _schoolbook_add(P, Q):
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    return _schoolbook(P, Q)[1]
+
+
 def _chord_values(P, Q, X):
     """Straight re-derivation of the vertical and the chord at X.
 
-    Independent of eval_line_fraction's internals: recompute the sum, the
-    slope, the line, and the vertical from raw coordinates of the lifted
-    points.  Returns (v(X), l(X)); X must be affine.
+    Independent of eval_line_fraction's internals and of Curve.add:
+    recompute the slope, the sum, the line, and the vertical from raw
+    coordinates of the lifted points.  Returns (v(X), l(X)); X must be
+    affine.
     """
     k = X.curve.field
     if P.is_infinity or Q.is_infinity:
         return k.one, k.one
-    S = P.curve.add(P, Q)
-    if S.is_infinity:
+    lam, S = _schoolbook(P, Q)
+    if lam is None:
         return k.one, X.x - P.x
-    if P.x == Q.x:
-        lam = (k(3) * P.x * P.x + P.curve.a) / (k(2) * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
     line = (X.y - P.y) - lam * (X.x - P.x)
     vertical = X.x - S.x
     return vertical, line
@@ -161,7 +184,7 @@ def _oracle(P, Q, M, N):
         P, Q = EK.embed_point(P), EK.embed_point(Q)
     if P.is_infinity or Q.is_infinity:
         return EK.field.one
-    S = EK.add(P, Q)
+    S = _schoolbook(P, Q)[1]
     support = {EK.infinity, P, Q, S, EK.neg(S)}
     if M in support or N in support:
         return None
@@ -192,7 +215,7 @@ def test_line_fraction_matches_divisor(E, EK):
     ]
     lifted_all = EK.enumerate_points()
     for P, Q in cases:
-        S = E.add(P, Q)
+        S = _schoolbook(P, Q)[1]
         support = {EK.infinity} | {EK.embed_point(T) for T in (P, Q, S, E.neg(S))}
         Y = next(X for X in lifted_all if X not in support)
         v_y, l_y = _chord_values(EK.embed_point(P), EK.embed_point(Q), Y)
@@ -291,10 +314,83 @@ def test_curves_are_interned(toy):
             Curve(E.field, 0, 0)
 
 
-def test_point_hash_and_eq(E):
+def test_point_hash_and_eq(E, EK):
     F = E.field
     a = E.point(F(5), F(3))
     b = E.point(F(5), F(3))
     assert a == b and hash(a) == hash(b)
     assert a != E.point(F(5), F(8))
     assert E.infinity == E.infinity
+    # the identity against an affine point either way round, another
+    # curve's point with the same coefficients, and a non-point
+    assert a != E.infinity and E.infinity != a
+    assert EK.embed_point(a) != a and EK.infinity != E.infinity
+    assert a != a.serialize()
+
+
+# (p, reduction polynomial or None for F_p, a, b); the last field has s != 0
+# and t != 1, and its curve has a coefficient outside F_7
+LAW_CURVES = {
+    "E(F_11)": (11, None, 1, 0),
+    "E(F_11[u]/(u^2+1))": (11, (1, 0, 1), 1, 0),
+    "E(F_7[u]/(u^2+u+3))": (7, (3, 1, 1), [0, 1], 1),
+}
+
+
+@pytest.mark.parametrize("name", LAW_CURVES)
+def test_add_matches_schoolbook_with_exact_counts(name):
+    # every pair of points: the same sum as the textbook formulas, and one
+    # counted multiplication per product or division (slope, lambda^2 and
+    # the y product, plus x^2 for a tangent), none without a slope
+    p, poly, a, b = LAW_CURVES[name]
+    field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
+    E = Curve(field, a, b)
+    points = E.enumerate_points()
+    tangents = 0
+    for P in points:
+        for Q in points:
+            expected = _schoolbook_add(P, Q)
+            with count_mults() as counter:
+                got = E.add(P, Q)
+            assert got.curve is E and (got.x, got.y) == (expected.x, expected.y), (P, Q)
+            if P.is_infinity or Q.is_infinity or (P.x == Q.x and P.y == -Q.y):
+                muls = 0
+            else:
+                muls = 4 if P.x == Q.x else 3
+                tangents += P.x == Q.x
+            assert counter.by_degree == ({field.degree: muls} if muls else {}), (P, Q)
+            assert counter.muls == muls
+    assert tangents > 0
+
+
+def test_line_fraction_exact_counts(E, EK):
+    # by_degree per evaluation, as measured before the arithmetic moved to
+    # coefficient kernels: a lifted slope and x(P+Q) cost F_p products, and
+    # a collision records every product made before its zero test
+    F = E.field
+    P, Q = E.point(F(5), F(3)), E.point(F(7), F(8))
+    S, lift = E.add(P, Q), EK.embed_point
+    M, N = [X for X in EK.enumerate_points() if not X.is_infinity and X.x.coeffs[1]][:2]
+    cases = [
+        ((lift(P), lift(Q), M, N), {2: 7}),  # unlifted chord
+        ((lift(P), lift(P), M, N), {2: 8}),  # unlifted tangent
+        ((P, Q, M, N), {1: 2, 2: 5}),  # lifted chord
+        ((P, P, M, N), {1: 3, 2: 5}),  # lifted tangent
+        ((P, E.neg(P), M, N), {2: 1}),  # vertical
+        ((P, E.identity, M, N), {}),  # identity operand
+    ]
+    for args, by_degree in cases:
+        with count_mults() as counter:
+            eval_line_fraction(*args)
+        assert counter.by_degree == by_degree, args
+    collisions = [
+        ((P, Q, lift(P), N), {1: 2, 2: 2}),  # M on the chord
+        ((P, Q, M, lift(S)), {1: 2, 2: 2}),  # N on the vertical through P+Q
+        ((lift(P), lift(P), M, lift(P)), {2: 5}),  # N on the tangent
+        ((P, E.neg(P), lift(P), N), {}),  # M at the pole of the vertical
+        ((P, Q, EK.identity, N), {}),  # the identity
+    ]
+    for args, by_degree in collisions:
+        with count_mults() as counter, pytest.raises(SupportCollisionError):
+            eval_line_fraction(*args)
+        assert counter.by_degree == by_degree, args
