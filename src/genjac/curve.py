@@ -9,7 +9,9 @@ needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  The group law,
 the line fraction and point enumeration run on coefficient tuples
-through the field kernels and count what the textbook formulas would;
+through the field kernels and count what the textbook formulas would.
+One chord helper gives the slope and x(P+Q); a caller that needs both
+P + Q and the line fraction computes it once and hands it to both;
 the Miller loop in `jacobian` stays in `FieldElement` arithmetic as the
 cocycle's independent oracle.  Curves are interned like fields, so two
 curves are equal exactly when they are the same object, and a curve
@@ -97,7 +99,11 @@ class Curve(Group):
             return Q
         if Q.x is None:
             return P
-        if (chord := _chord(P, Q)) is None:
+        return self.chord_sum(P, _chord(P, Q))
+
+    def chord_sum(self, P: "Point", chord) -> "Point":
+        """P + Q from `_chord(P, Q)` for affine P, Q on this curve: one product for y."""
+        if chord is None:
             return self._infinity
         lam, x3 = chord
         f = self.field
@@ -217,12 +223,13 @@ def _chord(P: Point, Q: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None
     return lam, sub(sub(mul(lam, lam), xP), xQ)
 
 
-def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
+def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> FieldElement:
     """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N).
 
     P and Q may live on the base curve while M and N live on an extension
     of it; the slope and x(P+Q) are then computed in the base field and
-    only they and P's coordinates are lifted.  When P or Q is the identity
+    only they and P's coordinates are lifted; `chord`, when given, is
+    `_chord(P, Q)` computed by the caller.  When P or Q is the identity
     the function is the constant 1.  Otherwise M and N must avoid the
     support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
     Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point
@@ -243,7 +250,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point) -> FieldElement:
     xP, yP, xM, xN = P.x.coeffs, P.y.coeffs, M.x.coeffs, N.x.coeffs
     if lift:
         xP, yP = (xP[0], 0), (yP[0], 0)
-    if (chord := _chord(P, Q)) is None:
+    if (chord := chord or _chord(P, Q)) is None:
         # P + Q = O: l is the vertical through P and v is the constant 1
         l_m, l_n = sub(xM, xP), sub(xN, xP)
         if not (any(l_m) and any(l_n)):

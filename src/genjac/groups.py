@@ -9,7 +9,9 @@ with identity (0, 0) and inverse (-a, -(b + c(a, -a))).  Embedding B as
 {(0, b)} and projecting to A makes 0 -> B -> C -> A -> 0 exact; that
 exactness is what the discrete-log reduction in dlp.py exploits.  All
 backends write their law additively, including the multiplicative group
-of a field, so the same extension machinery covers every case.  The
+of a field, so the same extension machinery covers every case.  An
+extension add asks its cocycle for a + a' and c(a, a') in one call, so a
+cocycle that needs the sum anyway computes it once.  The
 curve backend is `curve.Curve` itself, a `Group` subclass, so this module
 imports nothing from the curve layer; `SupportCollisionError` lives here
 because the samplers skip the draws that raise it.
@@ -159,6 +161,10 @@ class Cocycle(ABC):
     def __call__(self, p, q):
         ...
 
+    def sum_and_value(self, p, q):
+        """(p + q, c(p, q)); a cocycle that finds both from shared work overrides it."""
+        return self.a_group.add(p, q), self(p, q)
+
     def describe(self) -> str:
         return self.tag
 
@@ -198,8 +204,11 @@ class CoboundaryCocycle(Cocycle):
         return cls(a_group, b_group, table)
 
     def __call__(self, p, q):
-        B = self.b_group
-        return B.sub(B.add(self.table[p], self.table[q]), self.table[self.a_group.add(p, q)])
+        return self.sum_and_value(p, q)[1]
+
+    def sum_and_value(self, p, q):
+        B, pq = self.b_group, self.a_group.add(p, q)
+        return pq, B.sub(B.add(self.table[p], self.table[q]), self.table[pq])
 
     def describe(self) -> str:
         return f"coboundary(|A|={len(self.table)})"
@@ -218,10 +227,9 @@ class ExtensionGroup(Group):
         return ExtElement(self.a_group.identity, self.b_group.identity)
 
     def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        A, B = self.a_group, self.b_group
-        a_sum = A.add(x.a_part, y.a_part)
-        b_sum = B.add(x.b_part, y.b_part)
-        return ExtElement(a_sum, B.add(b_sum, self.cocycle(x.a_part, y.a_part)))
+        B = self.b_group
+        a_sum, c = self.cocycle.sum_and_value(x.a_part, y.a_part)
+        return ExtElement(a_sum, B.add(B.add(x.b_part, y.b_part), c))
 
     def neg(self, x: ExtElement) -> ExtElement:
         A, B = self.a_group, self.b_group
@@ -255,15 +263,17 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
 
     In an extension it is n_A * ord(t), with n_A = ord(x.a_part) found in A
     against n and n_A * x = (0, t) from one ladder, because a normalized
-    cocycle makes {(0, b)} a copy of B; ord(t) is found in B against n / n_A.
+    cocycle makes {(0, b)} a copy of B; ord(t) is found in B against n / n_A,
+    and that search is also the test that n is a multiple of ord(x).
     """
     if isinstance(group, ExtensionGroup):
         n, B = order_multiple.n, group.b_group
         n_a = element_order(group.a_group, x.a_part, order_multiple)
         t = group.scalar_mul(n_a, x).b_part
-        if B.scalar_mul(n // n_a, t) != B.identity:
-            raise ValueError(f"{n} is not a multiple of the element's order")
-        return n_a * element_order(B, t, order_multiple.divisor(n // n_a))
+        try:
+            return n_a * element_order(B, t, order_multiple.divisor(n // n_a))
+        except ValueError:
+            raise ValueError(f"{n} is not a multiple of the element's order") from None
     parts = order_parts(group.add, group.identity, x, order_multiple)
     return math.prod(l**f for l, _, f, _ in parts)
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
+from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _chord, element_order, eval_line_fraction
 from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
 from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
@@ -60,8 +60,16 @@ class ModulusCocycle(Cocycle):
         super().__init__(a_group, b_group)
         self.modulus = modulus
 
-    def __call__(self, p: Point, q: Point) -> FieldElement:
-        return eval_line_fraction(p, q, self.modulus.M, self.modulus.N)
+    def __call__(self, p: Point, q: Point, chord=None) -> FieldElement:
+        return eval_line_fraction(p, q, self.modulus.M, self.modulus.N, chord)
+
+    def sum_and_value(self, p: Point, q: Point) -> tuple[Point, FieldElement]:
+        """P + Q and c(P, Q) from one chord, counted as `Curve.add` plus the cocycle."""
+        A = self.a_group
+        if p.x is None or q.x is None or p.curve is not A or q.curve is not A:
+            return super().sum_and_value(p, q)
+        chord = _chord(p, q)
+        return A.chord_sum(p, chord), self(p, q, chord)
 
     def describe(self) -> str:
         return f"generalized-jacobian({self.modulus.M.serialize()} ; {self.modulus.N.serialize()})"

@@ -255,8 +255,8 @@ def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, monk
     # a cocycle that is not symmetric: scale c(P, Q) by 2 when P sorts first
     honest = ModulusCocycle.__call__
 
-    def skewed(self, p, q):
-        value = honest(self, p, q)
+    def skewed(self, p, q, chord=None):
+        value = honest(self, p, q, chord)
         return value + value if p.serialize() < q.serialize() else value
 
     monkeypatch.setattr(ModulusCocycle, "__call__", skewed)

@@ -385,3 +385,73 @@ def test_pairing_compatible_across_orders(toy):
     for m in (3, 6, 12):
         raw = tate_by_miller(P, M, N, m)
         assert reduce_pairing_value(raw, m, q).serialize() == "5,8"
+
+
+def _fused_cases(params, ext: bool, rng):
+    """(P, Q) pairs on the cocycle's curve: every special shape, then random pairs."""
+    A = params.modulus_cocycle(ext).a_group
+    P, Q = A.random_point(rng), A.random_point(rng)
+    T = A.parse_point("0;0")  # 2-torsion on y^2 = x^3 + x
+    cases = [(P, A.identity), (A.identity, P), (P, A.neg(P)), (T, T), (P, P), (P, Q)]
+    if ext:  # operand pairs whose support holds a modulus point
+        M = params.modulus.M
+        cases += [(M, P), (P, A.sub(M, P)), (P, A.sub(A.neg(M), P))]
+    return cases + [(A.random_point(rng), A.random_point(rng)) for _ in range(100)]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except SupportCollisionError:
+        return "collision"
+
+
+@pytest.mark.parametrize("p, ext", [(11, False), (11, True), (103, False), (103, True)])
+def test_sum_and_value_matches_add_and_line_fraction(p, ext):
+    params, rng = make_toy_params(p, seed=7), random.Random(p)
+    cocycle = params.modulus_cocycle(ext)
+    A, M, N = cocycle.a_group, params.modulus.M, params.modulus.N
+    collisions = 0
+    for P, Q in _fused_cases(params, ext, rng):
+        fused = _outcome(lambda: cocycle.sum_and_value(P, Q))
+        unfused = _outcome(lambda: (A.add(P, Q), jacobian.eval_line_fraction(P, Q, M, N)))
+        assert fused == unfused, (P, Q)
+        collisions += fused == "collision"
+    # base-curve operands never collide; the three forced extended-curve ones do
+    assert collisions == 0 if not ext else collisions >= 3
+
+
+@pytest.mark.parametrize("ext", [False, True])
+def test_extension_add_gap_over_curve_add_and_two_unit_muls(toy, ext):
+    # the cocycle reuses the add's chord: 5 multiplications on top for a
+    # chord or a tangent, 1 for a vertical, none with an identity operand
+    jac, A = toy.jacobian(ext), toy.modulus_cocycle(ext).a_group
+    P, Q = A.parse_point("5;3"), A.parse_point("7;8")
+    b = toy.units().field.from_record("2,7")
+    for (p, q), gap in [((P, Q), 5), ((P, P), 5), ((P, A.neg(P)), 1), ((P, A.identity), 0)]:
+        with count_mults() as ext_add:
+            jac.add(ExtElement(p, b), ExtElement(q, b))
+        with count_mults() as curve_add:
+            A.add(p, q)
+        assert ext_add.muls - curve_add.muls - 2 == gap, (p, q)
+
+
+def test_extension_add_calls_the_traced_cocycle_once(toy, monkeypatch):
+    # perfbench's tracer wraps these two names; an add that bypasses them
+    # would leave its cocycle spans empty
+    calls = {"cocycle": 0, "line_fraction": 0}
+    honest_call, honest_fraction = jacobian.ModulusCocycle.__call__, jacobian.eval_line_fraction
+
+    def cocycle(self, *args):
+        calls["cocycle"] += 1
+        return honest_call(self, *args)
+
+    def line_fraction(*args):
+        calls["line_fraction"] += 1
+        return honest_fraction(*args)
+
+    monkeypatch.setattr(jacobian.ModulusCocycle, "__call__", cocycle)
+    monkeypatch.setattr(jacobian, "eval_line_fraction", line_fraction)
+    E, one = toy.curve, toy.units().identity
+    toy.jacobian().add(ExtElement(E.parse_point("5;3"), one), ExtElement(E.parse_point("7;8"), one))
+    assert calls == {"cocycle": 1, "line_fraction": 1}
