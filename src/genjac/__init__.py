@@ -26,7 +26,6 @@ from .groups import (
     ExtensionGroup,
     MultiplicativeGroup,
     ZeroCocycle,
-    direct_product,
     element_order,
     sample_admissible_triples,
     sample_operable_triples,

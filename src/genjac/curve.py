@@ -9,7 +9,7 @@ needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  The group law,
 the line fraction and point enumeration run on coefficient tuples
-through the field kernels and count what the textbook formulas would.
+through the field kernels, which count each multiplication they make.
 One chord helper gives the slope and x(P+Q); a caller that needs both
 P + Q and the line fraction computes it once and hands it to both;
 the Miller loop in `jacobian` stays in `FieldElement` arithmetic as the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .field import ExtField, FieldElement, _Field, tick
+from .field import ExtField, FieldElement, _Field
 from .groups import Group, SupportCollisionError, element_order as _group_element_order
 from .numbertheory import Factorization
 
@@ -107,7 +107,6 @@ class Curve(Group):
             return self._infinity
         lam, x3 = chord
         f = self.field
-        tick(f.degree)
         y3 = f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x.coeffs, x3)), P.y.coeffs)
         return Point(self, FieldElement(f, x3), FieldElement(f, y3))
 
@@ -134,7 +133,6 @@ class Curve(Group):
         if f.order > ENUM_BOUND:
             raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
         add, mul, a, b = f.add_coeffs, f.mul_coeffs, self.a.coeffs, self.b.coeffs
-        tick(f.degree, 4 * f.order)  # y^2, x^2, x^3 and a*x per element
         roots: dict[tuple[int, ...], list[FieldElement]] = {}
         for y in f.coeff_tuples():
             roots.setdefault(mul(y, y), []).append(FieldElement(f, y))
@@ -215,10 +213,8 @@ def _chord(P: Point, Q: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None
             return None
         x2 = mul(xP, xP)
         num, den = add(add(add(x2, x2), x2), P.curve.a.coeffs), add(yP, yP)
-        tick(f.degree, 3)  # x^2, the division and lambda^2
     else:
         num, den = sub(Q.y.coeffs, yP), sub(xQ, xP)
-        tick(f.degree, 2)  # the division and lambda^2
     lam = mul(num, FieldElement(f, den).inverse().coeffs)
     return lam, sub(sub(mul(lam, lam), xP), xQ)
 
@@ -259,11 +255,9 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     lam, xS = chord
     if lift:
         lam, xS = (lam[0], 0), (xS[0], 0)
-    tick(field.degree, 2)  # the two line products, counted before the zero tests
     l_m = sub(sub(M.y.coeffs, yP), mul(lam, sub(xM, xP)))
     l_n = sub(sub(N.y.coeffs, yP), mul(lam, sub(xN, xP)))
     v_m, v_n = sub(xM, xS), sub(xN, xS)
     if not (any(l_m) and any(l_n) and any(v_m) and any(v_n)):
         raise SupportCollisionError("M or N lies in the support of the line fraction")
-    tick(field.degree, 2)  # v_m * l_n and l_m * v_n; the division ticks itself
     return FieldElement(field, mul(v_m, l_n)) / FieldElement(field, mul(l_m, v_n))

@@ -8,20 +8,19 @@ u^2 = -s*u - t), and `FieldElement` arithmetic is their checked
 wrapper.  Inverses are the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
 pairing-friendly fields", ePrint 2006/471), only in
-`FieldElement.inverse`.  Every multiplication or division records one
-tick in each counter scoped over the operation; addition, subtraction,
-negation and inversion record none, so the counts compare the work
-different group laws ask of the field.  A kernel caller records its own
-products and divisions with `tick(degree, k)`, before any point where it
-can raise.  Fields are interned, one object per parameter set, so two
-fields are equal exactly when they are the same object.
+`FieldElement.inverse`.  The two `mul_coeffs` kernels are the counter:
+each product adds one to a process-wide tally for its field's degree,
+whether an operator or a kernel caller asked for it; addition,
+subtraction, negation and inversion count nothing, so the counts compare
+the work different group laws ask of the field.  Fields are interned,
+one object per parameter set, so two fields are equal exactly when they
+are the same object.
 """
 
 from __future__ import annotations
 
 import operator
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterator, Sequence
 
 from .numbertheory import double_and_add, is_prime
@@ -30,43 +29,41 @@ from .numbertheory import double_and_add, is_prime
 PRIME_BOUND = 1 << 61
 
 
-class MulCounter:
-    """Tally of field multiplications and divisions, split by extension degree."""
+# field multiplications made so far in this process, indexed by extension
+# degree; only the two mul_coeffs kernels add to it, a list being the
+# cheapest increment
+_tally = [0, 0, 0]
 
-    __slots__ = ("muls", "by_degree")
+
+class MulCounter:
+    """Field multiplications and divisions made in a `count_mults` block, split by extension degree."""
+
+    __slots__ = ("_start", "_stop")
 
     def __init__(self) -> None:
-        self.muls = 0
-        self.by_degree: dict[int, int] = {}
+        self._start, self._stop = _tally[:], None
+
+    @property
+    def by_degree(self) -> dict[int, int]:
+        stop, start = self._stop or _tally, self._start  # the running tally inside the block
+        return {d: stop[d] - start[d] for d in (1, 2) if stop[d] != start[d]}
+
+    @property
+    def muls(self) -> int:
+        return sum(self.by_degree.values())
 
     def __repr__(self) -> str:
         return f"MulCounter(muls={self.muls}, by_degree={self.by_degree})"
 
 
-_counters: ContextVar[tuple[MulCounter, ...]] = ContextVar("genjac_mul_counters", default=())
-
-
 @contextmanager
 def count_mults() -> Iterator[MulCounter]:
-    """Scope a fresh MulCounter over the enclosed field operations.
-
-    Scopes nest (an outer counter keeps seeing inner work) and are
-    context-local, so concurrent tasks each observe only their own
-    operations.
-    """
+    """Count the enclosed field multiplications; scopes nest, and counts are process-wide."""
     counter = MulCounter()
-    token = _counters.set(_counters.get() + (counter,))
     try:
         yield counter
     finally:
-        _counters.reset(token)
-
-
-def tick(degree: int, k: int = 1) -> None:
-    """Record k multiplications or divisions in a degree-`degree` field in every active counter."""
-    for counter in _counters.get():
-        counter.muls += k
-        counter.by_degree[degree] = counter.by_degree.get(degree, 0) + k
+        counter._stop = _tally[:]
 
 
 class _Field:
@@ -155,6 +152,7 @@ class PrimeField(_Field):
         return ((a[0] - b[0]) % self.p,)
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        _tally[1] += 1
         return (a[0] * b[0] % self.p,)
 
     def __repr__(self) -> str:
@@ -211,6 +209,7 @@ class ExtField(_Field):
         return ((a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p)
 
     def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        _tally[2] += 1
         (a0, a1), (b0, b1), (t, s, _), p = a, b, self.poly, self.p
         hi = a1 * b1  # times u^2 = -s*u - t
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
@@ -260,17 +259,14 @@ class FieldElement:
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        tick(f.degree)
         return FieldElement(f, f.mul_coeffs(self.coeffs, other.coeffs))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        # divides via inverse-and-multiply, so one counter tick per division
+        # inverse-and-multiply, so one counted multiplication per division
         f = self.field
         if not (isinstance(other, FieldElement) and other.field is f):
             raise ValueError("mismatched field parameters")
-        inv = other.inverse()
-        tick(f.degree)
-        return FieldElement(f, f.mul_coeffs(self.coeffs, inv.coeffs))
+        return FieldElement(f, f.mul_coeffs(self.coeffs, other.inverse().coeffs))
 
     def inverse(self) -> "FieldElement":
         f, a = self.field, self.coeffs

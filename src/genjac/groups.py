@@ -254,10 +254,6 @@ class ExtensionGroup(Group):
         )
 
 
-def direct_product(a_group: Group, b_group: Group) -> ExtensionGroup:
-    return ExtensionGroup(ZeroCocycle(a_group, b_group))
-
-
 def element_order(group: Group, x, order_multiple: Factorization) -> int:
     """Exact order of x given a factored multiple n of it, by `order_parts`.
 

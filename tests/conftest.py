@@ -32,21 +32,25 @@ def params_file(toy, tmp_path_factory):
 
 
 class _MemoizedCocycle(Cocycle):
-    """Another cocycle's values, each argument pair computed once."""
+    """Another cocycle's values and sums, each argument pair computed once."""
 
     tag = "memoized"
 
     def __init__(self, inner: Cocycle) -> None:
         super().__init__(inner.a_group, inner.b_group)
         self._call = functools.cache(inner)
+        self._sum_and_value = functools.cache(inner.sum_and_value)
 
     def __call__(self, p, q):
         return self._call(p, q)
 
+    def sum_and_value(self, p, q):
+        return self._sum_and_value(p, q)
+
 
 @pytest.fixture(scope="session")
 def memoized_extension():
-    """Build the extension group of a cocycle with its values memoized.
+    """Build the extension group of a cocycle with its values and sums memoized.
 
     Oracles that add tens of thousands of times over a small base group use
     it; the group law and every value are the same as the plain extension's.

@@ -5,8 +5,8 @@ import pytest
 from genjac import bench
 from genjac.bench import CSV_HEADER, MAX_RESAMPLE_FACTOR, BenchInvariantError, run_benchmark
 from genjac.curve import Curve
-from genjac.field import count_mults, tick
-from genjac.groups import ExtensionGroup, MultiplicativeGroup, SupportCollisionError
+from genjac.field import count_mults
+from genjac.groups import ExtElement, ExtensionGroup, MultiplicativeGroup, SupportCollisionError
 from genjac.jacobian import ModulusCocycle, make_toy_params
 
 # frozen run: seed 2, 6 trials, 6-bit scalars, toy params seed 7
@@ -105,17 +105,25 @@ def test_jacobian_cost_is_curve_plus_twice_units_plus_cocycle(p):
         _assert_exact_accounting(trials)
 
 
-def test_exact_accounting_catches_a_skipped_tick(toy, monkeypatch):
-    # the fused add records one multiplication fewer than it makes, outside
-    # the cocycle's own count: the jacobian then undercuts the identity
-    honest = ModulusCocycle.sum_and_value
+def _add_one_more_mul(self, x, y):
+    # times the unit group's identity: the same element, one more multiplication
+    B = self.b_group
+    a_sum, c = self.cocycle.sum_and_value(x.a_part, y.a_part)
+    return ExtElement(a_sum, B.add(B.add(B.add(x.b_part, y.b_part), c), B.identity))
 
-    def cheaper(self, p, q):
-        result = honest(self, p, q)
-        tick(2, -1)
-        return result
 
-    monkeypatch.setattr(ModulusCocycle, "sum_and_value", cheaper)
+def _add_one_unit_mul_dropped(self, x, y):
+    a_sum, c = self.cocycle.sum_and_value(x.a_part, y.a_part)
+    return ExtElement(a_sum, self.b_group.add(x.b_part, c))
+
+
+@pytest.mark.parametrize(
+    "changed_add", [_add_one_more_mul, _add_one_unit_mul_dropped], ids=["one-more-mul", "unit-mul-dropped"]
+)
+def test_exact_accounting_catches_a_changed_add_cost(toy, monkeypatch, changed_add):
+    # an extension add that makes one counted multiplication more, outside
+    # the cocycle, or one unit multiply fewer breaks the identity either way
+    monkeypatch.setattr(ExtensionGroup, "add", changed_add)
     _, trials = _bench_with_ledger(toy, trials=5, scalar_bits=6, seed=1, strict=False)
     with pytest.raises(AssertionError):
         _assert_exact_accounting(trials)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from genjac.cli import main
 from genjac.field import (
     ExtField,
     FieldElement,
@@ -11,6 +12,7 @@ from genjac.field import (
     count_mults,
     parse_coeffs,
 )
+from genjac.jacobian import make_toy_params, params_to_text
 
 
 @pytest.fixture(scope="module")
@@ -280,10 +282,23 @@ def test_counter_semantics(F, K):
     assert c.muls == 3
     assert c.by_degree == {1: 2, 2: 1}
 
-    # division is inverse-then-multiply and ticks exactly once
+    # division is inverse-then-multiply and counts exactly once
     with count_mults() as c:
         F(3) / F(5)
     assert c.muls == 1
+
+    # the kernels are the counter: one per mul_coeffs call at its degree,
+    # none for add_coeffs or sub_coeffs
+    with count_mults() as c:
+        F.mul_coeffs((3,), (5,))
+    assert c.by_degree == {1: 1}
+    with count_mults() as c:
+        K.mul_coeffs((1, 2), (3, 4))
+    assert c.by_degree == {2: 1}
+    with count_mults() as c:
+        F.add_coeffs((3,), (5,)), F.sub_coeffs((3,), (5,))
+        K.add_coeffs((1, 2), (3, 4)), K.sub_coeffs((1, 2), (3, 4))
+    assert c.muls == 0 and c.by_degree == {}
 
     # inversion itself is free of counted multiplications
     with count_mults() as c:
@@ -301,11 +316,28 @@ def test_counter_nesting(F):
         F(2) * F(3)
         with count_mults() as inner:
             F(2) * F(3)
+            # read inside its block, a counter gives the running count
+            assert inner.muls == 1 and outer.muls == 2
             F(2) * F(3)
         F(2) * F(3)
+    F(2) * F(3)
+    # multiplications after a block leave its counter unchanged
     assert inner.muls == 2
     # outer keeps counting while inner is active
     assert outer.muls == 4
+
+
+def test_cli_counts_by_degree_p103(tmp_path):
+    # pinned counts of one verify pass and one attack at p = 103, seed 1
+    params = make_toy_params(103, seed=1)
+    path = tmp_path / "p103.txt"
+    path.write_text(params_to_text(params))
+    for command, by_degree in (("verify", {1: 1906, 2: 48755}), ("attack", {1: 1049, 2: 592})):
+        # fields are interned: forget the square-root non-residue an earlier run found
+        params.curve.field._nonresidue_t = params.ext_curve.field._nonresidue_t = None
+        with count_mults() as c:
+            assert main([command, "--params", str(path), "--seed", "1"]) == 0
+        assert c.by_degree == by_degree
 
 
 def test_fields_are_interned(F, K):

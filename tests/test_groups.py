@@ -13,7 +13,6 @@ from genjac.groups import (
     ExtensionGroup,
     MultiplicativeGroup,
     ZeroCocycle,
-    direct_product,
     element_order,
     sample_admissible_triples,
     sample_operable_triples,
@@ -93,7 +92,7 @@ def test_scalar_mul_generic(rng):
 
 def test_zero_cocycle_extension_is_componentwise():
     A, B = CyclicGroup(6), CyclicGroup(8)
-    C = direct_product(A, B)
+    C = ExtensionGroup(ZeroCocycle(A, B))
     x = ExtElement(2, 3)
     y = ExtElement(5, 7)
     assert C.add(x, y) == ExtElement(1, 2)
@@ -117,7 +116,7 @@ def test_coboundary_extension_isomorphic_to_product(rng):
     A, B = CyclicGroup(10), CyclicGroup(4)
     c = CoboundaryCocycle.random(A, B, rng)
     C = ExtensionGroup(c)
-    P = direct_product(A, B)
+    P = ExtensionGroup(ZeroCocycle(A, B))
 
     def iso(x):
         return ExtElement(x.a_part, B.add(x.b_part, c.table[x.a_part]))
@@ -187,7 +186,7 @@ def test_extension_group_inverse_law(toy, rng):
 
 def test_extension_elements_and_sample(rng):
     A, B = CyclicGroup(3), CyclicGroup(4)
-    C = direct_product(A, B)
+    C = ExtensionGroup(ZeroCocycle(A, B))
     els = list(C.elements())
     assert len(els) == 12
     assert len(set(els)) == 12
@@ -226,7 +225,7 @@ def test_element_order_against_definition_cyclic():
     over_multiple = Factorization.from_int(2**7 * 3**4 * 5**2)
     A, B = CyclicGroup(12), CyclicGroup(8)
     twisted = ExtensionGroup(CoboundaryCocycle.random(A, B, random.Random(12)))
-    for G in (CyclicGroup(720), direct_product(A, B), twisted):
+    for G in (CyclicGroup(720), ExtensionGroup(ZeroCocycle(A, B)), twisted):
         for x in G.elements():
             _assert_order_search(G, x, over_multiple, _order_by_addition(G, x))
 
@@ -328,5 +327,5 @@ def test_sampler_draw_budget(sampler, subject, rng, monkeypatch):
 def test_describe_strings(toy):
     jac = toy.jacobian()
     assert jac.describe().startswith("extension of E(F_11) by Gm(F_11^2)")
-    prod = direct_product(toy.curve, toy.units())
+    prod = ExtensionGroup(ZeroCocycle(toy.curve, toy.units()))
     assert "[zero]" in prod.describe()
