@@ -238,9 +238,9 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     lift = P.curve is not curve or Q.curve is not curve
     if lift and not (P.curve is curve.base_curve and Q.curve is curve.base_curve):
         raise ValueError("M and N must live on the points' curve or an extension of it")
-    if P.is_infinity or Q.is_infinity:
+    if P.x is None or Q.x is None:
         return field.one
-    if M.is_infinity or N.is_infinity:
+    if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
     sub, mul = field.sub_coeffs, field.mul_coeffs
     xP, yP, xM, xN = P.x.coeffs, P.y.coeffs, M.x.coeffs, N.x.coeffs
@@ -251,7 +251,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
         l_m, l_n = sub(xM, xP), sub(xN, xP)
         if not (any(l_m) and any(l_n)):
             raise SupportCollisionError("M or N is a pole of the line fraction")
-        return FieldElement(field, l_n) / FieldElement(field, l_m)
+        return FieldElement(field, mul(l_n, FieldElement(field, l_m).inverse().coeffs))
     lam, xS = chord
     if lift:
         lam, xS = (lam[0], 0), (xS[0], 0)
@@ -260,4 +260,4 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     v_m, v_n = sub(xM, xS), sub(xN, xS)
     if not (any(l_m) and any(l_n) and any(v_m) and any(v_n)):
         raise SupportCollisionError("M or N lies in the support of the line fraction")
-    return FieldElement(field, mul(v_m, l_n)) / FieldElement(field, mul(l_m, v_n))
+    return FieldElement(field, mul(mul(v_m, l_n), FieldElement(field, mul(l_m, v_n)).inverse().coeffs))

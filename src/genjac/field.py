@@ -5,7 +5,8 @@ irreducible quadratic, elements stored as coefficient pairs (a0, a1)
 meaning a0 + a1*u.  Each field has straight-line kernels on coefficient
 tuples (`add_coeffs`, `sub_coeffs`, `mul_coeffs`; products reduce with
 u^2 = -s*u - t), and `FieldElement` arithmetic is their checked
-wrapper.  Inverses are the conjugate over the norm (Devegili,
+wrapper; powers and the Tonelli-Shanks square root run on the kernels
+too.  Inverses are the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
 pairing-friendly fields", ePrint 2006/471), only in
 `FieldElement.inverse`.  The two `mul_coeffs` kernels are the counter:
@@ -19,7 +20,6 @@ are the same object.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -286,7 +286,8 @@ class FieldElement:
             if self.is_zero():
                 raise ArithmeticError("0**0 is undefined")
             return self.field.one
-        return double_and_add(operator.mul, self, n)
+        f = self.field
+        return FieldElement(f, double_and_add(f.mul_coeffs, self.coeffs, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -307,24 +308,26 @@ class FieldElement:
 
         q - 1 = 2^m * t, t odd; x = a^((t+1)/2) and b = a^t, so x^2 = a*b (Cohen,
         GTM 138, Alg. 1.5.1).  b of order 2^m means a is a non-square; otherwise
-        a power of c = z^t, z a fixed non-square, fixes x and lowers b's order.
+        a power of c = z^t, z a fixed non-square whose z^t coefficients the field
+        keeps, fixes x and lowers b's order.  The loop runs on coefficient tuples
+        through `mul_coeffs`; only the root is built as an element.
         """
-        f = self.field
+        f, a = self.field, self.coeffs
         if self.is_zero():
             return self
-        one = f.one
+        mul, one = f.mul_coeffs, f.one.coeffs
         m, t = 0, f.order - 1
         while t % 2 == 0:
             t //= 2
             m += 1
-        w = self ** (t // 2)
-        x = self * w
-        b = x * w
+        w = double_and_add(mul, a, t // 2) if t > 1 else one
+        x = mul(a, w)
+        b = mul(x, w)
         c = f._nonresidue_t
         while b != one:
-            i, probe = 1, b * b
+            i, probe = 1, mul(b, b)
             while probe != one:
-                probe = probe * probe
+                probe = mul(probe, probe)
                 i += 1
             if i == m:
                 return None
@@ -332,15 +335,15 @@ class FieldElement:
                 # the first non-square in elements() order, once per field; all
                 # of F_p is square in F_{p^2}, so there the search starts at u
                 index = f.p if f.degree == 2 else 1
-                while (z := f._at(index)) ** ((f.order - 1) // 2) == one:
+                while double_and_add(mul, z := f._at(index).coeffs, (f.order - 1) // 2) == one:
                     index += 1
-                c = f._nonresidue_t = z**t
-            e = c ** (1 << (m - i - 1))
-            x = x * e
-            c = e * e
-            b = b * c
+                c = f._nonresidue_t = double_and_add(mul, z, t)
+            e = double_and_add(mul, c, 1 << (m - i - 1))
+            x = mul(x, e)
+            c = mul(e, e)
+            b = mul(b, c)
             m = i
-        return x
+        return FieldElement(f, x)
 
     def __repr__(self) -> str:
         if self.field.degree == 1:

@@ -14,7 +14,9 @@ extension add asks its cocycle for a + a' and c(a, a') in one call, so a
 cocycle that needs the sum anyway computes it once.  The
 curve backend is `curve.Curve` itself, a `Group` subclass, so this module
 imports nothing from the curve layer; `SupportCollisionError` lives here
-because the samplers skip the draws that raise it.
+because the samplers skip the draws that raise it.  A sampler evaluates
+every relation on a draw to find those collisions and hands the outcomes
+back with its triples, so `verify_*` on the same subject evaluates none twice.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Iterator, NamedTuple
 
 from .field import FieldElement, _Field
@@ -318,55 +319,72 @@ def _axiom_relations(group: Group, x, y, z) -> list[tuple[bool, str]]:
     ]
 
 
-def _verify(group: Group, relations, triples: list[tuple]) -> CheckReport:
+class Sample(tuple):
+    """A sampler's triples, immutable, with the `report` of the relations it evaluated on
+    them and the `subject` and `relations` (the relation set) they were drawn for."""
+
+    subject = relations = report = None  # a Sample the sampler did not build is never reused
+
+
+def _report(group: Group, triples, outcomes) -> CheckReport:
     report = CheckReport()
-    for triple in triples:
+    for triple, results in zip(triples, outcomes):
         label = "(" + ", ".join(group.serialize(x) for x in triple) + ")"
-        for holds, name in relations(*triple):
+        for holds, name in results:
             report.record(holds, f"{name} on {label}")
     return report
 
 
+def _verify(group: Group, subject, relations, triples) -> CheckReport:
+    # a sample drawn for this very subject and relation set already holds the outcomes
+    if isinstance(triples, Sample) and triples.subject is subject and triples.relations is relations:
+        return CheckReport(triples.report.checks, triples.report.failures[:])
+    return _report(group, triples, (relations(subject, *triple) for triple in triples))
+
+
 def verify_cocycle(cocycle: Cocycle, triples: list[tuple]) -> CheckReport:
-    """Check symmetry and the cocycle relation on each supplied A-triple."""
-    return _verify(cocycle.a_group, partial(_cocycle_relations, cocycle), triples)
+    """Check symmetry and the cocycle relation on each supplied A-triple; a `Sample`
+    drawn for this cocycle is not evaluated again, its report is copied."""
+    return _verify(cocycle.a_group, cocycle, _cocycle_relations, triples)
 
 
 def verify_group_axioms(group: Group, triples: list[tuple]) -> CheckReport:
-    """Commutativity, associativity, identity, and inverse on each triple."""
-    return _verify(group, partial(_axiom_relations, group), triples)
+    """Commutativity, associativity, identity, and inverse on each triple; a `Sample`
+    drawn for this group is not evaluated again, its report is copied."""
+    return _verify(group, group, _axiom_relations, triples)
 
 
 # draws a sampler makes, admissible or not, before it gives up
 SAMPLE_DRAWS = 100000
 
 
-def _sample_triples(group: Group, relations, count: int, rng, kind: str):
+def _sample_triples(group: Group, subject, relations, count: int, rng, kind: str):
     # a draw is kept when every relation evaluates without a support collision
-    out: list[tuple] = []
-    skipped = 0
+    out, outcomes, skipped = [], [], 0
     while len(out) < count:
         if len(out) + skipped == SAMPLE_DRAWS:
             raise RuntimeError(f"could not find {count} {kind} triples in {SAMPLE_DRAWS} draws")
         triple = group.sample(rng), group.sample(rng), group.sample(rng)
         try:
-            relations(*triple)
+            outcomes.append(relations(subject, *triple))
         except SupportCollisionError:
             skipped += 1
             continue
         out.append(triple)
-    return out, skipped
+    sample = Sample(out)
+    sample.subject, sample.relations, sample.report = subject, relations, _report(group, out, outcomes)
+    return sample, skipped
 
 
 def sample_admissible_triples(cocycle: Cocycle, count: int, rng):
     """Random A-triples on which both cocycle relations evaluate cleanly.
 
     Modulus cocycles refuse to evaluate when an argument pair's support
-    hits the modulus; such draws are skipped.  Returns (triples, skipped).
+    hits the modulus; such draws are skipped.  Returns (`Sample`, skipped).
     """
-    return _sample_triples(cocycle.a_group, partial(_cocycle_relations, cocycle), count, rng, "admissible")
+    return _sample_triples(cocycle.a_group, cocycle, _cocycle_relations, count, rng, "admissible")
 
 
 def sample_operable_triples(group: Group, count: int, rng):
-    """Random element triples on which all four axiom checks evaluate cleanly."""
-    return _sample_triples(group, partial(_axiom_relations, group), count, rng, "operable")
+    """Random element triples on which all four axiom checks evaluate cleanly: (`Sample`, skipped)."""
+    return _sample_triples(group, group, _axiom_relations, count, rng, "operable")

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from genjac.groups import (
     verify_group_axioms,
 )
 from genjac.dlp import pohlig_hellman
+from genjac.jacobian import ModulusCocycle
 from genjac.numbertheory import Factorization, order_parts
 
 
@@ -305,6 +307,104 @@ def test_sample_admissible_triples_counts(toy, rng):
     assert skipped >= 0
     report = verify_cocycle(cocycle, triples)
     assert report.ok
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _same_report(a, b):
+    return a.checks == b.checks and a.failures == b.failures
+
+
+def test_verify_reuses_the_samplers_outcomes(monkeypatch):
+    # sampling then verifying evaluates exactly what sampling alone does
+    params = make_toy_params(103, 1)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, ModulusCocycle, "__call__")
+    _count_calls(monkeypatch, calls, ExtensionGroup, "add")
+    rng = random.Random(1)
+    for sampler, verify, subject in (
+        (sample_admissible_triples, verify_cocycle, params.modulus_cocycle(ext=True)),
+        (sample_operable_triples, verify_group_axioms, params.jacobian(ext=True)),
+    ):
+        triples, _ = sampler(subject, 20, rng)
+        sampled = calls.copy()
+        report = verify(subject, triples)
+        assert calls == sampled and report.ok
+        # each verify gets its own copy of the sampler's report
+        report.record(False, "tampered")
+        assert _same_report(verify(subject, triples), triples.report)
+        # a plain list of the same triples is evaluated again, with the same outcome
+        fresh = verify(subject, list(triples))
+        assert calls["__call__"] > sampled["__call__"]
+        assert _same_report(verify(subject, triples), fresh)
+
+
+def test_reused_report_names_the_same_failures(toy, monkeypatch):
+    # the skewed cocycle of test_cli's failing-relation test
+    honest = ModulusCocycle.__call__
+
+    def skewed(self, p, q, chord=None):
+        value = honest(self, p, q, chord)
+        return value + value if p.serialize() < q.serialize() else value
+
+    monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
+    rng = random.Random(5)
+    for sampler, verify, subject in (
+        (sample_admissible_triples, verify_cocycle, toy.modulus_cocycle(ext=True)),
+        (sample_operable_triples, verify_group_axioms, toy.jacobian(ext=True)),
+    ):
+        triples, _ = sampler(subject, 30, rng)
+        report = verify(subject, triples)
+        assert report.failures and _same_report(report, verify(subject, list(triples)))
+
+
+def test_a_sample_is_reused_only_by_its_own_subject_and_relations(rng):
+    A, B = CyclicGroup(9), CyclicGroup(5)
+
+    class Broken(ZeroCocycle):
+        def __call__(self, p, q):
+            return (p * q) % 5
+
+    # the zero cocycle's sample, checked against another cocycle on the same groups
+    triples, _ = sample_admissible_triples(ZeroCocycle(A, B), 50, rng)
+    assert verify_cocycle(ZeroCocycle(A, B), triples).ok
+    assert not verify_cocycle(Broken(A, B), triples).ok
+
+    # one object that is both a group and (a broken) cocycle on itself: a sample
+    # drawn for one relation set is evaluated again under the other
+    class GroupAndCocycle(CyclicGroup):
+        def __init__(self, n):
+            super().__init__(n)
+            self.a_group, self.b_group = self, B
+
+        def __call__(self, p, q):
+            return (p * q) % 5
+
+    both = GroupAndCocycle(9)
+    triples, _ = sample_operable_triples(both, 50, rng)
+    report = verify_cocycle(both, triples)
+    assert report.checks == 100 and not report.ok
+    triples, _ = sample_admissible_triples(both, 50, rng)
+    assert verify_cocycle(both, triples).checks == 100
+    report = verify_group_axioms(both, triples)
+    assert report.checks == 200 and report.ok
+
+
+def test_sampled_triples_are_immutable(rng):
+    triples, _ = sample_operable_triples(CyclicGroup(9), 3, rng)
+    assert isinstance(triples, tuple) and len(triples) == 3
+    with pytest.raises(TypeError):
+        triples[0] = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        triples.append((0, 0, 0))
 
 
 @pytest.mark.parametrize(
