@@ -18,7 +18,7 @@ from .dlp import (
     pohlig_hellman,
     solve_extension_dlp,
 )
-from .field import ExtField, FieldElement, MulCounter, PrimeField, count_mults
+from .field import ExtField, FieldElement, PrimeField, count_mults
 from .groups import (
     CoboundaryCocycle,
     CyclicGroup,

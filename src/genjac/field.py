@@ -9,18 +9,18 @@ wrapper; powers and the Tonelli-Shanks square root run on the kernels
 too.  Inverses are the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
 pairing-friendly fields", ePrint 2006/471), only in
-`FieldElement.inverse`.  The two `mul_coeffs` kernels are the counter:
-each product adds one to a process-wide tally for its field's degree,
-whether an operator or a kernel caller asked for it; addition,
-subtraction, negation and inversion count nothing, so the counts compare
-the work different group laws ask of the field.  Fields are interned,
-one object per parameter set, so two fields are equal exactly when they
-are the same object.
+`FieldElement.inverse`.  Each product in the two `mul_coeffs` kernels
+adds one to a process-wide tally for its field's degree, whether an
+operator or a kernel caller asked for it, and `count_mults` is the
+counter that reads the tally by difference over a `with` block;
+addition, subtraction, negation and inversion count nothing, so the
+counts compare the work different group laws ask of the field.  Fields
+are interned, one object per parameter set, so two fields are equal
+exactly when they are the same object.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from .numbertheory import double_and_add, is_prime
@@ -35,13 +35,18 @@ PRIME_BOUND = 1 << 61
 _tally = [0, 0, 0]
 
 
-class MulCounter:
-    """Field multiplications and divisions made in a `count_mults` block, split by extension degree."""
+class count_mults:
+    """Count the field multiplications and divisions made in a `with` block, split by
+    extension degree; blocks nest, and counts are process-wide."""
 
     __slots__ = ("_start", "_stop")
 
-    def __init__(self) -> None:
+    def __enter__(self) -> "count_mults":
         self._start, self._stop = _tally[:], None
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop = _tally[:]
 
     @property
     def by_degree(self) -> dict[int, int]:
@@ -51,19 +56,6 @@ class MulCounter:
     @property
     def muls(self) -> int:
         return sum(self.by_degree.values())
-
-    def __repr__(self) -> str:
-        return f"MulCounter(muls={self.muls}, by_degree={self.by_degree})"
-
-
-@contextmanager
-def count_mults() -> Iterator[MulCounter]:
-    """Count the enclosed field multiplications; scopes nest, and counts are process-wide."""
-    counter = MulCounter()
-    try:
-        yield counter
-    finally:
-        counter._stop = _tally[:]
 
 
 class _Field:

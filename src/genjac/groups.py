@@ -11,7 +11,8 @@ exactness is what the discrete-log reduction in dlp.py exploits.  All
 backends write their law additively, including the multiplicative group
 of a field, so the same extension machinery covers every case.  An
 extension add asks its cocycle for a + a' and c(a, a') in one call, so a
-cocycle that needs the sum anyway computes it once.  The
+cocycle that needs the sum anyway computes it once; the cocycle relation
+check takes p + q and q + r from the cocycle the same way.  The
 curve backend is `curve.Curve` itself, a `Group` subclass, so this module
 imports nothing from the curve layer; `SupportCollisionError` lives here
 because the samplers skip the draws that raise it.  A sampler evaluates
@@ -300,11 +301,14 @@ def _cocycle_relations(cocycle: Cocycle, p, q, r) -> list[tuple[bool, str]]:
 
         c(p, q) = c(q, p)
         c(p, q) + c(p+q, r) = c(q, r) + c(p, q+r)
+
+    p + q and q + r come from `sum_and_value`, with c(p, q) and c(q, r).
     """
-    A, B = cocycle.a_group, cocycle.b_group
-    c_pq = cocycle(p, q)
-    lhs = B.add(c_pq, cocycle(A.add(p, q), r))
-    rhs = B.add(cocycle(q, r), cocycle(p, A.add(q, r)))
+    B = cocycle.b_group
+    pq, c_pq = cocycle.sum_and_value(p, q)
+    qr, c_qr = cocycle.sum_and_value(q, r)
+    lhs = B.add(c_pq, cocycle(pq, r))
+    rhs = B.add(c_qr, cocycle(p, qr))
     return [(c_pq == cocycle(q, p), "symmetry"), (lhs == rhs, "cocycle relation")]
 
 

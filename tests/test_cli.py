@@ -1,8 +1,9 @@
 import re
+from pathlib import Path
 
 import pytest
 
-from genjac import ModulusCocycle, params_to_text, run_benchmark
+from genjac import ModulusCocycle, params_from_text, params_to_text, run_benchmark
 from genjac.bench import CSV_HEADER
 from genjac.cli import main
 
@@ -153,6 +154,27 @@ def test_attack_refuses_prime_beyond_bsgs_bound(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: generator order has prime 43049969373331031 "
                             f"above the baby-step bound {2**40}\n")
+
+
+# y^2 = x^3 + 2x + 3 over F_103, #E = 108 = 2^2 * 3^3: an ordinary curve, off the toy family
+ORDINARY_P103 = Path(__file__).parent / "data" / "ordinary-p103.txt"
+
+
+def test_ordinary_curve_through_the_cli(capsys):
+    text, path = ORDINARY_P103.read_text(), str(ORDINARY_P103)
+    assert params_to_text(params_from_text(text)) == text
+    assert main(["verify", "--params", path, "--seed", "1"]) == 0
+    assert capsys.readouterr().out.endswith("\nall checks passed\n")
+    assert main(["attack", "--params", path, "--seed", "1"]) == 0
+    assert "verified: true" in capsys.readouterr().out.splitlines()
+    assert main(["bench", "--params", path, "--trials", "5", "--bits", "16"]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+    # ord(M - N) = 1350 carries 5^2, which does not divide p^2 - 1 = 10608, so
+    # pairing refuses every point of this file
+    assert main(["pairing", "--params", path, "--point", "102;0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pairing order 1350 does not divide the unit group order 10608\n"
 
 
 def test_bench_matches_library(toy, params_file, capsys):

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from genjac import groups, make_toy_params
-from genjac.curve import SupportCollisionError, element_order as point_order
+from genjac.curve import Curve, SupportCollisionError, element_order as point_order
+from genjac.field import FieldElement
 from genjac.groups import (
     CoboundaryCocycle,
+    Cocycle,
     CyclicGroup,
     ExtElement,
     ExtensionGroup,
@@ -347,6 +349,17 @@ def test_verify_reuses_the_samplers_outcomes(monkeypatch):
         assert _same_report(verify(subject, triples), fresh)
 
 
+def test_cocycle_relations_take_the_sums_from_the_cocycle(monkeypatch):
+    # p + q and q + r come with c(p, q) and c(q, r) from one chord each, so no
+    # Curve.add runs; adding them again would cost 40 adds and 40 inversions here
+    cocycle = make_toy_params(103, 1).modulus_cocycle(ext=True)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, Curve, "add")
+    _count_calls(monkeypatch, calls, FieldElement, "inverse")
+    sample_admissible_triples(cocycle, 20, random.Random(1))
+    assert calls == {"inverse": 201}
+
+
 def test_reused_report_names_the_same_failures(toy, monkeypatch):
     # the skewed cocycle of test_cli's failing-relation test
     honest = ModulusCocycle.__call__
@@ -380,7 +393,7 @@ def test_a_sample_is_reused_only_by_its_own_subject_and_relations(rng):
 
     # one object that is both a group and (a broken) cocycle on itself: a sample
     # drawn for one relation set is evaluated again under the other
-    class GroupAndCocycle(CyclicGroup):
+    class GroupAndCocycle(CyclicGroup, Cocycle):
         def __init__(self, n):
             super().__init__(n)
             self.a_group, self.b_group = self, B
