@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .field import count_mults
 from .groups import ExtElement, Group, SupportCollisionError
-from .jacobian import PRNG_NAME, GenJacParams
+from .jacobian import GenJacParams
 
 CSV_HEADER = (
     "label,group,trials,skipped,scalar_bits,"
@@ -68,9 +68,6 @@ class BenchRow:
 
 @dataclass(frozen=True)
 class BenchReport:
-    seed: int
-    prng: str
-    scalar_bits: int
     trials: int
     rows: tuple[BenchRow, ...]
 
@@ -108,48 +105,44 @@ def run_benchmark(
     if scalar_bits < MIN_SCALAR_BITS:
         raise ValueError(f"scalar_bits must be at least {MIN_SCALAR_BITS}")
     rng = random.Random(seed)
-    # the jacobian comes first: a support collision there skips the trial
-    # before any other group runs
-    groups: dict[str, Group] = {
-        "jacobian": params.jacobian(ext=True),
-        "curve": params.ext_curve,
-        "units": params.units(),
-    }
-    samples: dict[str, list[tuple]] = {"jacobian": [], "product": [], "curve": [], "units": []}
-
+    jacobian, curve, units = params.jacobian(ext=True), params.ext_curve, params.units()
+    records = []  # per kept trial: the jacobian, curve and units measurements
     skipped = 0
-    done = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > MAX_RESAMPLE_FACTOR * trials:
-            raise RuntimeError("modulus support collisions exhausted the retry budget")
-        a = params.ext_curve.random_point(rng)
-        b = groups["units"].sample(rng)
+    while len(records) < trials:
+        a, b = curve.random_point(rng), units.sample(rng)
         n = rng.randrange(1 << (scalar_bits - 1), 1 << scalar_bits)
-        operands = {"jacobian": ExtElement(a, b), "curve": a, "units": b}
+        # the jacobian comes first: a support collision there skips the trial
+        # before any other group runs
         try:
-            trial = {label: _measure(group, n, operands[label]) for label, group in groups.items()}
+            jac = _measure(jacobian, n, ExtElement(a, b))
         except SupportCollisionError:
             skipped += 1
+            if skipped >= MAX_RESAMPLE_FACTOR * trials:
+                raise RuntimeError("modulus support collisions exhausted the retry budget") from None
             continue
+        trial = (jac, _measure(curve, n, a), _measure(units, n, b))
         if strict:
-            _check_trial(trial)
-        for label, (muls, chars, ms, _) in trial.items():
-            samples[label].append((muls, chars, ms))
-        # the direct product works componentwise and serializes as "a|b"
-        (c_muls, c_chars, c_ms), (u_muls, u_chars, u_ms) = samples["curve"][-1], samples["units"][-1]
-        samples["product"].append((c_muls + u_muls, c_chars + 1 + u_chars, c_ms + u_ms))
-        done += 1
+            _check_trial(*trial)
+        records.append(trial)
 
-    product = f"{groups['curve'].describe()} x {groups['units'].describe()}"
+    jac_samples, curve_samples, units_samples = ([m[:3] for m in column] for column in zip(*records))
+    # the direct product works componentwise and serializes as "a|b"
+    product_samples = [
+        (c_muls + u_muls, c_chars + 1 + u_chars, c_ms + u_ms)
+        for (c_muls, c_chars, c_ms), (u_muls, u_chars, u_ms) in zip(curve_samples, units_samples)
+    ]
     rows = []
-    for label in samples:
-        muls, chars, times = zip(*samples[label])
+    for label, group, samples in (
+        ("jacobian", jacobian.describe(), jac_samples),
+        ("product", f"{curve.describe()} x {units.describe()}", product_samples),
+        ("curve", curve.describe(), curve_samples),
+        ("units", units.describe(), units_samples),
+    ):
+        muls, chars, times = zip(*samples)
         rows.append(BenchRow(
             label=label,
-            group=(groups[label].describe() if label in groups else product).replace(",", ";"),
-            trials=done,
+            group=group.replace(",", ";"),
+            trials=len(records),
             skipped=skipped if label == "jacobian" else 0,
             scalar_bits=scalar_bits,
             muls_median=statistics.median(muls),
@@ -158,16 +151,14 @@ def run_benchmark(
             elem_chars_median=statistics.median(chars),
             ms_median=statistics.median(times),
         ))
-    return BenchReport(
-        seed=seed, prng=PRNG_NAME, scalar_bits=scalar_bits, trials=done, rows=tuple(rows)
-    )
+    return BenchReport(trials=len(records), rows=tuple(rows))
 
 
-def _check_trial(trial: dict[str, tuple]) -> None:
-    (jac, _, _, x), (curve, _, _, a), (units, *_) = trial["jacobian"], trial["curve"], trial["units"]
+def _check_trial(jacobian: tuple, curve: tuple, units: tuple) -> None:
+    (jac, _, _, x), (cur, _, _, a), (uni, *_) = jacobian, curve, units
     if x.a_part != a:
         raise BenchInvariantError("curve components disagree across groups")
-    if jac <= curve + 2 * units:
+    if jac <= cur + 2 * uni:
         raise BenchInvariantError(
-            f"extension cost {jac} fell below the factor costs {curve} + 2*{units} and a cocycle"
+            f"extension cost {jac} fell below the factor costs {cur} + 2*{uni} and a cocycle"
         )

@@ -9,9 +9,10 @@ Subcommands:
     bench        multiplication-count comparison across the four groups
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a computational failure
-(bad parameter file, failed check, unsolvable instance).  All randomized
-commands resolve their seed as --seed, then the GENJAC_SEED environment
-variable, then 0, so output is reproducible by default.
+(bad parameter file, failed check, unsolvable instance), 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.  All randomized commands resolve
+their seed as --seed, then the GENJAC_SEED environment variable, then 0, so
+output is reproducible by default.
 """
 
 from __future__ import annotations
@@ -114,15 +115,19 @@ def _cmd_pairing(args: argparse.Namespace) -> int:
     m = pairing_order(P, params)
     lhs = tate_from_group_law(P, params)
     rhs = tate_by_miller(P, params.modulus.M, params.modulus.N, m)
-    reduced = reduce_pairing_value(lhs, m, params.unit_order.n)
     point_order = element_order(params.curve, P, params.curve_order)
     print(f"point: {P.serialize()} (order {point_order})")
     print(f"pairing order: {m}")
     print(f"group-law value: {lhs.serialize()}")
     print(f"miller value: {rhs.serialize()}")
     print(f"agreement: {str(lhs == rhs).lower()}")
-    print(f"reduced value: {reduced.serialize()} "
-          f"(exponent {params.unit_order.n // m})")
+    try:
+        reduced = reduce_pairing_value(lhs, m, params.unit_order.n)
+    except ValueError as exc:
+        # m does not divide p^2 - 1, so the value has no reduced representative
+        print(f"reduced value: none ({exc})")
+    else:
+        print(f"reduced value: {reduced.serialize()} (exponent {params.unit_order.n // m})")
     return 0 if lhs == rhs else 2
 
 
@@ -208,7 +213,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest, as a SIGPIPE would, and keep
+        # the flush at exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError, RuntimeError, NoSolutionError,
             SupportCollisionError, BenchInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)

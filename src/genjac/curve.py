@@ -37,7 +37,7 @@ POINT_DRAWS = 10000  # x-coordinates random_point tries before it gives up
 class Curve(Group):
     """y^2 = x^3 + ax + b over a field of characteristic at least 5; one object per equation."""
 
-    __slots__ = ("field", "a", "b", "base_curve", "_infinity")
+    __slots__ = ("field", "a", "b", "base_curve", "identity")
     _registry: dict[tuple, "Curve"] = {}
 
     def __new__(cls, field: _Field, a, b) -> "Curve":
@@ -52,15 +52,9 @@ class Curve(Group):
             curve.field, curve.a, curve.b = field, a, b
             rational = field.degree == 2 and not a.coeffs[1] and not b.coeffs[1]
             curve.base_curve = Curve(field.base, a.coeffs[0], b.coeffs[0]) if rational else None
-            curve._infinity = Point(curve, None, None)
+            curve.identity = Point(curve, None, None)
             curve = cls._registry.setdefault(key, curve)
         return curve
-
-    @property
-    def infinity(self) -> "Point":
-        return self._infinity
-
-    identity = infinity
 
     def point(self, x, y) -> "Point":
         x, y = self.field(x), self.field(y)
@@ -72,7 +66,7 @@ class Curve(Group):
         """Inverse of Point.serialize(): 'inf' or 'x;y' coefficient lists."""
         record = record.strip()
         if record == "inf":
-            return self.infinity
+            return self.identity
         xs, _, ys = record.partition(";")
         if not ys or ";" in ys:
             raise ValueError(f"bad point record {record!r}")
@@ -88,7 +82,7 @@ class Curve(Group):
         if P.curve is not self.base_curve:
             raise ValueError("point does not come from this curve's base curve")
         if P.is_infinity:
-            return self.infinity
+            return self.identity
         f = self.field
         return Point(self, f.embed(P.x), f.embed(P.y))
 
@@ -104,7 +98,7 @@ class Curve(Group):
     def chord_sum(self, P: "Point", chord) -> "Point":
         """P + Q from `_chord(P, Q)` for affine P, Q on this curve: one product for y."""
         if chord is None:
-            return self._infinity
+            return self.identity
         lam, x3 = chord
         f = self.field
         y3 = f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x.coeffs, x3)), P.y.coeffs)
@@ -136,7 +130,7 @@ class Curve(Group):
         roots: dict[tuple[int, ...], list[FieldElement]] = {}
         for y in f.coeff_tuples():
             roots.setdefault(mul(y, y), []).append(FieldElement(f, y))
-        points = [self._infinity]
+        points = [self.identity]
         for x in f.coeff_tuples():
             ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
             points += (Point(self, FieldElement(f, x), y) for y in ys)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p and F_{p^2}, with an opt-in multiplication counter.
+"""Exact arithmetic in F_p and F_{p^2}, with an always-on multiplication tally.
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic, elements stored as coefficient pairs (a0, a1)
@@ -182,13 +182,6 @@ class ExtField(_Field):
             field._nonresidue_t = None
             field = cls._registry.setdefault((p, poly), field)
         return field
-
-    @classmethod
-    def quadratic(cls, base: PrimeField) -> "ExtField":
-        """F_{p^2} = F_p[u]/(u^2+1); needs p = 3 mod 4 so that -1 is a non-square."""
-        if base.p % 4 != 3:
-            raise ValueError(f"u^2+1 is reducible over F_{base.p}; supply a polynomial")
-        return cls(base, (1, 0, 1))
 
     @property
     def name(self) -> str:

@@ -77,15 +77,21 @@ class ModulusCocycle(Cocycle):
 
 @dataclass(frozen=True)
 class GenJacParams:
-    """Curve, extension field, modulus, and verified group orders."""
+    """Modulus and verified group orders; the modulus fixes both curves."""
 
-    curve: Curve
-    ext_curve: Curve
     modulus: Modulus
     curve_order: Factorization
     ext_curve_order: Factorization
     unit_order: Factorization
     seed: int | None = None
+
+    @property
+    def ext_curve(self) -> Curve:
+        return self.modulus.curve
+
+    @property
+    def curve(self) -> Curve:
+        return self.ext_curve.base_curve
 
     def units(self) -> MultiplicativeGroup:
         return MultiplicativeGroup(self.ext_curve.field)
@@ -116,9 +122,7 @@ def make_toy_params(p: int, seed: int) -> GenJacParams:
     if p % 4 != 3:
         raise ValueError("the toy family needs p = 3 mod 4")
     base = PrimeField(p)
-    K = ExtField.quadratic(base)
-    E = Curve(base, 1, 0)
-    EK = E.extend(K)
+    EK = Curve(base, 1, 0).extend(ExtField(base, (1, 0, 1)))
 
     curve_order, minus = Factorization.from_int(p + 1), Factorization.from_int(p - 1)
     ext_curve_order, unit_order = curve_order.merge(curve_order), minus.merge(curve_order)
@@ -129,7 +133,7 @@ def make_toy_params(p: int, seed: int) -> GenJacParams:
         N = _sample_modulus_point(EK, rng)
         if N != M and N != EK.neg(M):
             break
-    return GenJacParams(E, EK, Modulus(M, N), curve_order, ext_curve_order, unit_order, seed=seed)
+    return GenJacParams(Modulus(M, N), curve_order, ext_curve_order, unit_order, seed=seed)
 
 
 def _sample_modulus_point(EK: Curve, rng) -> Point:
@@ -268,6 +272,7 @@ _PARAM_KEYS = (
     "order.curve_ext",
     "order.units",
 )
+_SEED_KEYS = ("prng", "seed")  # present exactly when the parameters carry a seed
 
 
 def _check_degree(value: str) -> None:
@@ -281,22 +286,17 @@ def _check_prng(value: str) -> None:
 
 
 def params_to_text(params: GenJacParams) -> str:
-    lines = ["# genjac parameters"]
-    if params.seed is not None:
-        lines.append(f"prng = {PRNG_NAME}")
-        lines.append(f"seed = {params.seed}")
-    lines.append(f"p = {params.curve.field.p}")
-    lines.append(f"curve.a = {params.curve.a.serialize()}")
-    lines.append(f"curve.b = {params.curve.b.serialize()}")
-    K = params.ext_curve.field
-    lines.append(f"ext.degree = {K.degree}")
-    lines.append(f"ext.poly = {coeffs_to_record(K.poly)}")
-    lines.append(f"modulus.M = {params.modulus.M.serialize()}")
-    lines.append(f"modulus.N = {params.modulus.N.serialize()}")
-    lines.append(f"order.curve = {params.curve_order}")
-    lines.append(f"order.curve_ext = {params.ext_curve_order}")
-    lines.append(f"order.units = {params.unit_order}")
-    return "\n".join(lines) + "\n"
+    E, K, modulus = params.curve, params.ext_curve.field, params.modulus
+    values = {
+        "prng": PRNG_NAME, "seed": params.seed, "p": K.p,
+        "curve.a": E.a.serialize(), "curve.b": E.b.serialize(),
+        "ext.degree": K.degree, "ext.poly": coeffs_to_record(K.poly),
+        "modulus.M": modulus.M.serialize(), "modulus.N": modulus.N.serialize(),
+        "order.curve": params.curve_order, "order.curve_ext": params.ext_curve_order,
+        "order.units": params.unit_order,
+    }
+    keys = [k for k in _PARAM_KEYS if params.seed is not None or k not in _SEED_KEYS]
+    return "\n".join(["# genjac parameters", *(f"{k} = {values[k]}" for k in keys)]) + "\n"
 
 
 def params_from_text(text: str) -> GenJacParams:
@@ -314,7 +314,7 @@ def params_from_text(text: str) -> GenJacParams:
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (lineno, value.strip())
-    missing = [k for k in _PARAM_KEYS if k not in entries and k not in ("prng", "seed")]
+    missing = [k for k in _PARAM_KEYS if k not in entries and k not in _SEED_KEYS]
     if missing:
         raise ValueError(f"missing parameter keys: {', '.join(missing)}")
 
@@ -344,7 +344,7 @@ def params_from_text(text: str) -> GenJacParams:
             raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
     seed = parsed("seed", int) if "seed" in entries else None
-    return GenJacParams(E, EK, modulus, curve_order, ext_curve_order, unit_order, seed=seed)
+    return GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
 
 
 def load_params(path: str) -> GenJacParams:

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,11 +173,18 @@ def test_ordinary_curve_through_the_cli(capsys):
     assert main(["bench", "--params", path, "--trials", "5", "--bits", "16"]) == 0
     assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
     # ord(M - N) = 1350 carries 5^2, which does not divide p^2 - 1 = 10608, so
-    # pairing refuses every point of this file
-    assert main(["pairing", "--params", path, "--point", "102;0"]) == 2
+    # the two values are compared but have no reduced representative
+    assert main(["pairing", "--params", path, "--point", "102;0"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: pairing order 1350 does not divide the unit group order 10608\n"
+    assert captured.out == (
+        "point: 102;0 (order 2)\n"
+        "pairing order: 1350\n"
+        "group-law value: 19,36\n"
+        "miller value: 19,36\n"
+        "agreement: true\n"
+        "reduced value: none (pairing order 1350 does not divide the unit group order 10608)\n"
+    )
+    assert captured.err == ""
 
 
 def test_bench_matches_library(toy, params_file, capsys):
@@ -271,6 +281,39 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
 def test_gen_params_rejects_prime_beyond_bound(capsys):
     assert main(["gen-params", "--p", "2305843009213693967"]) == 2
     assert capsys.readouterr().err == "error: prime 2305843009213693967 exceeds the 2^61 bound\n"
+
+
+def test_gen_params_rejects_p_1_mod_4(capsys):
+    # u^2 + 1 is reducible when p = 1 mod 4; the toy family says so before the field does
+    assert main(["gen-params", "--p", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the toy family needs p = 3 mod 4\n"
+
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # the read end is closed before the child starts, so its first write to the
+    # pipe meets EPIPE: at main's flush when stdout is buffered, at the write
+    # inside the command when it is not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "genjac.cli", "gen-params", "--p", "11"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141
+    assert child.stderr == b""
 
 
 def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, monkeypatch):

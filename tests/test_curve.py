@@ -16,7 +16,7 @@ def E():
 
 @pytest.fixture(scope="module")
 def EK(E):
-    return E.extend(ExtField.quadratic(E.field))
+    return E.extend(ExtField(E.field, (1, 0, 1)))
 
 
 ORDER_12 = Factorization.from_int(12)
@@ -40,7 +40,7 @@ def test_point_validation(E):
     with pytest.raises(ValueError):
         E.point(F(5), F(4))  # not on the curve
     with pytest.raises(ValueError):
-        E.point(ExtField.quadratic(F)([5, 0]), ExtField.quadratic(F)([3, 0]))
+        E.point(ExtField(F, (1, 0, 1))([5, 0]), ExtField(F, (1, 0, 1))([3, 0]))
 
 
 def test_enumeration_counts(E, EK):
@@ -55,7 +55,7 @@ def test_known_points_and_doubling(E):
     F = E.field
     P = E.point(F(5), F(3))
     assert E.add(P, P) == E.point(F(5), F(8))
-    assert E.add(E.add(P, P), P) == E.infinity
+    assert E.add(E.add(P, P), P) == E.identity
     assert element_order(P, ORDER_12) == 3
 
 
@@ -74,7 +74,7 @@ def test_extension_exponent(EK):
 
 def test_group_law_edge_cases(E):
     F = E.field
-    O = E.infinity
+    O = E.identity
     P = E.point(F(5), F(3))
     T = E.point(F(0), F(0))  # the 2-torsion point
     assert E.add(O, O) == O
@@ -91,7 +91,7 @@ def test_scalar_mul_matches_repeated_addition(E, rng):
     for _ in range(20):
         P = E.random_point(rng)
         n = rng.randrange(0, 25)
-        acc = E.infinity
+        acc = E.identity
         for _ in range(n):
             acc = E.add(acc, P)
         assert E.scalar_mul(n, P) == acc
@@ -123,7 +123,7 @@ def test_embed_point(E, EK):
     lifted = EK.embed_point(P)
     assert lifted.curve is EK
     assert lifted.x == EK.field.embed(P.x)
-    assert EK.embed_point(E.infinity).is_infinity
+    assert EK.embed_point(E.identity).is_infinity
 
 
 def test_element_order_rejects_non_multiple(E):
@@ -141,7 +141,7 @@ def _schoolbook(P, Q):
     """
     E, k = P.curve, P.curve.field
     if P.x == Q.x and P.y == -Q.y:
-        return None, E.infinity
+        return None, E.identity
     if P.x == Q.x:
         lam = (k(3) * P.x * P.x + E.a) / (k(2) * P.y)
     else:
@@ -185,7 +185,7 @@ def _oracle(P, Q, M, N):
     if P.is_infinity or Q.is_infinity:
         return EK.field.one
     S = _schoolbook(P, Q)[1]
-    support = {EK.infinity, P, Q, S, EK.neg(S)}
+    support = {EK.identity, P, Q, S, EK.neg(S)}
     if M in support or N in support:
         return None
     (v_m, l_m), (v_n, l_n) = _chord_values(P, Q, M), _chord_values(P, Q, N)
@@ -216,7 +216,7 @@ def test_line_fraction_matches_divisor(E, EK):
     lifted_all = EK.enumerate_points()
     for P, Q in cases:
         S = _schoolbook(P, Q)[1]
-        support = {EK.infinity} | {EK.embed_point(T) for T in (P, Q, S, E.neg(S))}
+        support = {EK.identity} | {EK.embed_point(T) for T in (P, Q, S, E.neg(S))}
         Y = next(X for X in lifted_all if X not in support)
         v_y, l_y = _chord_values(EK.embed_point(P), EK.embed_point(Q), Y)
         checked = 0
@@ -248,10 +248,10 @@ def test_line_fraction_identity_operand(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
     M, N = EK.enumerate_points()[5:7]
-    assert eval_line_fraction(P, E.infinity, M, N) == EK.field.one
-    assert eval_line_fraction(E.infinity, P, M, N) == EK.field.one
+    assert eval_line_fraction(P, E.identity, M, N) == EK.field.one
+    assert eval_line_fraction(E.identity, P, M, N) == EK.field.one
     # the constant 1 has empty support, even at the identity
-    assert eval_line_fraction(P, E.infinity, EK.infinity, N) == EK.field.one
+    assert eval_line_fraction(P, E.identity, EK.identity, N) == EK.field.one
 
 
 def test_line_fraction_vertical_case(E, EK):
@@ -320,11 +320,11 @@ def test_point_hash_and_eq(E, EK):
     b = E.point(F(5), F(3))
     assert a == b and hash(a) == hash(b)
     assert a != E.point(F(5), F(8))
-    assert E.infinity == E.infinity
+    assert E.identity == E.identity
     # the identity against an affine point either way round, another
     # curve's point with the same coefficients, and a non-point
-    assert a != E.infinity and E.infinity != a
-    assert EK.embed_point(a) != a and EK.infinity != E.infinity
+    assert a != E.identity and E.identity != a
+    assert EK.embed_point(a) != a and EK.identity != E.identity
     assert a != a.serialize()
 
 

@@ -197,7 +197,7 @@ def test_attack_agrees_with_brute_force(toy, base_jac, rng):
 
 def test_fiber_only_generator(toy, base_jac):
     u = toy.ext_curve.field([0, 1])  # order 4 unit: u^2 = -1
-    gen = ExtElement(toy.curve.infinity, u)
+    gen = ExtElement(toy.curve.identity, u)
     n = element_order(base_jac, gen, toy.jacobian_order())
     assert n == 4
     target = base_jac.scalar_mul(3, gen)
@@ -219,7 +219,7 @@ def test_no_solution_in_extension(toy, base_jac, pinned_generator):
 def test_no_solution_fiber_mismatch(toy, base_jac):
     # generator inside the fiber, target outside it
     K = toy.ext_curve.field
-    gen = ExtElement(toy.curve.infinity, K([0, 1]))
+    gen = ExtElement(toy.curve.identity, K([0, 1]))
     bad = ExtElement(toy.curve.parse_point("9;1"), K([0, 1]))
     with pytest.raises(NoSolutionError, match="base part"):
         solve_extension_dlp(base_jac, gen, bad, Factorization.from_int(4))

@@ -42,7 +42,7 @@ def test_cyclic_group_basics():
 
 def test_curve_and_unit_groups(toy):
     E = toy.curve
-    assert E.identity is E.infinity
+    assert E.identity.is_infinity
     P = E.parse_point("5;3")
     assert E.add(P, P) == E.parse_point("5;8")
     assert E.sub(P, P) is E.identity
