@@ -23,16 +23,11 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .field import count_mults
 from .groups import ExtElement, Group, SupportCollisionError
 from .jacobian import GenJacParams
-
-CSV_HEADER = (
-    "label,group,trials,skipped,scalar_bits,"
-    "muls_median,muls_min,muls_max,elem_chars_median,ms_median"
-)
 
 # Give up if collisions force more resamples than this per requested trial.
 MAX_RESAMPLE_FACTOR = 50
@@ -58,12 +53,12 @@ class BenchRow:
     ms_median: float
 
     def csv(self, include_time: bool) -> str:
-        ms = f"{self.ms_median:.3f}" if include_time else ""
-        return (
-            f"{self.label},{self.group},{self.trials},{self.skipped},"
-            f"{self.scalar_bits},{_fmt(self.muls_median)},{self.muls_min},"
-            f"{self.muls_max},{_fmt(self.elem_chars_median)},{ms}"
-        )
+        # ms_median, the last column, is written only on request
+        cells = [_fmt(getattr(self, column.name)) for column in fields(self)[:-1]]
+        return ",".join([*cells, f"{self.ms_median:.3f}" if include_time else ""])
+
+
+CSV_HEADER = ",".join(column.name for column in fields(BenchRow))
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,9 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _fmt(value: float) -> str:
+def _fmt(value) -> str:
     # medians of ints are ints or halves; avoid trailing .0 noise in the CSV
-    if value == int(value):
+    if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
 

@@ -76,6 +76,12 @@ def _cmd_gen_params(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pairing_values(P, params):
+    """The pairing order m of P and P's unreduced pairing value by the group law and by Miller."""
+    m = pairing_order(P, params)
+    return m, tate_from_group_law(P, params), tate_by_miller(P, params.modulus.M, params.modulus.N, m)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = load_params(args.params)
     rng = random.Random(_resolve_seed(args.seed))
@@ -96,9 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     pairing_report = CheckReport()
     for _ in range(args.pairing_checks):
         P = params.curve.random_point(rng)
-        m = pairing_order(P, params)
-        lhs = tate_from_group_law(P, params)
-        rhs = tate_by_miller(P, params.modulus.M, params.modulus.N, m)
+        _, lhs, rhs = _pairing_values(P, params)
         pairing_report.record(lhs == rhs, f"pairing agreement at {P.serialize()}")
     print(f"pairing cross-check: {pairing_report.summary()}")
 
@@ -112,9 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_pairing(args: argparse.Namespace) -> int:
     params = load_params(args.params)
     P = params.curve.parse_point(args.point)
-    m = pairing_order(P, params)
-    lhs = tate_from_group_law(P, params)
-    rhs = tate_by_miller(P, params.modulus.M, params.modulus.N, m)
+    m, lhs, rhs = _pairing_values(P, params)
     point_order = element_order(params.curve, P, params.curve_order)
     print(f"point: {P.serialize()} (order {point_order})")
     print(f"pairing order: {m}")

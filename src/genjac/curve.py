@@ -12,9 +12,10 @@ the line fraction and point enumeration run on coefficient tuples
 through the field kernels, which count each multiplication they make.
 One chord helper gives the slope and x(P+Q); a caller that needs both
 P + Q and the line fraction computes it once and hands it to both;
-the Miller loop in `jacobian` stays in `FieldElement` arithmetic as the
-cocycle's independent oracle.  Curves are interned like fields, so two
-curves are equal exactly when they are the same object, and a curve
+the Miller loop in `jacobian` uses neither the chord helper nor
+`Curve.add`: it stays in `FieldElement` arithmetic with its own slope,
+as the cocycle's independent oracle.  Curves are interned like fields,
+so two curves are equal exactly when they are the same object, and a curve
 over F_{p^2} with coefficients in F_p has the same equation over F_p as
 its base curve.  A curve is a `groups.Group` under chord-and-tangent:
 `identity` is the point at infinity, and scalar multiplication and

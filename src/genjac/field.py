@@ -5,18 +5,21 @@ irreducible quadratic, elements stored as coefficient pairs (a0, a1)
 meaning a0 + a1*u.  Each field has straight-line kernels on coefficient
 tuples (`add_coeffs`, `sub_coeffs`, `mul_coeffs`; products reduce with
 u^2 = -s*u - t), and `FieldElement` arithmetic is their checked
-wrapper; powers and the Tonelli-Shanks square root run on the kernels
-too.  Inverses are the conjugate over the norm (Devegili,
-O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
-pairing-friendly fields", ePrint 2006/471), only in
-`FieldElement.inverse`.  Each product in the two `mul_coeffs` kernels
+wrapper: one field method, `coeffs_of`, checks every operand, coercion
+and embedding and is the only place that raises on a mismatch.  Powers
+and the Tonelli-Shanks square root run on the kernels too.  Inverses
+are the conjugate over the norm (Devegili, O hEigeartaigh, Scott and
+Dahab, "Multiplication and squaring on pairing-friendly fields", ePrint
+2006/471), only in `FieldElement.inverse`.  Each product in the two `mul_coeffs` kernels
 adds one to a process-wide tally for its field's degree, whether an
 operator or a kernel caller asked for it, and `count_mults` is the
 counter that reads the tally by difference over a `with` block;
 addition, subtraction, negation and inversion count nothing, so the
 counts compare the work different group laws ask of the field.  Fields
-are interned, one object per parameter set, so two fields are equal
-exactly when they are the same object.
+are interned by one rule, `_Field._intern`, one object per parameter
+set, so two fields are equal exactly when they are the same object.
+Records are read as written: `from_record` takes only coefficients in
+[0, p) and reduces none of them.
 """
 
 from __future__ import annotations
@@ -67,9 +70,7 @@ class _Field:
 
     def __call__(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("mismatched field parameters")
-            return value
+            return FieldElement(self, self.coeffs_of(value))
         if isinstance(value, int):
             coeffs = [0] * self.degree
             coeffs[0] = value % self.p
@@ -90,12 +91,25 @@ class _Field:
     def one(self) -> "FieldElement":
         return FieldElement(self, (1,) + (0,) * (self.degree - 1))
 
+    def coeffs_of(self, x) -> tuple[int, ...]:
+        """The coefficients of x, which must be an element of this field."""
+        if not (isinstance(x, FieldElement) and x.field is self):
+            raise ValueError("mismatched field parameters")
+        return x.coeffs
+
+    @classmethod
+    def _intern(cls, key, **slots) -> "_Field":
+        """The one field registered under key, built from slots on first use."""
+        if (field := cls._registry.get(key)) is None:
+            field = object.__new__(cls)
+            for name, value in slots.items():
+                setattr(field, name, value)
+            field = cls._registry.setdefault(key, field)
+        return field
+
     def _at(self, index: int) -> "FieldElement":
         # base-p digits of index, constant coefficient first
-        if self.degree == 1:
-            return FieldElement(self, (index,))
-        hi, lo = divmod(index, self.p)
-        return FieldElement(self, (lo, hi))
+        return FieldElement(self, (index % self.p, index // self.p)[:self.degree])
 
     def coeff_tuples(self) -> Iterator[tuple[int, ...]]:
         """Coefficients of all field elements, in a fixed base-p little-endian order."""
@@ -109,8 +123,15 @@ class _Field:
     def sample(self, rng) -> "FieldElement":
         return self._at(rng.randrange(self.order))
 
+    def record_coeffs(self, text: str) -> list[int]:
+        """`parse_coeffs`, refusing a coefficient outside [0, p) rather than reducing it."""
+        coeffs = parse_coeffs(text)
+        if not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"coefficients must lie in [0, {self.p}), got {text.strip()!r}")
+        return coeffs
+
     def from_record(self, text: str) -> "FieldElement":
-        return self(parse_coeffs(text))
+        return self(self.record_coeffs(text))
 
 
 class PrimeField(_Field):
@@ -124,14 +145,7 @@ class PrimeField(_Field):
             raise ValueError(f"{p} is not prime")
         if p >= PRIME_BOUND:
             raise ValueError(f"prime {p} exceeds the 2^61 bound")
-        if (field := cls._registry.get(p)) is None:
-            field = super().__new__(cls)
-            field.p = p
-            field.degree = 1
-            field.order = p
-            field._nonresidue_t = None
-            field = cls._registry.setdefault(p, field)
-        return field
+        return cls._intern(p, p=p, degree=1, order=p, _nonresidue_t=None)
 
     @property
     def name(self) -> str:
@@ -172,16 +186,7 @@ class ExtField(_Field):
         # irreducible iff the discriminant is a non-square (Euler's criterion)
         if pow(s * s - 4 * t, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"reduction polynomial {list(poly)} is reducible over F_{p}")
-        if (field := cls._registry.get((p, poly))) is None:
-            field = super().__new__(cls)
-            field.base = base
-            field.p = p
-            field.degree = 2
-            field.order = p * p
-            field.poly = poly
-            field._nonresidue_t = None
-            field = cls._registry.setdefault((p, poly), field)
-        return field
+        return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly, _nonresidue_t=None)
 
     @property
     def name(self) -> str:
@@ -201,9 +206,7 @@ class ExtField(_Field):
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
-        if elem.field is not self.base:
-            raise ValueError("mismatched field parameters")
-        return FieldElement(self, (elem.coeffs[0], 0))
+        return FieldElement(self, (self.base.coeffs_of(elem)[0], 0))
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, degree=2, poly={list(self.poly)})"
@@ -224,33 +227,24 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and other.field is f):
-            raise ValueError("mismatched field parameters")
-        return FieldElement(f, f.add_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(f, f.add_coeffs(self.coeffs, f.coeffs_of(other)))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and other.field is f):
-            raise ValueError("mismatched field parameters")
-        return FieldElement(f, f.sub_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(f, f.sub_coeffs(self.coeffs, f.coeffs_of(other)))
 
     def __neg__(self) -> "FieldElement":
-        f, a = self.field, self.coeffs
-        if f.degree == 1:
-            return FieldElement(f, (-a[0] % f.p,))
-        return FieldElement(f, (-a[0] % f.p, -a[1] % f.p))
+        f = self.field
+        return FieldElement(f, f.sub_coeffs((0,) * f.degree, self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        if not (isinstance(other, FieldElement) and other.field is f):
-            raise ValueError("mismatched field parameters")
-        return FieldElement(f, f.mul_coeffs(self.coeffs, other.coeffs))
+        return FieldElement(f, f.mul_coeffs(self.coeffs, f.coeffs_of(other)))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         # inverse-and-multiply, so one counted multiplication per division
         f = self.field
-        if not (isinstance(other, FieldElement) and other.field is f):
-            raise ValueError("mismatched field parameters")
+        f.coeffs_of(other)
         return FieldElement(f, f.mul_coeffs(self.coeffs, other.inverse().coeffs))
 
     def inverse(self) -> "FieldElement":
@@ -286,7 +280,7 @@ class FieldElement:
 
     def serialize(self) -> str:
         """Comma-separated coefficients, little-endian by degree."""
-        return ",".join(str(c) for c in self.coeffs)
+        return coeffs_to_record(self.coeffs)
 
     def sqrt(self) -> "FieldElement | None":
         """A square root if one exists, else None, by one Tonelli-Shanks loop.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _chord, element_order, eval_line_fraction
-from .field import ExtField, FieldElement, PrimeField, coeffs_to_record, parse_coeffs
+from .field import ExtField, FieldElement, PrimeField, coeffs_to_record
 from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
 
@@ -191,7 +191,8 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
     """Unreduced Tate pairing value f_{m,P}((M) - (N)) by a plain Miller loop.
 
     Written against the line equations directly, with no use of the
-    cocycle machinery, so it serves as an independent cross-check of
+    cocycle machinery or of `Curve.add`: each step finds T + Q from its
+    own slope, so it serves as an independent cross-check of
     tate_from_group_law.  Requires m >= 1 and m*P = O.
     """
     if M.curve is not N.curve:
@@ -222,24 +223,25 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
 def _miller_step(T: Point, Q: Point, M: Point, N: Point):
     """l(M)*v(N), l(N)*v(M) and T+Q, for l through T, Q and v vertical at T+Q."""
     curve = T.curve
-    S = curve.add(T, Q)
     if T.is_infinity or Q.is_infinity:
         # adding the identity contributes the constant function 1; this
         # happens when P is the identity or the pairing order is a proper
         # multiple of ord(P)
         one = curve.field.one
-        return one, one, S
-    if S.is_infinity:
-        # l is the vertical through T; v is the constant 1
+        return one, one, Q if T.is_infinity else T
+    if T.x == Q.x and (T.y != Q.y or T.y.is_zero()):
+        # T + Q = O: l is the vertical through T; v is the constant 1
         l_m, l_n = M.x - T.x, N.x - T.x
         if l_m.is_zero() or l_n.is_zero():
             raise SupportCollisionError("evaluation point sits on a Miller line")
-        return l_m, l_n, S
-    if T == Q:
+        return l_m, l_n, curve.identity
+    if T.x == Q.x:
         x2 = T.x * T.x
         lam = (x2 + x2 + x2 + curve.a) / (T.y + T.y)
     else:
         lam = (Q.y - T.y) / (Q.x - T.x)
+    x_s = lam * lam - T.x - Q.x
+    S = Point(curve, x_s, lam * (T.x - x_s) - T.y)
     l_m = (M.y - T.y) - lam * (M.x - T.x)
     l_n = (N.y - T.y) - lam * (N.x - T.x)
     v_m = M.x - S.x
@@ -314,7 +316,8 @@ def params_from_text(text: str) -> GenJacParams:
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (lineno, value.strip())
-    missing = [k for k in _PARAM_KEYS if k not in entries and k not in _SEED_KEYS]
+    seeded = any(k in entries for k in _SEED_KEYS)  # prng and seed come together or not at all
+    missing = [k for k in _PARAM_KEYS if k not in entries and (seeded or k not in _SEED_KEYS)]
     if missing:
         raise ValueError(f"missing parameter keys: {', '.join(missing)}")
 
@@ -325,11 +328,11 @@ def params_from_text(text: str) -> GenJacParams:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
-    if "prng" in entries:
+    if seeded:
         parsed("prng", _check_prng)
     base = parsed("p", lambda value: PrimeField(int(value)))
     parsed("ext.degree", _check_degree)
-    K = ExtField(base, parsed("ext.poly", parse_coeffs))
+    K = ExtField(base, parsed("ext.poly", base.record_coeffs))
     E = Curve(base, parsed("curve.a", base.from_record), parsed("curve.b", base.from_record))
     EK = E.extend(K)
     modulus = Modulus(parsed("modulus.M", EK.parse_point), parsed("modulus.N", EK.parse_point))
@@ -343,7 +346,7 @@ def params_from_text(text: str) -> GenJacParams:
         if claimed.n != counted:
             raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
-    seed = parsed("seed", int) if "seed" in entries else None
+    seed = parsed("seed", int) if seeded else None
     return GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
 
 

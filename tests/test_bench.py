@@ -1,3 +1,4 @@
+import re
 import statistics
 
 import pytest
@@ -39,6 +40,7 @@ def test_time_column_only_difference(toy):
         assert p.endswith(",")
         assert t.rsplit(",", 1)[0] == p.rsplit(",", 1)[0]
         assert float(t.rsplit(",", 1)[1]) >= 0.0
+        assert re.fullmatch(r"\d+\.\d{3}", t.rsplit(",", 1)[1])  # milliseconds to three decimals
 
 
 def test_row_structure(toy):

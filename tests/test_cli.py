@@ -98,6 +98,9 @@ def test_pairing_bad_point(params_file, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["pairing", "--params", params_file, "--point", "5;3;1"]) == 2
     assert capsys.readouterr().err == "error: bad point record '5;3;1'\n"
+    # 16 = 5 mod 11, so this would otherwise answer for the point 5;3
+    assert main(["pairing", "--params", params_file, "--point", "16;3"]) == 2
+    assert capsys.readouterr().err == "error: coefficients must lie in [0, 11), got '16'\n"
 
 
 def test_attack_pinned_output(params_file, capsys):
@@ -268,6 +271,15 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         (good.replace("prng = mt19937", "prng = "), "line 2: prng: only mt19937 is supported, got ''"),
         (good.replace("p = 11\n", "p 11\n"), "line 4: expected 'key = value', got 'p 11'"),
         (good.replace("curve.a = 1", "curve.a = "), "line 5: curve.a: empty coefficient record"),
+        # files that would load but not round-trip through params_to_text
+        (good.replace("prng = mt19937\n", ""), "missing parameter keys: prng"),
+        (good.replace("seed = 7\n", ""), "missing parameter keys: seed"),
+        (good.replace("curve.a = 1", "curve.a = 12"), "line 5: curve.a: coefficients must lie in [0, 11), got '12'"),
+        (good.replace("curve.b = 0", "curve.b = -11"), "line 6: curve.b: coefficients must lie in [0, 11), got '-11'"),
+        (good.replace("ext.poly = 1,0,1", "ext.poly = 1,0,12"),
+         "line 8: ext.poly: coefficients must lie in [0, 11), got '1,0,12'"),
+        (good.replace("modulus.M = 8,3;4,3", "modulus.M = 19,3;4,3"),
+         "line 9: modulus.M: coefficients must lie in [0, 11), got '19,3'"),
     ]
     bad = tmp_path / "bad.txt"
     for text, message in rows:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from genjac import jacobian
+from genjac import curve as curve_module, jacobian
 from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
 from genjac.field import ExtField, PrimeField, count_mults
 from genjac.groups import ExtElement, element_order
@@ -298,6 +298,23 @@ def test_tate_table(toy):
         assert tate_by_miller(P, M, N, m).serialize() == raw_expect
         reduced = reduce_pairing_value(raw, m, toy.unit_order.n)
         assert reduced.serialize() == reduced_expect
+
+
+def test_miller_does_not_use_the_group_law(toy, monkeypatch):
+    # the Miller loop is the oracle for the group-law route, so it must
+    # reach TATE_TABLE with the chord helper and Curve.add unavailable
+    points = toy.curve.enumerate_points()
+    M, N = toy.modulus.M, toy.modulus.N
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Miller loop called the group law")
+
+    monkeypatch.setattr(curve_module, "_chord", refuse)
+    monkeypatch.setattr(jacobian, "_chord", refuse)
+    monkeypatch.setattr(Curve, "add", refuse)
+    monkeypatch.setattr(Curve, "chord_sum", refuse)
+    for P in points:
+        assert tate_by_miller(P, M, N, 12).serialize() == TATE_TABLE[P.serialize()][0]
 
 
 def test_group_law_extraction_kills_curve_component(toy):
