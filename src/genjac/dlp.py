@@ -8,8 +8,9 @@ the base group A, and the modulus it returns is n_A, the projection's order.
 The second solves in the fiber B for the value t that n_A * g = (O, t)
 carries.  The extension itself is never searched and pays only for a few
 scalar multiplications.  `pohlig_hellman` reads the generator's exact order
-and its digit generators off `order_parts`, so any factored multiple of that
-order will do, and its digit ladders never run past the exact order.
+and its l-part and digit generators off `order_parts`, so any factored
+multiple of that order will do, and its digit ladders stay below l^f.
+`bsgs` keys its table by the elements and reuses its last baby step.
 
 Every solver verifies its candidate exponent against the target before
 returning and raises `NoSolutionError` otherwise, so a returned solution is
@@ -26,7 +27,8 @@ from .groups import ExtensionGroup, Group
 from .numbertheory import Factorization, crt, order_parts
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
-# at this bound holds 2^20 serialized elements, which is desk-scale memory.
+# at this bound holds 2^20 elements, at most about 0.4 GB: at p ~ 2^60 an entry
+# takes 240 B (unit) or 384 B (curve point), by tracemalloc on CPython 3.11.
 BSGS_ORDER_BOUND = 1 << 40
 
 BRUTE_FORCE_BOUND = 10**6
@@ -74,26 +76,28 @@ def brute_force_dlp(group: Group, generator: Any, target: Any, order: int) -> Dl
 def bsgs(group: Group, generator: Any, target: Any, order: int) -> DlpSolution:
     """Shanks' baby-step giant-step.
 
-    Returns the smallest non-negative exponent: on colliding baby steps the
-    table keeps the smallest index, and giant steps are tried in increasing
-    order, so the first hit minimizes i*m + j.
+    The table keys each baby step j * g, the element itself, by j; the loop
+    ends at m * g, whose negative is the giant stride, so the one ladder is
+    the candidate's check.  Returns the smallest non-negative exponent: on
+    colliding baby steps the table keeps the smallest index, and giant steps
+    are tried in increasing order, so the first hit minimizes i*m + j.
     """
     if not 0 < order <= BSGS_ORDER_BOUND:
         raise ValueError(f"order {order} out of range for a baby-step table")
     m = isqrt(order - 1) + 1
-    table: dict[str, int] = {}
+    table: dict[Any, int] = {}
     baby = group.identity
     for j in range(m):
-        table.setdefault(group.serialize(baby), j)
+        table.setdefault(baby, j)
         baby = group.add(baby, generator)
-    stride = group.neg(group.scalar_mul(m, generator))
+    stride = group.neg(baby)  # the loop left baby at m * generator
     giant = target
     for i in range(m):
-        j = table.get(group.serialize(giant))
+        j = table.get(giant)
         if j is not None:
             exponent = i * m + j
             if group.scalar_mul(exponent, generator) != target:
-                raise RuntimeError("baby-step table is inconsistent; serialization is not injective")
+                raise RuntimeError("baby-step hit misses the target; add, neg and scalar_mul disagree")
             return DlpSolution(
                 exponent, order, (Step("bsgs", f"order {order}, {m} baby steps"),)
             )
@@ -111,26 +115,28 @@ def pohlig_hellman(
     """Solve digit by digit in each prime-power part, then recombine by CRT.
 
     `order` must be a factored multiple n of the generator's order.  For l^e
-    in n, `order_parts` finds l^f, the l-part of the exact order, and the
-    digit generator of order l that the leaf solver gets once per digit;
-    swapping the leaf solver out is how the extension-group attack reuses
-    this scaffold.  Each digit ladder's scalar is reduced mod the exact
-    order, the modulus returned, which kills every target in the
-    generator's subgroup; any other target fails the final check anyway.
+    in n, `order_parts` finds l^f, the l-part of the exact order, the l-part
+    generator y0 = (n / l^e) * g and the digit generator gamma of order l
+    that the leaf solver gets once per digit; swapping the leaf solver out
+    is how the extension-group attack reuses this scaffold.  The target is
+    projected once, h = ((n / l^e) mod exact) * target, and digit j is
+    log_gamma of l^(f-1-j) * (h - partial * y0): digit ladders stay below
+    l^f.  The reduction mod the exact order, the modulus returned, is sound
+    only inside <g>; any other target fails the final check.
     """
     n = order.n
     parts = order_parts(group.add, group.identity, generator, order)
-    exact = prod(prime**f for prime, _, f, _ in parts)
+    exact = prod(prime**f for prime, _, f, _, _ in parts)
     steps: list[Step] = []
     residues: list[tuple[int, int]] = []
-    for prime, exponent, f, gamma in parts:
+    for prime, exponent, f, gamma, y0 in parts:
         if f == 0:
             continue
-        cofactor = n // prime**exponent
+        projected = group.scalar_mul(n // prime**exponent % exact, target)
         partial = 0
         for j in range(f):
-            shifted = group.sub(target, group.scalar_mul(partial, generator))
-            digit_target = group.scalar_mul(cofactor * prime ** (f - 1 - j) % exact, shifted)
+            shifted = group.sub(projected, group.scalar_mul(partial, y0))
+            digit_target = group.scalar_mul(prime ** (f - 1 - j), shifted)
             leaf = leaf_solver(group, gamma, digit_target, prime)
             steps.extend(leaf.steps)
             partial += leaf.exponent * prime**j

@@ -273,7 +273,7 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
         except ValueError:
             raise ValueError(f"{n} is not a multiple of the element's order") from None
     parts = order_parts(group.add, group.identity, x, order_multiple)
-    return math.prod(l**f for l, _, f, _ in parts)
+    return math.prod(l**f for l, _, f, _, _ in parts)
 
 
 @dataclass

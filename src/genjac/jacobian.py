@@ -347,7 +347,13 @@ def params_from_text(text: str) -> GenJacParams:
             raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
     seed = parsed("seed", int) if seeded else None
-    return GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
+    params = GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
+    # each value as the writer spells it, so a loaded file is its own rewrite
+    written = dict(line.split(" = ", 1) for line in params_to_text(params).splitlines()[1:])
+    for key, (lineno, value) in entries.items():
+        if value != written[key]:
+            raise ValueError(f"line {lineno}: {key}: write {written[key]!r}, not {value!r}")
+    return params
 
 
 def load_params(path: str) -> GenJacParams:

@@ -103,11 +103,12 @@ def double_and_add(add, x, n: int):
 
 
 def order_parts(add, identity, x, multiple: Factorization) -> list[tuple]:
-    """(l, e, f, gamma) per prime power l^e of a factored multiple n of ord(x).
+    """(l, e, f, gamma, y0) per prime power l^e of a factored multiple n of ord(x).
 
-    y = (n / l^e) * x, then y times l until the identity: l^f is the l-part
-    of ord(x) and gamma, the last y before the identity, has order l (None
-    when f = 0).  l^e * y = n * x, so the last y also tests n.
+    y0 = (n / l^e) * x generates the l-part of <x>; then y times l from y0
+    until the identity: l^f is the l-part of ord(x) and gamma, the last y
+    before the identity, has order l (None when f = 0).  l^e * y0 = n * x,
+    so the last y also tests n.
 
     The cofactor multiples come from halving the list of prime powers, as
     in the divide-and-conquer order algorithms of A. V. Sutherland, *Order
@@ -116,11 +117,11 @@ def order_parts(add, identity, x, multiple: Factorization) -> list[tuple]:
     """
     n, y, parts = multiple.n, x, []
     powers = [l**e for l, e in multiple.factors]
-    for (l, e), y in zip(multiple.factors, _cofactor_multiples(add, x, powers)):
-        f, gamma = 0, None
+    for (l, e), y0 in zip(multiple.factors, _cofactor_multiples(add, x, powers)):
+        y, f, gamma = y0, 0, None
         while y != identity and f < e:
             gamma, y, f = y, double_and_add(add, y, l), f + 1
-        parts.append((l, e, f, gamma))
+        parts.append((l, e, f, gamma, y0))
     if y != identity:
         raise ValueError(f"{n} is not a multiple of the element's order")
     return parts

@@ -290,6 +290,16 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_non_canonical_params_file_exit_2(tmp_path, capsys):
+    # a padded seed loads to the same value but would be rewritten as 'seed = 1'
+    assert main(["gen-params", "--p", "103", "--seed", "1", "--out", str(tmp_path / "p103.txt")]) == 0
+    padded = tmp_path / "padded-seed.txt"
+    padded.write_text((tmp_path / "p103.txt").read_text().replace("\nseed = 1\n", "\nseed = 01\n"))
+    capsys.readouterr()
+    assert main(["verify", "--params", str(padded), "--checks", "5"]) == 2
+    assert capsys.readouterr().err == "error: line 3: seed: write '1', not '01'\n"
+
+
 def test_gen_params_rejects_prime_beyond_bound(capsys):
     assert main(["gen-params", "--p", "2305843009213693967"]) == 2
     assert capsys.readouterr().err == "error: prime 2305843009213693967 exceeds the 2^61 bound\n"

@@ -134,6 +134,59 @@ def test_pohlig_hellman_ladders_stay_below_the_exact_order():
     assert max(G.scalars) < 120
 
 
+@pytest.mark.parametrize("multiple", [7200, 43200])
+def test_pohlig_hellman_digit_ladders_stay_in_the_prime_parts(multiple):
+    # 6 has order 1200 = 2^4 * 3 * 5^2 in Z/7200, so l^f is at most 25: per
+    # solve only the three projections and the final check may reach 25
+    G = _ScalarRecordingCyclic(7200)
+    for k in range(1200):
+        G.scalars.clear()
+        sol = pohlig_hellman(G, 6, 6 * k, Factorization.from_int(multiple))
+        assert (sol.exponent, sol.order) == (k, 1200)
+        assert sum(scalar >= 25 for scalar in G.scalars) <= 4
+
+
+@pytest.mark.parametrize("generator, multiple, message", [
+    (6, 7200, None),
+    (6, 43200, None),
+    # 9 has order 800 = 2^5 * 5^2, and both cofactors, 225 and 288 mod 800,
+    # kill the 3-part: every leaf solves, and only the final check is left
+    (9, 7200, "inconsistent with the target"),
+])
+def test_pohlig_hellman_rejects_targets_outside_the_subgroup(generator, multiple, message):
+    # the projections are reduced mod the exact order, which is sound only
+    # inside <g>; with f >= 2 digits at a live prime, no target outside may pass
+    G = CyclicGroup(7200)
+    for target in range(7200):
+        if target % generator:
+            with pytest.raises(NoSolutionError, match=message):
+                pohlig_hellman(G, generator, target, Factorization.from_int(multiple))
+
+
+class _OpaqueCyclic(CyclicGroup):
+    def serialize(self, x: int) -> str:
+        return "x"
+
+
+def test_bsgs_does_not_key_by_serialization():
+    G = _OpaqueCyclic(360)
+    for target in range(360):
+        assert bsgs(G, 7, target, 360).exponent == target * 103 % 360  # 7 * 103 = 1 mod 360
+    # 40 has order 9: its 19 baby steps collide, and the element keys keep the smallest index
+    for k in range(9):
+        assert bsgs(G, 40, 40 * k % 360, 360).exponent == k
+
+
+def test_bsgs_runs_one_ladder_per_call():
+    # the giant stride comes from the baby loop; the only ladder checks the candidate
+    G = _ScalarRecordingCyclic(360)
+    for order in (1, 2, 9, 72, 360):
+        for target in range(0, 360, 360 // order):
+            G.scalars.clear()
+            bsgs(G, 360 // order, target, order)
+            assert len(G.scalars) == 1
+
+
 def test_pohlig_hellman_on_curve(toy, rng):
     E = toy.curve
     gen = E.parse_point("7;3")

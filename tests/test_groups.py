@@ -217,12 +217,13 @@ def _order_by_addition(group, x):
 
 
 def _assert_order_search(group, x, multiple, expected):
-    """Every order search against the order by definition, and each digit generator's order."""
+    """Every order search against the order by definition, and each part's generators' orders."""
     assert element_order(group, x, multiple) == expected
     solution = pohlig_hellman(group, x, x, multiple)
     assert (solution.exponent, solution.order) == (1 % expected, expected)
-    for l, _, f, gamma in order_parts(group.add, group.identity, x, multiple):
+    for l, _, f, gamma, y0 in order_parts(group.add, group.identity, x, multiple):
         assert gamma is None if f == 0 else _order_by_addition(group, gamma) == l
+        assert _order_by_addition(group, y0) == l**f
 
 
 def test_element_order_against_definition_cyclic():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -91,6 +92,25 @@ def test_params_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         params_from_text(PARAMS_TEXT.replace("order.units = 120 = 2^3 * 3 * 5",
                                              "order.units = 60 = 2^2 * 3 * 5"))
+
+
+@pytest.mark.parametrize("line, spelled, lineno", [
+    ("seed = 1", "01", 3),
+    ("p = 103", "0103", 4),
+    ("ext.degree = 2", "02", 7),
+    ("ext.poly = 1,0,1", "1, 0, 1", 8),
+    ("curve.b = 0", "+0", 6),
+    ("curve.b = 0", "00", 6),
+    ("order.curve = 104 = 2^3 * 13", "104=2^3*13", 11),
+])
+def test_params_parse_rejects_values_spelled_unlike_the_writer(line, spelled, lineno):
+    # each spelling names the same value, so it would load and then be rewritten differently
+    text = params_to_text(make_toy_params(103, seed=1))
+    key, written = line.split(" = ", 1)
+    assert f"\n{line}\n" in text
+    message = f"line {lineno}: {key}: write '{written}', not '{spelled}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        params_from_text(text.replace(f"\n{line}\n", f"\n{key} = {spelled}\n"))
 
 
 def test_modulus_validation(toy):

@@ -94,13 +94,14 @@ def test_factorization_divisor():
 
 
 def _order_parts_oracle(add, identity, x, multiple):
-    # one full-length ladder per prime: y = (n / l^e) * x, then the l-loop
+    # one full-length ladder per prime: y0 = (n / l^e) * x, then the l-loop
     parts = []
     for l, e in multiple.factors:
-        y, f, gamma = double_and_add(add, x, multiple.n // l**e), 0, None
+        y0 = double_and_add(add, x, multiple.n // l**e)
+        y, f, gamma = y0, 0, None
         while y != identity and f < e:
             gamma, y, f = y, double_and_add(add, y, l), f + 1
-        parts.append((l, e, f, gamma))
+        parts.append((l, e, f, gamma, y0))
     return parts
 
 
@@ -123,7 +124,7 @@ def _check_against_oracle(group, elements, multiple):
         assert parts == _order_parts_oracle(oracle_add, group.identity, x, multiple)
         assert calls[0] < oracle_calls[0] if k >= 3 else calls[0] == oracle_calls[0]
         # drop each prime of ord(x) in turn: the rest is no multiple of the order
-        for l, e, f, _ in parts:
+        for l, e, f, _, _ in parts:
             if f:
                 rest = multiple.divisor(multiple.n // l**e)
                 with pytest.raises(ValueError, match="not a multiple"):
