@@ -10,9 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a computational failure
 (bad parameter file, failed check, unsolvable instance), 141 (128 + SIGPIPE)
-when the reader of stdout closes it early.  All randomized commands resolve
-their seed as --seed, then the GENJAC_SEED environment variable, then 0, so
-output is reproducible by default.
+when the reader of stdout closes it early.  All randomized commands take
+their seed from --seed, else 0, so output is reproducible by default.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("GENJAC_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"GENJAC_SEED must be an integer, got {env!r}") from None
-
-
 def _int_at_least(low: int):
     """argparse type: an integer >= low, anything else is a usage error."""
     def parse(text: str) -> int:
@@ -65,7 +52,7 @@ def _int_at_least(low: int):
 
 
 def _cmd_gen_params(args: argparse.Namespace) -> int:
-    params = make_toy_params(args.p, seed=_resolve_seed(args.seed))
+    params = make_toy_params(args.p, seed=args.seed)
     text = params_to_text(params)
     if args.out == "-":
         sys.stdout.write(text)
@@ -84,8 +71,9 @@ def _pairing_values(P, params):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params = load_params(args.params)
-    rng = random.Random(_resolve_seed(args.seed))
-    print(f"params: p={params.curve.field.p} seed={params.seed} prng={PRNG_NAME}")
+    rng = random.Random(args.seed)
+    named = "" if params.seed is None else f" seed={params.seed} prng={PRNG_NAME}"
+    print(f"params: p={params.curve.field.p}{named}")
     print(f"orders: curve {params.curve_order}; extended {params.ext_curve_order}; "
           f"units {params.unit_order}")
 
@@ -135,7 +123,7 @@ def _cmd_pairing(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     params = load_params(args.params)
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = random.Random(args.seed)
     jac = params.jacobian()
     gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
     n = element_order(jac, gen, params.jacobian_order())
@@ -167,7 +155,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         params,
         trials=args.trials,
         scalar_bits=args.bits,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     print(report.csv(include_time=args.time))
     return 0
@@ -179,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-params", help="sample a parameter file")
     p.add_argument("--p", type=int, default=11, help="base field characteristic, 3 mod 4")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.set_defaults(func=_cmd_gen_params)
 
@@ -187,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--checks", type=_int_at_least(1), default=100)
     p.add_argument("--pairing-checks", type=_int_at_least(0), default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pairing", help="evaluate the pairing both ways for one point")
@@ -197,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="solve a random extension DLP instance")
     p.add_argument("--params", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--secret", type=int, default=None, help="use this exponent instead of a random one")
     p.set_defaults(func=_cmd_attack)
 
@@ -205,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--trials", type=_int_at_least(MIN_TRIALS), default=8)
     p.add_argument("--bits", type=_int_at_least(MIN_SCALAR_BITS), default=8, help="scalar width in bits")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time", action="store_true", help="fill the wall-clock column")
     p.set_defaults(func=_cmd_bench)
 

@@ -36,7 +36,7 @@ class SupportCollisionError(Exception):
 
 
 class Group(ABC):
-    """Commutative group written additively."""
+    """Commutative group written additively; every backend also gives `elements`, `sample` and `describe`."""
 
     __slots__ = ()
 
@@ -64,15 +64,6 @@ class Group(ABC):
         if n < 0:
             n, x = -n, self.neg(x)
         return double_and_add(self.add, x, n) if n else self.identity
-
-    def elements(self) -> Iterator:
-        raise NotImplementedError(f"{self.describe()} is not enumerable")
-
-    def sample(self, rng):
-        raise NotImplementedError(f"{self.describe()} does not support sampling")
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class CyclicGroup(Group):
@@ -149,8 +140,7 @@ class Cocycle(ABC):
     """Symmetric normalized 2-cocycle c: A x A -> B bound to its two groups.
 
     Normalized means c(x, 0) = c(0, x) = 0 in B, so (0, 0) really is the
-    extension's identity.  The tag identifies the construction: "zero",
-    "coboundary", or "generalized-jacobian".
+    extension's identity.
     """
 
     tag: str
@@ -187,8 +177,6 @@ class CoboundaryCocycle(Cocycle):
     the direct product, which makes these good randomized test subjects.
     Requires an enumerable A so the table can be checked for coverage.
     """
-
-    tag = "coboundary"
 
     def __init__(self, a_group: Group, b_group: Group, table: dict) -> None:
         super().__init__(a_group, b_group)

@@ -50,8 +50,6 @@ class Modulus:
 class ModulusCocycle(Cocycle):
     """c(P, Q) = f_{P,Q}(M) / f_{P,Q}(N) into the units of the big field."""
 
-    tag = "generalized-jacobian"
-
     def __init__(self, a_group: Curve, b_group: MultiplicativeGroup, modulus: Modulus) -> None:
         if modulus.curve.field is not b_group.field:
             raise ValueError("modulus points must live over the unit group's field")
@@ -277,16 +275,6 @@ _PARAM_KEYS = (
 _SEED_KEYS = ("prng", "seed")  # present exactly when the parameters carry a seed
 
 
-def _check_degree(value: str) -> None:
-    if int(value) != 2:
-        raise ValueError(f"extension degree must be 2, got {int(value)}")
-
-
-def _check_prng(value: str) -> None:
-    if value != PRNG_NAME:
-        raise ValueError(f"only {PRNG_NAME} is supported, got {value!r}")
-
-
 def params_to_text(params: GenJacParams) -> str:
     E, K, modulus = params.curve, params.ext_curve.field, params.modulus
     values = {
@@ -328,10 +316,7 @@ def params_from_text(text: str) -> GenJacParams:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {key}: {exc}") from None
 
-    if seeded:
-        parsed("prng", _check_prng)
     base = parsed("p", lambda value: PrimeField(int(value)))
-    parsed("ext.degree", _check_degree)
     K = ExtField(base, parsed("ext.poly", base.record_coeffs))
     E = Curve(base, parsed("curve.a", base.from_record), parsed("curve.b", base.from_record))
     EK = E.extend(K)
@@ -348,7 +333,8 @@ def params_from_text(text: str) -> GenJacParams:
 
     seed = parsed("seed", int) if seeded else None
     params = GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
-    # each value as the writer spells it, so a loaded file is its own rewrite
+    # each value as the writer spells it, so a loaded file is its own rewrite;
+    # this is also what refuses a prng other than mt19937 and a degree other than 2
     written = dict(line.split(" = ", 1) for line in params_to_text(params).splitlines()[1:])
     for key, (lineno, value) in entries.items():
         if value != written[key]:

@@ -116,24 +116,15 @@ def test_attack_deterministic(params_file, capsys):
     assert "verified: true" in first
 
 
-def test_attack_env_seed_equivalent(params_file, capsys, monkeypatch):
-    monkeypatch.setenv("GENJAC_SEED", "5")
-    assert main(["attack", "--params", params_file]) == 0
-    assert capsys.readouterr().out == ATTACK_OUTPUT
-
-
-def test_attack_flag_overrides_env(params_file, capsys, monkeypatch):
-    monkeypatch.setenv("GENJAC_SEED", "123")
+def test_seed_comes_only_from_the_flag(params_file, capsys, monkeypatch):
+    # the environment selects nothing: --seed, else 0
+    monkeypatch.setenv("GENJAC_SEED", "abc")
     assert main(["attack", "--params", params_file, "--seed", "5"]) == 0
     assert capsys.readouterr().out == ATTACK_OUTPUT
-
-
-def test_non_integer_env_seed_exit_2(params_file, capsys, monkeypatch):
-    monkeypatch.setenv("GENJAC_SEED", "abc")
-    for argv in (["verify", "--params", params_file], ["gen-params", "--p", "11"]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "error: GENJAC_SEED must be an integer, got 'abc'\n"
+    assert main(["verify", "--params", params_file, "--checks", "5"]) == 0
+    unseeded = capsys.readouterr().out
+    assert main(["verify", "--params", params_file, "--checks", "5", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
 
 
 def test_attack_explicit_secret(params_file, capsys):
@@ -170,7 +161,10 @@ def test_ordinary_curve_through_the_cli(capsys):
     text, path = ORDINARY_P103.read_text(), str(ORDINARY_P103)
     assert params_to_text(params_from_text(text)) == text
     assert main(["verify", "--params", path, "--seed", "1"]) == 0
-    assert capsys.readouterr().out.endswith("\nall checks passed\n")
+    out = capsys.readouterr().out
+    # the file names no seed, so the header names none
+    assert out.startswith("params: p=103\norders: ")
+    assert out.endswith("\nall checks passed\n")
     assert main(["attack", "--params", path, "--seed", "1"]) == 0
     assert "verified: true" in capsys.readouterr().out.splitlines()
     assert main(["bench", "--params", path, "--trials", "5", "--bits", "16"]) == 0
@@ -256,8 +250,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
     good = params_to_text(toy)
     rows = [
         ("p = 11\n", "missing parameter keys"),
-        (good.replace("ext.degree = 2", "ext.degree = 3"), "extension degree must be 2, got 3"),
-        (good.replace("ext.degree = 2", "ext.degree = two"), "line 7: ext.degree: invalid literal"),
+        (good.replace("ext.degree = 2", "ext.degree = 3"), "line 7: ext.degree: write '2', not '3'"),
+        (good.replace("ext.degree = 2", "ext.degree = two"), "line 7: ext.degree: write '2', not 'two'"),
         (good.replace("modulus.M = 8,3;", "modulus.M = 8,3,1;"), "line 9: modulus.M: too many coefficients"),
         (good.replace("order.curve = 12 = 2^2 * 3", "order.curve = 24 = 2^3 * 3"),
          "curve order is 12, claimed 24"),
@@ -267,8 +261,8 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 6,4;1,10"), "N != M and N != -M"),
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 8,3;4,3;1"),
          "line 9: modulus.M: bad point record '8,3;4,3;1'"),
-        (good.replace("prng = mt19937", "prng = pcg64"), "line 2: prng: only mt19937 is supported, got 'pcg64'"),
-        (good.replace("prng = mt19937", "prng = "), "line 2: prng: only mt19937 is supported, got ''"),
+        (good.replace("prng = mt19937", "prng = pcg64"), "line 2: prng: write 'mt19937', not 'pcg64'"),
+        (good.replace("prng = mt19937", "prng = "), "line 2: prng: write 'mt19937', not ''"),
         (good.replace("p = 11\n", "p 11\n"), "line 4: expected 'key = value', got 'p 11'"),
         (good.replace("curve.a = 1", "curve.a = "), "line 5: curve.a: empty coefficient record"),
         # files that would load but not round-trip through params_to_text
