@@ -184,8 +184,6 @@ def solve_extension_dlp(
     n_a = base_log.order
     t = group.scalar_mul(n_a, generator).b_part
     rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
-    if rest.a_part != A.identity:
-        raise NoSolutionError("target's base part is outside the generator's projection")
     fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B")
     # k0 < n_A and j < ord(t), so the exponent is already reduced mod n_A * ord(t)
     exponent, modulus = base_log.exponent + fiber_log.exponent * n_a, n_a * fiber_log.order

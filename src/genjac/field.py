@@ -72,16 +72,14 @@ class _Field:
         if isinstance(value, FieldElement):
             return FieldElement(self, self.coeffs_of(value))
         if isinstance(value, int):
-            coeffs = [0] * self.degree
-            coeffs[0] = value % self.p
-            return FieldElement(self, tuple(coeffs))
-        if isinstance(value, Sequence):
-            if len(value) > self.degree:
-                raise ValueError(f"too many coefficients for degree-{self.degree} field")
-            coeffs = [c % self.p for c in value]
-            coeffs += [0] * (self.degree - len(coeffs))
-            return FieldElement(self, tuple(coeffs))
-        raise TypeError(f"cannot coerce {value!r} into {self}")
+            value = (value,)
+        elif not isinstance(value, Sequence):
+            raise TypeError(f"cannot coerce {value!r} into {self}")
+        if len(value) > self.degree:
+            raise ValueError(f"too many coefficients for degree-{self.degree} field")
+        coeffs = [c % self.p for c in value]
+        coeffs += [0] * (self.degree - len(coeffs))
+        return FieldElement(self, tuple(coeffs))
 
     @property
     def zero(self) -> "FieldElement":
@@ -124,10 +122,13 @@ class _Field:
         return self._at(rng.randrange(self.order))
 
     def record_coeffs(self, text: str) -> list[int]:
-        """`parse_coeffs`, refusing a coefficient outside [0, p) rather than reducing it."""
-        coeffs = parse_coeffs(text)
+        """Parse 'c0,c1,...' (constant first), refusing an empty record or a coefficient outside [0, p)."""
+        text = text.strip()
+        if not text:
+            raise ValueError("empty coefficient record")
+        coeffs = [int(chunk) for chunk in text.split(",")]
         if not all(0 <= c < self.p for c in coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.p}), got {text.strip()!r}")
+            raise ValueError(f"coefficients must lie in [0, {self.p}), got {text!r}")
         return coeffs
 
     def from_record(self, text: str) -> "FieldElement":
@@ -328,14 +329,6 @@ class FieldElement:
         if self.field.degree == 1:
             return f"{self.coeffs[0]} (mod {self.field.p})"
         return f"({self.serialize()}) in {self.field.name}"
-
-
-def parse_coeffs(text: str) -> list[int]:
-    """Parse 'c0,c1,...' little-endian coefficient text."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty coefficient record")
-    return [int(chunk) for chunk in text.split(",")]
 
 
 def coeffs_to_record(coeffs: Sequence[int]) -> str:

@@ -327,18 +327,18 @@ def params_from_text(text: str) -> GenJacParams:
     unit_order = parsed("order.units", Factorization.parse)
     if unit_order.n != K.order - 1:
         raise ValueError(f"unit group order must be {K.order - 1}, file says {unit_order.n}")
-    for claimed, counted in zip((curve_order, ext_curve_order), curve_orders(E)):
-        if claimed.n != counted:
-            raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
 
     seed = parsed("seed", int) if seeded else None
     params = GenJacParams(modulus, curve_order, ext_curve_order, unit_order, seed=seed)
-    # each value as the writer spells it, so a loaded file is its own rewrite;
-    # this is also what refuses a prng other than mt19937 and a degree other than 2
+    # each value as the writer spells it, so a loaded file is its own rewrite and a prng
+    # other than mt19937 or a degree other than 2 is refused; only then is the curve counted
     written = dict(line.split(" = ", 1) for line in params_to_text(params).splitlines()[1:])
     for key, (lineno, value) in entries.items():
         if value != written[key]:
             raise ValueError(f"line {lineno}: {key}: write {written[key]!r}, not {value!r}")
+    for claimed, counted in zip((curve_order, ext_curve_order), curve_orders(E)):
+        if claimed.n != counted:
+            raise ValueError(f"curve order is {counted}, claimed {claimed.n}")
     return params
 
 

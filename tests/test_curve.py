@@ -117,6 +117,15 @@ def test_random_point_on_curve(E, EK, rng):
     assert q.curve is EK
 
 
+def test_random_point_gives_up_after_its_draw_budget(E):
+    class StuckRng:
+        def randrange(self, n):
+            return 2  # x = 2: x^3 + x = 10 is a non-square mod 11
+
+    with pytest.raises(RuntimeError, match="no curve point found"):
+        E.random_point(StuckRng())
+
+
 def test_embed_point(E, EK):
     F = E.field
     P = E.point(F(5), F(3))

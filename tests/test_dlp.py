@@ -269,12 +269,21 @@ def test_no_solution_in_extension(toy, base_jac, pinned_generator):
                             Factorization.from_int(30))
 
 
+def test_bsgs_refuses_a_hit_that_scalar_mul_disagrees_with():
+    class SkewedScalars(CyclicGroup):
+        def scalar_mul(self, n, x):
+            return (n * x + 1) % self.n
+
+    with pytest.raises(RuntimeError, match="add, neg and scalar_mul disagree"):
+        bsgs(SkewedScalars(12), 1, 5, 12)
+
+
 def test_no_solution_fiber_mismatch(toy, base_jac):
     # generator inside the fiber, target outside it
     K = toy.ext_curve.field
     gen = ExtElement(toy.curve.identity, K([0, 1]))
     bad = ExtElement(toy.curve.parse_point("9;1"), K([0, 1]))
-    with pytest.raises(NoSolutionError, match="base part"):
+    with pytest.raises(NoSolutionError, match="do not lift"):
         solve_extension_dlp(base_jac, gen, bad, Factorization.from_int(4))
 
 

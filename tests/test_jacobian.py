@@ -152,6 +152,25 @@ def test_lying_ext_order_rejected_at_p10007():
         params_from_text(text.replace(true_line, f"order.curve_ext = {lie}"))
 
 
+@pytest.mark.parametrize("line, spelled, lineno", [
+    ("prng = mt19937", "pcg64", 2),
+    ("seed = 1", "01", 3),
+])
+def test_misspelt_file_refused_before_the_curve_count(monkeypatch, line, spelled, lineno):
+    # the O(p) count comes after every cheap check, so a bad spelling never reaches it
+    text = params_to_text(make_toy_params(10007, seed=1))
+    key, written = line.split(" = ", 1)
+    assert f"\n{line}\n" in text
+
+    def uncalled(E):
+        raise AssertionError("curve_orders ran before the spelling check")
+
+    monkeypatch.setattr(jacobian, "curve_orders", uncalled)
+    message = f"line {lineno}: {key}: write '{written}', not '{spelled}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        params_from_text(text.replace(f"\n{line}\n", f"\n{key} = {spelled}\n"))
+
+
 def _general_quadratic(base):
     # u^2 + u + t for the first t that makes it irreducible
     for t in range(base.p):
@@ -344,6 +363,13 @@ def test_group_law_extraction_kills_curve_component(toy):
         m = pairing_order(P, toy)
         total = jac.scalar_mul(m, ExtElement(P, one))
         assert total.a_part.is_infinity
+
+
+def test_group_law_extraction_refuses_a_surviving_curve_part(toy, monkeypatch):
+    # a pairing order that does not kill P leaves an affine curve part
+    monkeypatch.setattr(jacobian, "pairing_order", lambda P, params: 1)
+    with pytest.raises(ArithmeticError, match="failed to kill the curve component"):
+        tate_from_group_law(toy.curve.point(0, 0), toy)
 
 
 def test_reduced_bilinearity(toy, rng):
