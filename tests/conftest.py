@@ -1,5 +1,6 @@
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,12 @@ def toy():
     value in the suite assumes this exact seed.
     """
     return make_toy_params(11, seed=7)
+
+
+@pytest.fixture(scope="session")
+def readme():
+    """README.md's text: each pinned transcript must appear there verbatim, after its command."""
+    return (Path(__file__).parent.parent / "README.md").read_text()
 
 
 @pytest.fixture

@@ -19,9 +19,10 @@ curve,E(F_11^2),6,0,6,10.5,0,29,7.5,
 units,Gm(F_11^2),6,0,6,7.5,7,9,3.5,"""
 
 
-def test_pinned_csv(toy):
+def test_pinned_csv(toy, readme):
     report = run_benchmark(toy, trials=6, scalar_bits=6, seed=2)
     assert report.csv() == PINNED_CSV
+    assert f"$ genjac bench --params params.txt --seed 2 --trials 6 --bits 6\n{PINNED_CSV}\n" in readme
 
 
 def test_csv_deterministic_for_fixed_seed(toy):

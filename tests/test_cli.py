@@ -74,16 +74,19 @@ def test_verify_passes(params_file, capsys):
     assert out.endswith("all checks passed\n")
 
 
-def test_verify_pinned_output(params_file, capsys):
+def test_verify_pinned_output(params_file, capsys, readme):
     # the README transcript: it pins the samplers' draw order and skip counts
     assert main(["verify", "--params", params_file, "--checks", "50",
                  "--pairing-checks", "5", "--seed", "3"]) == 0
     assert capsys.readouterr().out == VERIFY_OUTPUT
+    assert ("$ genjac verify --params params.txt --checks 50 --pairing-checks 5 --seed 3\n"
+            f"{VERIFY_OUTPUT}") in readme
 
 
-def test_pairing_pinned_output(params_file, capsys):
+def test_pairing_pinned_output(params_file, capsys, readme):
     assert main(["pairing", "--params", params_file, "--point", "5;3"]) == 0
     assert capsys.readouterr().out == PAIRING_OUTPUT
+    assert f'$ genjac pairing --params params.txt --point "5;3"\n{PAIRING_OUTPUT}' in readme
 
 
 def test_pairing_identity_point(params_file, capsys):
@@ -103,9 +106,10 @@ def test_pairing_bad_point(params_file, capsys):
     assert capsys.readouterr().err == "error: coefficients must lie in [0, 11), got '16'\n"
 
 
-def test_attack_pinned_output(params_file, capsys):
+def test_attack_pinned_output(params_file, capsys, readme):
     assert main(["attack", "--params", params_file, "--seed", "5"]) == 0
     assert capsys.readouterr().out == ATTACK_OUTPUT
+    assert f"$ genjac attack --params params.txt --seed 5\n{ATTACK_OUTPUT}" in readme
 
 
 def test_attack_deterministic(params_file, capsys):
@@ -157,7 +161,7 @@ def test_attack_refuses_prime_beyond_bsgs_bound(tmp_path, capsys):
 ORDINARY_P103 = Path(__file__).parent / "data" / "ordinary-p103.txt"
 
 
-def test_ordinary_curve_through_the_cli(capsys):
+def test_ordinary_curve_through_the_cli(capsys, readme):
     text, path = ORDINARY_P103.read_text(), str(ORDINARY_P103)
     assert params_to_text(params_from_text(text)) == text
     assert main(["verify", "--params", path, "--seed", "1"]) == 0
@@ -173,7 +177,7 @@ def test_ordinary_curve_through_the_cli(capsys):
     # the two values are compared but have no reduced representative
     assert main(["pairing", "--params", path, "--point", "102;0"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == (
+    expected = (
         "point: 102;0 (order 2)\n"
         "pairing order: 1350\n"
         "group-law value: 19,36\n"
@@ -181,7 +185,9 @@ def test_ordinary_curve_through_the_cli(capsys):
         "agreement: true\n"
         "reduced value: none (pairing order 1350 does not divide the unit group order 10608)\n"
     )
+    assert captured.out == expected
     assert captured.err == ""
+    assert f'$ genjac pairing --params tests/data/ordinary-p103.txt --point "102;0"\n{expected}' in readme
 
 
 def test_bench_matches_library(toy, params_file, capsys):
@@ -243,7 +249,10 @@ def test_bench_sizes_are_bounded(params_file, capsys):
 
 def test_missing_params_file_exit_2(capsys):
     assert main(["attack", "--params", "/no/such/file"]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "/no/such/file" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_malformed_params_file_exit_2(toy, tmp_path, capsys):

@@ -57,8 +57,10 @@ TATE_TABLE = {
 }
 
 
-def test_params_text_is_stable(toy):
+def test_params_text_is_stable(toy, readme):
     assert params_to_text(toy) == PARAMS_TEXT
+    assert ("$ genjac gen-params --p 11 --seed 7 --out params.txt\nwrote params.txt\n"
+            f"$ cat params.txt\n{PARAMS_TEXT}") in readme
 
 
 def test_params_roundtrip(toy):
