@@ -10,16 +10,16 @@ An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  The group law,
 the line fraction and point enumeration run on coefficient tuples
 through the field kernels, which count each multiplication they make.
-One chord helper gives the slope and x(P+Q); a caller that needs both
-P + Q and the line fraction computes it once and hands it to both;
-the Miller loop in `jacobian` uses neither the chord helper nor
-`Curve.add`: it stays in `FieldElement` arithmetic with its own slope,
-as the cocycle's independent oracle.  Curves are interned like fields,
-so two curves are equal exactly when they are the same object, and a curve
-over F_{p^2} with coefficients in F_p has the same equation over F_p as
-its base curve.  A curve is a `groups.Group` under chord-and-tangent:
-`identity` is the point at infinity, and scalar multiplication and
-subtraction are the generic ones.
+One chord helper, over its field's `chord_coeffs` kernel, gives the slope
+and x(P+Q); a caller that needs both P + Q and the line fraction computes
+it once and hands it to both.  The Miller loop in `jacobian` uses neither
+it, the kernel nor `Curve.add`: it stays in `FieldElement` arithmetic with
+its own slope, as the cocycle's independent oracle.  Curves are interned
+like fields, so two curves are equal exactly when they are the same
+object, and a curve over F_{p^2} with coefficients in F_p has the same
+equation over F_p as its base curve.  A curve is a `groups.Group` under
+chord-and-tangent: `identity` is the point at infinity, and scalar
+multiplication and subtraction are the generic ones.
 """
 
 from __future__ import annotations
@@ -201,17 +201,10 @@ def element_order(P: Point, group_order: Factorization) -> int:
 
 def _chord(P: Point, Q: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """(lambda, x(P+Q)) as coefficients for affine P, Q on one curve; None when P + Q = O."""
-    f, xP, yP, xQ = P.curve.field, P.x.coeffs, P.y.coeffs, Q.x.coeffs
-    add, sub, mul = f.add_coeffs, f.sub_coeffs, f.mul_coeffs
-    if xP == xQ:
-        if yP != Q.y.coeffs or not any(yP):
-            return None
-        x2 = mul(xP, xP)
-        num, den = add(add(add(x2, x2), x2), P.curve.a.coeffs), add(yP, yP)
-    else:
-        num, den = sub(Q.y.coeffs, yP), sub(xQ, xP)
-    lam = mul(num, FieldElement(f, den).inverse().coeffs)
-    return lam, sub(sub(mul(lam, lam), xP), xQ)
+    xP, yP, xQ, yQ = P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs
+    if xP == xQ and (yP != yQ or not any(yP)):
+        return None
+    return P.curve.field.chord_coeffs(xP, yP, xQ, yQ, P.curve.a.coeffs)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> FieldElement:

@@ -4,22 +4,23 @@ F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic, elements stored as coefficient pairs (a0, a1)
 meaning a0 + a1*u.  Each field has straight-line kernels on coefficient
 tuples (`add_coeffs`, `sub_coeffs`, `mul_coeffs`; products reduce with
-u^2 = -s*u - t), and `FieldElement` arithmetic is their checked
-wrapper: one field method, `coeffs_of`, checks every operand, coercion
-and embedding and is the only place that raises on a mismatch.  Powers
-and the Tonelli-Shanks square root run on the kernels too.  Inverses
-are the conjugate over the norm (Devegili, O hEigeartaigh, Scott and
-Dahab, "Multiplication and squaring on pairing-friendly fields", ePrint
-2006/471), only in `FieldElement.inverse`.  Each product in the two `mul_coeffs` kernels
+u^2 = -s*u - t), and `FieldElement` arithmetic is their checked wrapper:
+one field method, `coeffs_of`, checks every operand, coercion and
+embedding and is the only place that raises on a mismatch.  Powers and
+the Tonelli-Shanks square root run on the kernels too, and the chord
+kernel `chord_coeffs` gives the group law's slope and x(P+Q), over F_p
+on plain ints with an inline `pow(den, -1, p)`.  Every other inverse is
+`FieldElement.inverse`, in F_{p^2} the conjugate over the norm (Devegili,
+O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
+pairing-friendly fields", ePrint 2006/471).  Each product a kernel makes
 adds one to a process-wide tally for its field's degree, whether an
-operator or a kernel caller asked for it, and `count_mults` is the
-counter that reads the tally by difference over a `with` block;
-addition, subtraction, negation and inversion count nothing, so the
-counts compare the work different group laws ask of the field.  Fields
-are interned by one rule, `_Field._intern`, one object per parameter
-set, so two fields are equal exactly when they are the same object.
-Records are read as written: `from_record` takes only coefficients in
-[0, p) and reduces none of them.
+operator or a kernel caller asked for it, and `count_mults` reads the
+tally by difference over a `with` block; addition, subtraction, negation
+and inversion count nothing, so the counts compare the work different
+group laws ask of the field.  Fields are interned by one rule,
+`_Field._intern`, one object per parameter set, so two fields are equal
+exactly when they are the same object.  Records are read as written:
+`from_record` takes only coefficients in [0, p) and reduces none of them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ PRIME_BOUND = 1 << 61
 
 
 # field multiplications made so far in this process, indexed by extension
-# degree; only the two mul_coeffs kernels add to it, a list being the
-# cheapest increment
+# degree; only the kernels add to it, a list being the cheapest increment
 _tally = [0, 0, 0]
 
 
@@ -162,6 +162,17 @@ class PrimeField(_Field):
         _tally[1] += 1
         return (a[0] * b[0] % self.p,)
 
+    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, on plain ints."""
+        (x1,), (y1,), (x2,), p = xP, yP, xQ, self.p
+        if x1 == x2:
+            _tally[1] += 3  # x^2, lambda and lambda^2
+            lam = (3 * x1 * x1 + a[0]) * pow(2 * y1, -1, p) % p
+        else:
+            _tally[1] += 2  # lambda and lambda^2
+            lam = (yQ[0] - y1) * pow(x2 - x1, -1, p) % p
+        return (lam,), ((lam * lam - x1 - x2) % p,)
+
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
@@ -204,6 +215,17 @@ class ExtField(_Field):
         (a0, a1), (b0, b1), (t, s, _), p = a, b, self.poly, self.p
         hi = a1 * b1  # times u^2 = -s*u - t
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
+
+    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, by the kernels."""
+        add, sub, mul = self.add_coeffs, self.sub_coeffs, self.mul_coeffs
+        if xP == xQ:
+            x2 = mul(xP, xP)
+            num, den = add(add(add(x2, x2), x2), a), add(yP, yP)
+        else:
+            num, den = sub(yQ, yP), sub(xQ, xP)
+        lam = mul(num, FieldElement(self, den).inverse().coeffs)
+        return lam, sub(sub(mul(lam, lam), xP), xQ)
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""

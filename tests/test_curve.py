@@ -372,6 +372,34 @@ def test_add_matches_schoolbook_with_exact_counts(name):
     assert tangents > 0
 
 
+@pytest.mark.parametrize("p", [10007, 2**61 - 1])
+def test_add_at_word_size_matches_schoolbook(p):
+    # the F_p chord runs on plain ints: 200 random chords, a tangent,
+    # P + (-P) and the doubling of (0, 0), a point of order 2, give the
+    # textbook sum with the pinned counts; every coefficient must lie in
+    # [0, p), since Point equality compares coefficient tuples
+    F = PrimeField(p)
+    E = Curve(F, 1, 0)
+    rng = random.Random(p)
+    R = E.random_point(rng)
+    pairs = [(E.random_point(rng), E.random_point(rng)) for _ in range(200)]
+    pairs += [(R, R), (R, E.neg(R)), (E.point(0, 0), E.point(0, 0))]
+    seen = set()
+    for P, Q in pairs:
+        expected = _schoolbook_add(P, Q)
+        with count_mults() as counter:
+            got = E.add(P, Q)
+        assert got == expected, (P, Q)
+        if expected.is_infinity:
+            kind, by_degree = "identity", {}
+        else:
+            assert all(0 <= c < p for c in got.x.coeffs + got.y.coeffs), got
+            kind, by_degree = ("tangent", {1: 4}) if P.x == Q.x else ("chord", {1: 3})
+        assert counter.by_degree == by_degree, (P, Q)
+        seen.add(kind)
+    assert seen == {"chord", "tangent", "identity"}
+
+
 def test_line_fraction_exact_counts(E, EK):
     # by_degree per evaluation, as measured before the arithmetic moved to
     # coefficient kernels: a lifted slope and x(P+Q) cost F_p products, and

@@ -373,6 +373,20 @@ def test_cli_counts_by_degree_p103(tmp_path):
         assert c.by_degree == by_degree
 
 
+def test_cli_attack_counts_by_degree_at_the_largest_prime(tmp_path, capsys):
+    # pinned counts of one attack at p = 2^61 - 1, seed 1, where every F_p
+    # chord runs on word-size ints; p + 1 = 2^61 and p - 1 is smooth
+    params = make_toy_params(2**61 - 1, seed=1)
+    path = tmp_path / "p61.txt"
+    path.write_text(params_to_text(params))
+    params.curve.field._nonresidue_t = params.ext_curve.field._nonresidue_t = None
+    capsys.readouterr()
+    with count_mults() as c:
+        assert main(["attack", "--params", str(path), "--seed", "1"]) == 0
+    assert "verified: true" in capsys.readouterr().out.splitlines()
+    assert c.by_degree == {1: 21394, 2: 12707}
+
+
 def test_fields_are_interned(F, K):
     assert PrimeField(11) is F
     assert ExtField(F, (1, 0, 1)) is K
