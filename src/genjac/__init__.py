@@ -13,15 +13,12 @@ from .dlp import (
     DlpSolution,
     NoSolutionError,
     Step,
-    brute_force_dlp,
     bsgs,
     pohlig_hellman,
     solve_extension_dlp,
 )
 from .field import ExtField, FieldElement, PrimeField, count_mults
 from .groups import (
-    CoboundaryCocycle,
-    CyclicGroup,
     ExtElement,
     ExtensionGroup,
     MultiplicativeGroup,

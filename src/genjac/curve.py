@@ -106,6 +106,8 @@ class Curve(Group):
         return Point(self, FieldElement(f, x3), FieldElement(f, y3))
 
     def neg(self, P: "Point") -> "Point":
+        if P.curve is not self:
+            raise ValueError("points on mismatched curves")
         if P.is_infinity:
             return P
         return Point(self, P.x, -P.y)

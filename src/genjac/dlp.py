@@ -1,8 +1,8 @@
 """Discrete logarithm solvers, including the reduction for extension groups.
 
-The generic solvers (`brute_force_dlp`, `bsgs`, `pohlig_hellman`) work in any
-`Group`.  For a group built from a symmetric 2-cocycle the interesting solver
-is `solve_extension_dlp`, which is exactly two Pohlig-Hellman runs with bsgs
+The generic solvers (`bsgs`, `pohlig_hellman`) work in any `Group`.  For a
+group built from a symmetric 2-cocycle the interesting solver is
+`solve_extension_dlp`, which is exactly two Pohlig-Hellman runs with bsgs
 leaves.  The first solves the discrete log of the generator's projection in
 the base group A, and the modulus it returns is n_A, the projection's order.
 The second solves in the fiber B for the value t that n_A * g = (O, t)
@@ -31,8 +31,6 @@ from .numbertheory import Factorization, crt, order_parts
 # takes 240 B (unit) or 384 B (curve point), by tracemalloc on CPython 3.11.
 BSGS_ORDER_BOUND = 1 << 40
 
-BRUTE_FORCE_BOUND = 10**6
-
 
 class NoSolutionError(Exception):
     """The target is not a power of the generator."""
@@ -59,18 +57,6 @@ class DlpSolution:
 
 
 LeafSolver = Callable[[Group, Any, Any, int], DlpSolution]
-
-
-def brute_force_dlp(group: Group, generator: Any, target: Any, order: int) -> DlpSolution:
-    """Linear scan through the subgroup.  Only for tiny orders and cross-checks."""
-    if not 0 < order <= BRUTE_FORCE_BOUND:
-        raise ValueError(f"order {order} out of range for a linear scan")
-    acc = group.identity
-    for k in range(order):
-        if acc == target:
-            return DlpSolution(k, order, (Step("brute-force", f"order {order}"),))
-        acc = group.add(acc, generator)
-    raise NoSolutionError("target is not in the subgroup generated by the generator")
 
 
 def bsgs(group: Group, generator: Any, target: Any, order: int) -> DlpSolution:

@@ -66,37 +66,6 @@ class Group(ABC):
         return double_and_add(self.add, x, n) if n else self.identity
 
 
-class CyclicGroup(Group):
-    """Z/n with elements 0..n-1; the cheap test backend."""
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("modulus must be positive")
-        self.n = n
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.n
-
-    def neg(self, x: int) -> int:
-        return -x % self.n
-
-    def serialize(self, x: int) -> str:
-        return str(x)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.n))
-
-    def sample(self, rng) -> int:
-        return rng.randrange(self.n)
-
-    def describe(self) -> str:
-        return f"Z/{self.n}"
-
-
 class MultiplicativeGroup(Group):
     """Nonzero field elements; the additive interface wraps multiplication."""
 
@@ -168,40 +137,6 @@ class ZeroCocycle(Cocycle):
 
     def __call__(self, p, q):
         return self.b_group.identity
-
-
-class CoboundaryCocycle(Cocycle):
-    """c(p, q) = g(p) + g(q) - g(p+q) for a table-backed g with g(0) = 0.
-
-    Always a valid cocycle, and the resulting extension is isomorphic to
-    the direct product, which makes these good randomized test subjects.
-    Requires an enumerable A so the table can be checked for coverage.
-    """
-
-    def __init__(self, a_group: Group, b_group: Group, table: dict) -> None:
-        super().__init__(a_group, b_group)
-        if table.get(a_group.identity) != b_group.identity:
-            raise ValueError("coboundary table must send 0 to 0")
-        for a in a_group.elements():
-            if a not in table:
-                raise ValueError(f"coboundary table misses {a_group.serialize(a)}")
-        self.table = table
-
-    @classmethod
-    def random(cls, a_group: Group, b_group: Group, rng) -> "CoboundaryCocycle":
-        table = {a: b_group.sample(rng) for a in a_group.elements()}
-        table[a_group.identity] = b_group.identity
-        return cls(a_group, b_group, table)
-
-    def __call__(self, p, q):
-        return self.sum_and_value(p, q)[1]
-
-    def sum_and_value(self, p, q):
-        B, pq = self.b_group, self.a_group.add(p, q)
-        return pq, B.sub(B.add(self.table[p], self.table[q]), self.table[pq])
-
-    def describe(self) -> str:
-        return f"coboundary(|A|={len(self.table)})"
 
 
 class ExtensionGroup(Group):

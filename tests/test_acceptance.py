@@ -19,10 +19,8 @@ import random
 import time
 
 from genjac.curve import SupportCollisionError
-from genjac.dlp import brute_force_dlp, bsgs, pohlig_hellman, solve_extension_dlp
+from genjac.dlp import bsgs, pohlig_hellman, solve_extension_dlp
 from genjac.groups import (
-    CoboundaryCocycle,
-    CyclicGroup,
     ExtElement,
     ExtensionGroup,
     ZeroCocycle,
@@ -33,6 +31,8 @@ from genjac.groups import (
 from genjac.field import count_mults
 from genjac.jacobian import pairing_order, reduce_pairing_value, tate_by_miller
 from genjac.numbertheory import Factorization, is_prime
+
+from subjects import CoboundaryCocycle, CyclicGroup, brute_force_dlp
 
 
 def _cyclic_subgroup(group, gen):

@@ -6,13 +6,14 @@ import pytest
 from genjac import dlp, groups, make_toy_params
 from genjac.dlp import (
     NoSolutionError,
-    brute_force_dlp,
     bsgs,
     pohlig_hellman,
     solve_extension_dlp,
 )
-from genjac.groups import CyclicGroup, ExtElement, element_order
+from genjac.groups import ExtElement, element_order
 from genjac.numbertheory import Factorization, order_parts
+
+from subjects import CyclicGroup, brute_force_dlp
 
 
 @pytest.fixture(scope="module")

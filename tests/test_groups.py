@@ -9,9 +9,7 @@ from genjac import groups, make_toy_params
 from genjac.curve import Curve, SupportCollisionError, element_order as point_order
 from genjac.field import FieldElement
 from genjac.groups import (
-    CoboundaryCocycle,
     Cocycle,
-    CyclicGroup,
     ExtElement,
     ExtensionGroup,
     MultiplicativeGroup,
@@ -25,6 +23,8 @@ from genjac.groups import (
 from genjac.dlp import pohlig_hellman
 from genjac.jacobian import ModulusCocycle
 from genjac.numbertheory import Factorization, order_parts
+
+from subjects import CoboundaryCocycle, CyclicGroup
 
 
 def test_cyclic_group_basics():
@@ -65,10 +65,15 @@ def test_curve_and_unit_groups(toy):
     assert len(list(U.elements())) == 120
 
 
-def test_groups_imports_no_higher_layer():
-    # the layers run numbertheory -> field -> groups -> curve -> jacobian
+# README's layout table lists the modules in this order, each importing only those above it
+LAYERS = ["numbertheory", "field", "groups", "curve", "jacobian", "dlp", "bench", "cli"]
+
+
+@pytest.mark.parametrize("index", range(len(LAYERS)), ids=LAYERS)
+def test_module_imports_no_higher_layer(index):
     modules = set()
-    for node in ast.walk(ast.parse(Path(groups.__file__).read_text())):
+    source = Path(groups.__file__).with_name(f"{LAYERS[index]}.py")
+    for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -77,7 +82,9 @@ def test_groups_imports_no_higher_layer():
             if not base:  # from . import name
                 modules.update(alias.name for alias in node.names)
     layers = {part for module in modules for part in module.split(".")}
-    assert not layers & {"curve", "jacobian"}, sorted(modules)
+    assert not layers & set(LAYERS[index:]), sorted(modules)
+    # the tests' directory is on the path only under pytest, never in an installed package
+    assert not layers & {"tests", "subjects"}, sorted(modules)
 
 
 def test_unit_group_sample_never_zero(toy, rng):

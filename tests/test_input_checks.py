@@ -1,15 +1,20 @@
-"""Every library input check that a wrong call reaches raises its own error.
+"""Every input check that a wrong call reaches raises its own error.
 
-One row per check that no other test reaches; each row builds its wrong
-call from the p = 11 toy instance and a second curve y^2 = x^3 + x + 1.
+The checks are the library's, plus those of the test subjects in
+tests/subjects.py (`CyclicGroup`, `CoboundaryCocycle`), which the other
+tests rely on to refuse a malformed subject.  One row per check that no
+other test reaches; each row builds its wrong call from the p = 11 toy
+instance and a second curve y^2 = x^3 + x + 1.
 """
 
 import pytest
 
 from genjac.curve import Curve, eval_line_fraction
 from genjac.field import ExtField, PrimeField
-from genjac.groups import CoboundaryCocycle, CyclicGroup, MultiplicativeGroup
+from genjac.groups import MultiplicativeGroup
 from genjac.jacobian import Modulus, ModulusCocycle, pairing_order, tate_by_miller
+
+from subjects import CoboundaryCocycle, CyclicGroup
 
 F11, F19 = PrimeField(11), PrimeField(19)
 OTHER = Curve(F11, 1, 1)  # shares F_11 with the toy curve, not its equation
@@ -31,6 +36,10 @@ CHECKS = {
     ),
     "Curve.add": (
         lambda toy: toy.curve.add(_base_point(toy), OTHER.point(0, 1)),
+        ValueError, "points on mismatched curves",
+    ),
+    "Curve.neg": (
+        lambda toy: toy.curve.neg(OTHER.point(0, 1)),
         ValueError, "points on mismatched curves",
     ),
     "Curve.enumerate_points": (
@@ -56,7 +65,7 @@ CHECKS = {
         lambda toy: toy.ext_curve.field.embed(F19(1)),
         ValueError, "mismatched field parameters",
     ),
-    # groups.py
+    # tests/subjects.py
     "CyclicGroup": (lambda toy: CyclicGroup(0), ValueError, "modulus must be positive"),
     "CoboundaryCocycle identity": (
         lambda toy: CoboundaryCocycle(CyclicGroup(3), CyclicGroup(5), {0: 1, 1: 0, 2: 0}),

@@ -5,8 +5,9 @@ import pytest
 
 from genjac.curve import Curve
 from genjac.field import PrimeField
-from genjac.groups import CyclicGroup
 from genjac.numbertheory import Factorization, crt, double_and_add, factorize, is_prime, order_parts
+
+from subjects import CyclicGroup
 
 
 def test_is_prime_small_table():
