@@ -8,8 +8,8 @@ is the vertical line through P + Q.  The quotient has divisor
 needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  The group law,
-the line fraction and point enumeration run on coefficient tuples
-through the field kernels, which count each multiplication they make.
+the line fraction and point enumeration run through the field kernels
+on coefficients (an int in F_p, a pair in F_{p^2}), counting each product.
 One chord helper, over its field's `chord_coeffs` kernel, gives the slope
 and x(P+Q); a caller that needs both P + Q and the line fraction computes
 it once and hands it to both.  The Miller loop in `jacobian` uses neither
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .field import ExtField, FieldElement, _Field
+from .field import Coeffs, ExtField, FieldElement, _Field
 from .groups import Group, SupportCollisionError, element_order as _group_element_order
 from .numbertheory import Factorization
 
@@ -130,11 +130,11 @@ class Curve(Group):
         if f.order > ENUM_BOUND:
             raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
         add, mul, a, b = f.add_coeffs, f.mul_coeffs, self.a.coeffs, self.b.coeffs
-        roots: dict[tuple[int, ...], list[FieldElement]] = {}
-        for y in f.coeff_tuples():
+        roots: dict[Coeffs, list[FieldElement]] = {}
+        for y in f.all_coeffs():
             roots.setdefault(mul(y, y), []).append(FieldElement(f, y))
         points = [self.identity]
-        for x in f.coeff_tuples():
+        for x in f.all_coeffs():
             ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
             points += (Point(self, FieldElement(f, x), y) for y in ys)
         return points
@@ -201,12 +201,12 @@ def element_order(P: Point, group_order: Factorization) -> int:
     return _group_element_order(P.curve, P, group_order)
 
 
-def _chord(P: Point, Q: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """(lambda, x(P+Q)) as coefficients for affine P, Q on one curve; None when P + Q = O."""
-    xP, yP, xQ, yQ = P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs
-    if xP == xQ and (yP != yQ or not any(yP)):
+def _chord(P: Point, Q: Point) -> tuple[Coeffs, Coeffs] | None:
+    """(lambda, x(P+Q)) as field coefficients for affine P, Q on one curve; None when P + Q = O."""
+    xP, yP, xQ, yQ, curve = P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs, P.curve
+    if xP == xQ and (yP != yQ or yP == curve.field.zero_coeffs):
         return None
-    return P.curve.field.chord_coeffs(xP, yP, xQ, yQ, P.curve.a.coeffs)
+    return curve.field.chord_coeffs(xP, yP, xQ, yQ, curve.a.coeffs)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> FieldElement:
@@ -232,22 +232,22 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
         return field.one
     if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
-    sub, mul = field.sub_coeffs, field.mul_coeffs
+    sub, mul, zero = field.sub_coeffs, field.mul_coeffs, field.zero_coeffs
     xP, yP, xM, xN = P.x.coeffs, P.y.coeffs, M.x.coeffs, N.x.coeffs
     if lift:
-        xP, yP = (xP[0], 0), (yP[0], 0)
+        xP, yP = (xP, 0), (yP, 0)
     if (chord := chord or _chord(P, Q)) is None:
         # P + Q = O: l is the vertical through P and v is the constant 1
         l_m, l_n = sub(xM, xP), sub(xN, xP)
-        if not (any(l_m) and any(l_n)):
+        if zero in (l_m, l_n):
             raise SupportCollisionError("M or N is a pole of the line fraction")
         return FieldElement(field, mul(l_n, FieldElement(field, l_m).inverse().coeffs))
     lam, xS = chord
     if lift:
-        lam, xS = (lam[0], 0), (xS[0], 0)
+        lam, xS = (lam, 0), (xS, 0)
     l_m = sub(sub(M.y.coeffs, yP), mul(lam, sub(xM, xP)))
     l_n = sub(sub(N.y.coeffs, yP), mul(lam, sub(xN, xP)))
     v_m, v_n = sub(xM, xS), sub(xN, xS)
-    if not (any(l_m) and any(l_n) and any(v_m) and any(v_n)):
+    if zero in (l_m, l_n, v_m, v_n):
         raise SupportCollisionError("M or N lies in the support of the line fraction")
     return FieldElement(field, mul(mul(v_m, l_n), FieldElement(field, mul(l_m, v_n)).inverse().coeffs))

@@ -1,23 +1,23 @@
 """Exact arithmetic in F_p and F_{p^2}, with an always-on multiplication tally.
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
-irreducible quadratic, elements stored as coefficient pairs (a0, a1)
-meaning a0 + a1*u.  Each field has straight-line kernels on coefficient
-tuples (`add_coeffs`, `sub_coeffs`, `mul_coeffs`; products reduce with
-u^2 = -s*u - t), and `FieldElement` arithmetic is their checked wrapper:
-one field method, `coeffs_of`, checks every operand, coercion and
-embedding and is the only place that raises on a mismatch.  Powers and
-the Tonelli-Shanks square root run on the kernels too, and the chord
-kernel `chord_coeffs` gives the group law's slope and x(P+Q), over F_p
-on plain ints with an inline `pow(den, -1, p)`.  Every other inverse is
-`FieldElement.inverse`, in F_{p^2} the conjugate over the norm (Devegili,
-O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
-pairing-friendly fields", ePrint 2006/471).  Each product a kernel makes
-adds one to a process-wide tally for its field's degree, whether an
-operator or a kernel caller asked for it, and `count_mults` reads the
-tally by difference over a `with` block; addition, subtraction, negation
-and inversion count nothing, so the counts compare the work different
-group laws ask of the field.  Fields are interned by one rule,
+irreducible quadratic.  An element's coefficients are an int in F_p and a
+pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero being
+`zero_coeffs`.  Each field has straight-line kernels on them
+(`add_coeffs`, `sub_coeffs`, `mul_coeffs`), and `FieldElement` arithmetic
+is their checked wrapper: one field method, `coeffs_of`, checks every
+operand, coercion and embedding and is the only place that raises on a
+mismatch.  Powers and the Tonelli-Shanks square root run on the kernels
+too, and the chord kernel `chord_coeffs` gives the group law's slope and
+x(P+Q), over F_p in one straight line with an inline `pow(den, -1, p)`.
+Every other inverse is `FieldElement.inverse`, in F_{p^2} the conjugate
+over the norm (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication
+and squaring on pairing-friendly fields", ePrint 2006/471).  Each product
+a kernel makes adds one to a process-wide tally for its field's degree,
+whether an operator or a kernel caller asked for it, and `count_mults`
+reads the tally by difference over a `with` block; addition, subtraction,
+negation and inversion count nothing, so the counts compare the work
+different group laws ask of the field.  Fields are interned by one rule,
 `_Field._intern`, one object per parameter set, so two fields are equal
 exactly when they are the same object.  Records are read as written:
 `from_record` takes only coefficients in [0, p) and reduces none of them.
@@ -31,6 +31,7 @@ from .numbertheory import double_and_add, is_prime
 
 # Characteristic stays word-sized; exact Python ints do the rest.
 PRIME_BOUND = 1 << 61
+Coeffs = int | tuple[int, int]  # an element's coefficients, by its field's degree
 
 
 # field multiplications made so far in this process, indexed by extension
@@ -77,19 +78,18 @@ class _Field:
             raise TypeError(f"cannot coerce {value!r} into {self}")
         if len(value) > self.degree:
             raise ValueError(f"too many coefficients for degree-{self.degree} field")
-        coeffs = [c % self.p for c in value]
-        coeffs += [0] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        coeffs = [c % self.p for c in value] + [0] * (self.degree - len(value))
+        return FieldElement(self, coeffs[0] if self.degree == 1 else tuple(coeffs))
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.degree)
+        return self._at(0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.degree - 1))
+        return self._at(1)
 
-    def coeffs_of(self, x) -> tuple[int, ...]:
+    def coeffs_of(self, x) -> Coeffs:
         """The coefficients of x, which must be an element of this field."""
         if not (isinstance(x, FieldElement) and x.field is self):
             raise ValueError("mismatched field parameters")
@@ -107,16 +107,16 @@ class _Field:
 
     def _at(self, index: int) -> "FieldElement":
         # base-p digits of index, constant coefficient first
-        return FieldElement(self, (index % self.p, index // self.p)[:self.degree])
+        return FieldElement(self, index % self.p if self.degree == 1 else (index % self.p, index // self.p))
 
-    def coeff_tuples(self) -> Iterator[tuple[int, ...]]:
+    def all_coeffs(self) -> Iterator[Coeffs]:
         """Coefficients of all field elements, in a fixed base-p little-endian order."""
         digits = range(self.p)
-        return zip(digits) if self.degree == 1 else ((lo, hi) for hi in digits for lo in digits)
+        return iter(digits) if self.degree == 1 else ((lo, hi) for hi in digits for lo in digits)
 
     def elements(self) -> Iterator["FieldElement"]:
-        """All field elements, in coeff_tuples() order."""
-        return (FieldElement(self, c) for c in self.coeff_tuples())
+        """All field elements, in all_coeffs() order."""
+        return (FieldElement(self, c) for c in self.all_coeffs())
 
     def sample(self, rng) -> "FieldElement":
         return self._at(rng.randrange(self.order))
@@ -138,7 +138,7 @@ class _Field:
 class PrimeField(_Field):
     """F_p for a word-sized prime p; one object per p."""
 
-    __slots__ = ("p", "degree", "order", "_nonresidue_t")
+    __slots__ = ("p", "degree", "order", "zero_coeffs", "_nonresidue_t")
     _registry: dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int) -> "PrimeField":
@@ -146,32 +146,32 @@ class PrimeField(_Field):
             raise ValueError(f"{p} is not prime")
         if p >= PRIME_BOUND:
             raise ValueError(f"prime {p} exceeds the 2^61 bound")
-        return cls._intern(p, p=p, degree=1, order=p, _nonresidue_t=None)
+        return cls._intern(p, p=p, degree=1, order=p, zero_coeffs=0, _nonresidue_t=None)
 
     @property
     def name(self) -> str:
         return f"F_{self.p}"
 
-    def add_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return ((a[0] + b[0]) % self.p,)
+    def add_coeffs(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def sub_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return ((a[0] - b[0]) % self.p,)
+    def sub_coeffs(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def mul_coeffs(self, a: int, b: int) -> int:
         _tally[1] += 1
-        return (a[0] * b[0] % self.p,)
+        return a * b % self.p
 
-    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, on plain ints."""
-        (x1,), (y1,), (x2,), p = xP, yP, xQ, self.p
+    def chord_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int]:
+        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line."""
+        p = self.p
         if x1 == x2:
             _tally[1] += 3  # x^2, lambda and lambda^2
-            lam = (3 * x1 * x1 + a[0]) * pow(2 * y1, -1, p) % p
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
         else:
             _tally[1] += 2  # lambda and lambda^2
-            lam = (yQ[0] - y1) * pow(x2 - x1, -1, p) % p
-        return (lam,), ((lam * lam - x1 - x2) % p,)
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        return lam, (lam * lam - x1 - x2) % p
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -180,7 +180,7 @@ class PrimeField(_Field):
 class ExtField(_Field):
     """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible; one object per poly."""
 
-    __slots__ = ("base", "p", "degree", "order", "poly", "_nonresidue_t")
+    __slots__ = ("base", "p", "degree", "order", "poly", "zero_coeffs", "_nonresidue_t")
     _registry: dict[tuple[int, tuple[int, ...]], "ExtField"] = {}
 
     def __new__(cls, base: PrimeField, poly: Sequence[int]) -> "ExtField":
@@ -198,25 +198,26 @@ class ExtField(_Field):
         # irreducible iff the discriminant is a non-square (Euler's criterion)
         if pow(s * s - 4 * t, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"reduction polynomial {list(poly)} is reducible over F_{p}")
-        return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly, _nonresidue_t=None)
+        return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly,
+                           zero_coeffs=(0, 0), _nonresidue_t=None)
 
     @property
     def name(self) -> str:
         return f"F_{self.p}^2"
 
-    def add_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def add_coeffs(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
 
-    def sub_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def sub_coeffs(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return ((a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p)
 
-    def mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def mul_coeffs(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         _tally[2] += 1
         (a0, a1), (b0, b1), (t, s, _), p = a, b, self.poly, self.p
         hi = a1 * b1  # times u^2 = -s*u - t
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
 
-    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
         """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, by the kernels."""
         add, sub, mul = self.add_coeffs, self.sub_coeffs, self.mul_coeffs
         if xP == xQ:
@@ -229,7 +230,7 @@ class ExtField(_Field):
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
-        return FieldElement(self, (self.base.coeffs_of(elem)[0], 0))
+        return FieldElement(self, (self.base.coeffs_of(elem), 0))
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, degree=2, poly={list(self.poly)})"
@@ -240,13 +241,12 @@ class FieldElement:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: _Field, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, field: _Field, coeffs: Coeffs) -> None:
         self.field = field
         self.coeffs = coeffs
 
     def is_zero(self) -> bool:
-        # coeffs[-1] is coeffs[0] in F_p
-        return not self.coeffs[0] and not self.coeffs[-1]
+        return self.coeffs == self.field.zero_coeffs
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
@@ -258,7 +258,7 @@ class FieldElement:
 
     def __neg__(self) -> "FieldElement":
         f = self.field
-        return FieldElement(f, f.sub_coeffs((0,) * f.degree, self.coeffs))
+        return FieldElement(f, f.sub_coeffs(f.zero_coeffs, self.coeffs))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
@@ -272,10 +272,10 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         f, a = self.field, self.coeffs
-        if not a[0] and not a[-1]:
+        if a == f.zero_coeffs:
             raise ZeroDivisionError(f"division by zero in {f!r}")
         if f.degree == 1:
-            return FieldElement(f, (pow(a[0], -1, f.p),))
+            return FieldElement(f, pow(a, -1, f.p))
         (a0, a1), (t, s, _), p = a, f.poly, f.p
         # conjugate (a0 - s*a1) - a1*u over the norm a0^2 - s*a0*a1 + t*a1^2
         inv = pow(a0 * a0 - s * a0 * a1 + t * a1 * a1, -1, p)
@@ -303,7 +303,7 @@ class FieldElement:
 
     def serialize(self) -> str:
         """Comma-separated coefficients, little-endian by degree."""
-        return coeffs_to_record(self.coeffs)
+        return str(self.coeffs) if self.field.degree == 1 else coeffs_to_record(self.coeffs)
 
     def sqrt(self) -> "FieldElement | None":
         """A square root if one exists, else None, by one Tonelli-Shanks loop.
@@ -311,7 +311,7 @@ class FieldElement:
         q - 1 = 2^m * t, t odd; x = a^((t+1)/2) and b = a^t, so x^2 = a*b (Cohen,
         GTM 138, Alg. 1.5.1).  b of order 2^m means a is a non-square; otherwise
         a power of c = z^t, z a fixed non-square whose z^t coefficients the field
-        keeps, fixes x and lowers b's order.  The loop runs on coefficient tuples
+        keeps, fixes x and lowers b's order.  The loop runs on coefficients
         through `mul_coeffs`; only the root is built as an element.
         """
         f, a = self.field, self.coeffs
@@ -349,7 +349,7 @@ class FieldElement:
 
     def __repr__(self) -> str:
         if self.field.degree == 1:
-            return f"{self.coeffs[0]} (mod {self.field.p})"
+            return f"{self.coeffs} (mod {self.field.p})"
         return f"({self.serialize()}) in {self.field.name}"
 
 

@@ -39,7 +39,7 @@ class Modulus:
             raise ValueError("modulus points must be affine")
         if self.N in (self.M, self.curve.neg(self.M)):
             raise ValueError("modulus points must satisfy N != M and N != -M")
-        if not (any(self.M.x.coeffs[1:]) and any(self.N.x.coeffs[1:])):
+        if not (self.curve.field.degree == 2 and self.M.x.coeffs[1] and self.N.x.coeffs[1]):
             raise ValueError("modulus points need x outside the base field")
 
     @property

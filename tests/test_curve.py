@@ -290,12 +290,15 @@ def test_lift_consistency(E, EK, rng):
 
 def test_line_fraction_exhaustive_against_oracle(toy):
     # every pair in E(F_121)^2 and every base pair in E(F_11)^2 at the toy
-    # modulus: same value, and the same collision set as point membership
-    M, N = toy.modulus.M, toy.modulus.N
+    # modulus, and every base pair at two affine points of E(F_11), where
+    # nothing is lifted and the zero tests see F_p values: same value, and
+    # the same collision set as point membership
+    modulus = toy.modulus.M, toy.modulus.N
     ext_points = toy.ext_curve.enumerate_points()
     base_points = toy.curve.enumerate_points()
+    base_modulus = toy.curve.parse_point("5;3"), toy.curve.parse_point("7;8")
     collisions = 0
-    for points in (ext_points, base_points):
+    for points, (M, N) in ((ext_points, modulus), (base_points, modulus), (base_points, base_modulus)):
         for P in points:
             for Q in points:
                 expected = _oracle(P, Q, M, N)
@@ -376,8 +379,8 @@ def test_add_matches_schoolbook_with_exact_counts(name):
 def test_add_at_word_size_matches_schoolbook(p):
     # the F_p chord runs on plain ints: 200 random chords, a tangent,
     # P + (-P) and the doubling of (0, 0), a point of order 2, give the
-    # textbook sum with the pinned counts; every coefficient must lie in
-    # [0, p), since Point equality compares coefficient tuples
+    # textbook sum with the pinned counts; every coordinate must be an int
+    # in [0, p), since Point equality compares coefficients
     F = PrimeField(p)
     E = Curve(F, 1, 0)
     rng = random.Random(p)
@@ -393,11 +396,34 @@ def test_add_at_word_size_matches_schoolbook(p):
         if expected.is_infinity:
             kind, by_degree = "identity", {}
         else:
-            assert all(0 <= c < p for c in got.x.coeffs + got.y.coeffs), got
+            assert all(type(c) is int and 0 <= c < p for c in (got.x.coeffs, got.y.coeffs)), got
             kind, by_degree = ("tangent", {1: 4}) if P.x == Q.x else ("chord", {1: 3})
         assert counter.by_degree == by_degree, (P, Q)
         seen.add(kind)
     assert seen == {"chord", "tangent", "identity"}
+
+
+def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
+    # one format per field on every path that makes a value: a stray (c,)
+    # would compare unequal to c, so Point equality and hashing would
+    # disagree and a BSGS lookup would miss
+    rng = random.Random(1)
+
+    def values(curve, record):
+        k = curve.field
+        x, y = k.from_record(record), k(3)
+        made = [x, y, k([4]), k.sample(rng), k.zero, k.one, *k.elements()]
+        made += [x + y, x - y, -x, x * y, x / y, x.inverse(), x ** 5, (x * x).sqrt()]
+        P, Q = curve.random_point(rng), curve.parse_point(curve.random_point(rng).serialize())
+        points = [P, Q, curve.add(P, Q), curve.add(P, P), *curve.enumerate_points()]
+        return made + [c for R in points if not R.is_infinity for c in (R.x, R.y)]
+
+    F, K = E.field, EK.field
+    for value in values(E, "5"):
+        assert type(value.coeffs) is int and 0 <= value.coeffs < F.p, value
+    for value in values(EK, "5,2") + [K.embed(F(3)), EK.embed_point(E.parse_point("5;3")).x]:
+        c = value.coeffs
+        assert type(c) is tuple and len(c) == 2 and all(type(a) is int and 0 <= a < K.p for a in c), value
 
 
 def test_line_fraction_exact_counts(E, EK):

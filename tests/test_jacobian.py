@@ -126,6 +126,8 @@ def test_modulus_validation(toy):
         Modulus(M, EK.neg(M))
     with pytest.raises(ValueError, match="outside the base field"):
         Modulus(EK.embed_point(toy.curve.parse_point("5;3")), N)
+    with pytest.raises(ValueError, match="outside the base field"):
+        Modulus(toy.curve.parse_point("5;3"), toy.curve.parse_point("7;8"))  # a curve over F_p
     assert EK.sub(M, N) == EK.add(M, EK.neg(N))
 
 
