@@ -112,9 +112,6 @@ class Curve(Group):
             return P
         return Point(self, P.x, -P.y)
 
-    def serialize(self, P: "Point") -> str:
-        return P.serialize()
-
     def elements(self) -> Iterator["Point"]:
         return iter(self.enumerate_points())
 

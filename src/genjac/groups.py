@@ -53,9 +53,8 @@ class Group(ABC):
     def neg(self, x):
         ...
 
-    @abstractmethod
     def serialize(self, x) -> str:
-        ...
+        return x.serialize()
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
@@ -81,9 +80,6 @@ class MultiplicativeGroup(Group):
 
     def neg(self, x: FieldElement) -> FieldElement:
         return x.inverse()
-
-    def serialize(self, x: FieldElement) -> str:
-        return x.serialize()
 
     def elements(self) -> Iterator[FieldElement]:
         return (x for x in self.field.elements() if not x.is_zero())

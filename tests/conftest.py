@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from genjac import make_toy_params
+from genjac import ModulusCocycle, make_toy_params
 from genjac.groups import Cocycle, ExtensionGroup
 
 
@@ -36,6 +36,22 @@ def params_file(toy, tmp_path_factory):
     path = tmp_path_factory.mktemp("params") / "toy.txt"
     path.write_text(params_to_text(toy))
     return str(path)
+
+
+@pytest.fixture
+def skewed_cocycle(monkeypatch):
+    """Break the modulus cocycle's symmetry: c(P, Q) doubles when P sorts first.
+
+    Every relation check that compares c(P, Q) with c(Q, P) then fails on
+    some triples, so the tests that use it see which failures get named.
+    """
+    honest = ModulusCocycle.__call__
+
+    def skewed(self, p, q, chord=None):
+        value = honest(self, p, q, chord)
+        return value + value if p.serialize() < q.serialize() else value
+
+    monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
 
 
 class _MemoizedCocycle(Cocycle):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from genjac import ModulusCocycle, params_from_text, params_to_text, run_benchmark
+from genjac import params_from_text, params_to_text, run_benchmark
 from genjac.bench import CSV_HEADER
 from genjac.cli import main
 
@@ -319,6 +319,13 @@ def test_gen_params_rejects_p_1_mod_4(capsys):
 SRC = str(Path(__file__).parent.parent / "src")
 
 
+def _module_env(*unset):
+    """The environment for a `python -m genjac.cli` child that imports this checkout's package."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141_quietly(unbuffered):
     # the read end is closed before the child starts, so its first write to the
@@ -326,8 +333,7 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     # inside the command when it is not
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _module_env("PYTHONUNBUFFERED")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
@@ -341,15 +347,65 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     assert child.stderr == b""
 
 
-def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, monkeypatch):
-    # a cocycle that is not symmetric: scale c(P, Q) by 2 when P sorts first
-    honest = ModulusCocycle.__call__
+# the sweep's primes: 7 to 43 are all the primes p = 3 mod 4 in that range, and
+# 2^61 - 1 is the largest the tool accepts, where a product of two coefficients
+# reaches 122 bits
+SWEEP_PRIMES = (7, 11, 19, 23, 31, 43, 103, 1019, 10007, 2**61 - 1)
+# near 2^60, p - 1 and p + 1 each have a factor above the trial-division bound,
+# and the generator's order (seed 1) has a prime beyond what BSGS can take
+BEYOND_BSGS = 1119299203706606807
+# the checks of `verify --checks 20 --seed 1` at p = 103 and at 1019: seed 1
+# skips a draw at both, most seeds skip none, so a report whose draws stop
+# following the seed reads differently
+SEED_1_CHECKS = """\
+cocycle relations: 40 checks, 0 failures (1 draws skipped)
+group axioms: 80 checks, 0 failures (0 draws skipped)
+pairing cross-check: 10 checks, 0 failures
+all checks passed
+"""
 
-    def skewed(self, p, q, chord=None):
-        value = honest(self, p, q, chord)
-        return value + value if p.serialize() < q.serialize() else value
 
-    monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
+@pytest.mark.parametrize("source", [*SWEEP_PRIMES, "ordinary-p103", BEYOND_BSGS], ids=str)
+def test_cli_sweep(source, tmp_path, capsys):
+    # each subcommand on gen-params' curve (seed 1) or on the ordinary curve's
+    # file: attack recovers its secret, verify passes, pairing at a 2-torsion
+    # point (0;0 on y^2 = x^3 + x at every p) agrees with the Miller loop, and
+    # bench prints its CSV
+    def run(*args):
+        status = main(list(args))
+        return status, capsys.readouterr().out
+
+    if source == "ordinary-p103":
+        path, point = str(ORDINARY_P103), "102;0"
+    else:
+        status, out = run("gen-params", "--p", str(source), "--seed", "1")
+        assert status == 0
+        path, point = str(tmp_path / "params.txt"), "0;0"
+        Path(path).write_text(out)
+    status, out = run("attack", "--params", path, "--seed", "1")
+    if source == BEYOND_BSGS:
+        assert status == 2
+    else:
+        assert status == 0 and "verified: true" in out.splitlines()
+        status, out = run("pairing", "--params", path, "--point", point)
+        assert status == 0 and "agreement: true" in out.splitlines()
+    assert run("verify", "--params", path, "--checks", "5")[0] == 0
+    status, out = run("bench", "--params", path, "--trials", "5", "--bits", "16")
+    assert status == 0 and out.splitlines()[:1] == [CSV_HEADER]
+    if source in (103, 1019):
+        # the curve and field hashes are id-based: they differ between two
+        # fresh interpreters but not within one, so only two interpreters
+        # show a seeded report that depends on them
+        command = [sys.executable, "-m", "genjac.cli", "verify", "--params", path,
+                   "--checks", "20", "--seed", "1"]
+        runs = [subprocess.run(command, stdout=subprocess.PIPE, env=_module_env("PYTHONHASHSEED"),
+                               timeout=60) for _ in range(2)]
+        assert [child.returncode for child in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.decode().endswith(SEED_1_CHECKS)
+
+
+def test_verify_names_failing_relation_and_triple(toy, params_file, capsys, skewed_cocycle):
     assert main(["verify", "--params", params_file, "--checks", "5",
                  "--pairing-checks", "1", "--seed", "1"]) == 2
     lines = capsys.readouterr().out.splitlines()

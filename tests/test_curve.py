@@ -338,6 +338,7 @@ def test_point_hash_and_eq(E, EK):
     assert a != E.identity and E.identity != a
     assert EK.embed_point(a) != a and EK.identity != E.identity
     assert a != a.serialize()
+    assert repr(a) == "Point(5; 3)" and repr(E.identity) == "Point(inf)"
 
 
 # (p, reduction polynomial or None for F_p, a, b); the last field has s != 0

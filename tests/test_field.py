@@ -303,6 +303,7 @@ def test_serialize_parse_roundtrip(F, K):
     assert K.from_record(x.serialize()) == x
     assert coeffs_to_record((10, 3)) == "10,3"
     assert F(7).serialize() == "7"
+    assert repr(x) == "(10,3) in F_11^2" and repr(F(7)) == "7 (mod 11)"
 
 
 def test_hash_consistency(F, K):

@@ -368,15 +368,7 @@ def test_cocycle_relations_take_the_sums_from_the_cocycle(monkeypatch):
     assert calls == {"inverse": 201}
 
 
-def test_reused_report_names_the_same_failures(toy, monkeypatch):
-    # the skewed cocycle of test_cli's failing-relation test
-    honest = ModulusCocycle.__call__
-
-    def skewed(self, p, q, chord=None):
-        value = honest(self, p, q, chord)
-        return value + value if p.serialize() < q.serialize() else value
-
-    monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
+def test_reused_report_names_the_same_failures(toy, skewed_cocycle):
     rng = random.Random(5)
     for sampler, verify, subject in (
         (sample_admissible_triples, verify_cocycle, toy.modulus_cocycle(ext=True)),
