@@ -12,9 +12,12 @@ the line fraction and point enumeration run through the field kernels
 on coefficients (an int in F_p, a pair in F_{p^2}), counting each product.
 One chord helper, over its field's `chord_coeffs` kernel, gives the slope
 and x(P+Q); a caller that needs both P + Q and the line fraction computes
-it once and hands it to both.  The Miller loop in `jacobian` uses neither
-it, the kernel nor `Curve.add`: it stays in `FieldElement` arithmetic with
-its own slope, as the cocycle's independent oracle.  Curves are interned
+it once and hands it to both.  The line fraction is one body over either
+field: its field's `line_coeffs` kernel gives v(M)*l(N) and l(M)*v(N) or
+reports the collision, and one `FieldElement.inverse` divides them.  The
+Miller loop in `jacobian` uses neither helper, no kernel of the group law
+and not `Curve.add`: it stays in `FieldElement` arithmetic with its own
+slope, as the cocycle's independent oracle.  Curves are interned
 like fields, so two curves are equal exactly when they are the same
 object, and a curve over F_{p^2} with coefficients in F_p has the same
 equation over F_p as its base curve.  A curve is a `groups.Group` under
@@ -242,9 +245,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     lam, xS = chord
     if lift:
         lam, xS = (lam, 0), (xS, 0)
-    l_m = sub(sub(M.y.coeffs, yP), mul(lam, sub(xM, xP)))
-    l_n = sub(sub(N.y.coeffs, yP), mul(lam, sub(xN, xP)))
-    v_m, v_n = sub(xM, xS), sub(xN, xS)
-    if zero in (l_m, l_n, v_m, v_n):
+    if (fraction := field.line_coeffs(lam, xP, yP, xS, xM, M.y.coeffs, xN, N.y.coeffs)) is None:
         raise SupportCollisionError("M or N lies in the support of the line fraction")
-    return FieldElement(field, mul(mul(v_m, l_n), FieldElement(field, mul(l_m, v_n)).inverse().coeffs))
+    num, den = fraction
+    return FieldElement(field, mul(num, FieldElement(field, den).inverse().coeffs))

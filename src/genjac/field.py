@@ -8,12 +8,15 @@ pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero being
 is their checked wrapper: one field method, `coeffs_of`, checks every
 operand, coercion and embedding and is the only place that raises on a
 mismatch.  Powers and the Tonelli-Shanks square root run on the kernels
-too, and the chord kernel `chord_coeffs` gives the group law's slope and
-x(P+Q), over F_p in one straight line with an inline `pow(den, -1, p)`.
-Every other inverse is `FieldElement.inverse`, in F_{p^2} the conjugate
-over the norm (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication
-and squaring on pairing-friendly fields", ePrint 2006/471).  Each product
-a kernel makes adds one to a process-wide tally for its field's degree,
+too.  Two more kernels per field serve the group law, each one straight
+line on ints or int pairs that ticks its products in bulk: `chord_coeffs`
+gives the slope and x(P+Q), and `line_coeffs` the two products of a line
+fraction v/l at (M) - (N), or None on a zero of l or v.  The F_p chord
+inverts inline with `pow(den, -1, p)`; every other inverse, the F_{p^2}
+chord's included, is `FieldElement.inverse`, in F_{p^2} the conjugate over
+the norm (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication and
+squaring on pairing-friendly fields", ePrint 2006/471).  Each product a
+kernel makes adds one to a process-wide tally for its field's degree,
 whether an operator or a kernel caller asked for it, and `count_mults`
 reads the tally by difference over a `with` block; addition, subtraction,
 negation and inversion count nothing, so the counts compare the work
@@ -173,6 +176,17 @@ class PrimeField(_Field):
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         return lam, (lam * lam - x1 - x2) % p
 
+    def line_coeffs(self, lam: int, xP: int, yP: int, xS: int, xM: int, yM: int, xN: int, yN: int):
+        """(v(M)*l(N), l(M)*v(N)) for l of slope lam through P and v at x = xS; None on a zero."""
+        p = self.p
+        _tally[1] += 2  # lambda times x(M) - x(P) and x(N) - x(P)
+        l_m, l_n = (yM - yP - lam * (xM - xP)) % p, (yN - yP - lam * (xN - xP)) % p
+        v_m, v_n = (xM - xS) % p, (xN - xS) % p
+        if not (l_m and l_n and v_m and v_n):
+            return None
+        _tally[1] += 2
+        return v_m * l_n % p, l_m * v_n % p
+
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
@@ -218,15 +232,42 @@ class ExtField(_Field):
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
 
     def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, by the kernels."""
-        add, sub, mul = self.add_coeffs, self.sub_coeffs, self.mul_coeffs
+        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line
+        on the pairs; the denominator is inverted by `FieldElement.inverse`."""
+        (x1, x1u), (x2, x2u), (t, s, _), p = xP, xQ, self.poly, self.p
         if xP == xQ:
-            x2 = mul(xP, xP)
-            num, den = add(add(add(x2, x2), x2), a), add(yP, yP)
+            _tally[2] += 3  # x^2, lambda and lambda^2
+            hi = x1u * x1u
+            n0, n1 = 3 * (x1 * x1 - t * hi) + a[0], 3 * (2 * x1 * x1u - s * hi) + a[1]
+            den = (2 * yP[0] % p, 2 * yP[1] % p)
         else:
-            num, den = sub(yQ, yP), sub(xQ, xP)
-        lam = mul(num, FieldElement(self, den).inverse().coeffs)
-        return lam, sub(sub(mul(lam, lam), xP), xQ)
+            _tally[2] += 2  # lambda and lambda^2
+            n0, n1 = yQ[0] - yP[0], yQ[1] - yP[1]
+            den = ((x2 - x1) % p, (x2u - x1u) % p)
+        d0, d1 = FieldElement(self, den).inverse().coeffs
+        hi = n1 * d1
+        l0, l1 = (n0 * d0 - t * hi) % p, (n0 * d1 + n1 * d0 - s * hi) % p
+        hi = l1 * l1
+        return (l0, l1), ((l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p)
+
+    def line_coeffs(self, lam, xP, yP, xS, xM, yM, xN, yN):
+        """`PrimeField.line_coeffs` on pairs: (v(M)*l(N), l(M)*v(N)), or None on a zero of l or v."""
+        (l0, l1), (p0, p1), (t, s, _), p = lam, xP, self.poly, self.p
+        _tally[2] += 2  # lambda times x(M) - x(P) and x(N) - x(P)
+        d0, d1 = xM[0] - p0, xM[1] - p1
+        hi = l1 * d1
+        lm0, lm1 = (yM[0] - yP[0] - l0 * d0 + t * hi) % p, (yM[1] - yP[1] - l0 * d1 - l1 * d0 + s * hi) % p
+        d0, d1 = xN[0] - p0, xN[1] - p1
+        hi = l1 * d1
+        ln0, ln1 = (yN[0] - yP[0] - l0 * d0 + t * hi) % p, (yN[1] - yP[1] - l0 * d1 - l1 * d0 + s * hi) % p
+        vm0, vm1 = (xM[0] - xS[0]) % p, (xM[1] - xS[1]) % p
+        vn0, vn1 = (xN[0] - xS[0]) % p, (xN[1] - xS[1]) % p
+        if not ((lm0 or lm1) and (ln0 or ln1) and (vm0 or vm1) and (vn0 or vn1)):
+            return None
+        _tally[2] += 2
+        hi, lo = vm1 * ln1, lm1 * vn1
+        return (((vm0 * ln0 - t * hi) % p, (vm0 * ln1 + vm1 * ln0 - s * hi) % p),
+                ((lm0 * vn0 - t * lo) % p, (lm0 * vn1 + lm1 * vn0 - s * lo) % p))
 
     def embed(self, elem: "FieldElement") -> "FieldElement":
         """Lift a base-field element along the inclusion F_p -> F_{p^2}."""

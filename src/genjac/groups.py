@@ -252,9 +252,11 @@ class Sample(tuple):
 def _report(group: Group, triples, outcomes) -> CheckReport:
     report = CheckReport()
     for triple, results in zip(triples, outcomes):
-        label = "(" + ", ".join(group.serialize(x) for x in triple) + ")"
+        label = None  # serialized only when a relation on this triple fails
         for holds, name in results:
-            report.record(holds, f"{name} on {label}")
+            if not holds and label is None:
+                label = "(" + ", ".join(group.serialize(x) for x in triple) + ")"
+            report.record(holds, "" if holds else f"{name} on {label}")
     return report
 
 

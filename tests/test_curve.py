@@ -376,6 +376,55 @@ def test_add_matches_schoolbook_with_exact_counts(name):
     assert tangents > 0
 
 
+# the kernels on F_p and on two F_{p^2} whose reduction polynomial u^2 + s*u + t
+# has s != 0 and t != 1, so every s- and t-term of the pair products is exercised
+KERNEL_CURVES = {
+    "E(F_11)": (11, None, 1, 3),
+    "E(F_7[u]/(u^2+u+3))": (7, (3, 1, 1), [0, 1], 1),
+    "E(F_11[u]/(u^2+3u+6))": (11, (6, 3, 1), [2, 1], [0, 3]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CURVES)
+def test_kernels_match_field_element_arithmetic(name):
+    # every chord and tangent of two affine points, and at each the line
+    # fraction at an evaluation pair (M, N) that walks the points: the same
+    # values as FieldElement arithmetic, None exactly when l or v vanishes at
+    # M or N, and one count per product (2 per chord, 3 per tangent; 2 before
+    # the line's zero test and 2 after it)
+    p, poly, a, b = KERNEL_CURVES[name]
+    field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
+    E, d = Curve(field, a, b), field.degree
+    points = [P for P in E.enumerate_points() if not P.is_infinity]
+    seen = set()
+    for i, P in enumerate(points):
+        for j, Q in enumerate(points):
+            tangent = P.x == Q.x
+            if tangent and (P.y != Q.y or P.y.is_zero()):
+                continue  # P + Q = O: no chord
+            if tangent:
+                lam = (field(3) * P.x * P.x + E.a) / (field(2) * P.y)
+            else:
+                lam = (Q.y - P.y) / (Q.x - P.x)
+            xS = lam * lam - P.x - Q.x
+            with count_mults() as counter:
+                got = field.chord_coeffs(P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs, E.a.coeffs)
+            assert got == (lam.coeffs, xS.coeffs), (P, Q)
+            assert counter.by_degree == {d: 3 if tangent else 2}, (P, Q)
+            M, N = points[(i + j) % len(points)], points[(i + 2 * j + 1) % len(points)]
+            l_m, l_n = (M.y - P.y) - lam * (M.x - P.x), (N.y - P.y) - lam * (N.x - P.x)
+            v_m, v_n = M.x - xS, N.x - xS
+            collides = any(z.is_zero() for z in (l_m, l_n, v_m, v_n))
+            expected = None if collides else ((v_m * l_n).coeffs, (l_m * v_n).coeffs)
+            args = lam.coeffs, P.x.coeffs, P.y.coeffs, xS.coeffs, M.x.coeffs, M.y.coeffs, N.x.coeffs, N.y.coeffs
+            with count_mults() as counter:
+                got = field.line_coeffs(*args)
+            assert got == expected, (P, Q, M, N)
+            assert counter.by_degree == {d: 2 if collides else 4}, (P, Q, M, N)
+            seen.add(("tangent" if tangent else "chord", "collision" if collides else "value"))
+    assert len(seen) == 4
+
+
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])
 def test_add_at_word_size_matches_schoolbook(p):
     # the F_p chord runs on plain ints: 200 random chords, a tangent,

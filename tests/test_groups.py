@@ -379,6 +379,39 @@ def test_reused_report_names_the_same_failures(toy, skewed_cocycle):
         assert report.failures and _same_report(report, verify(subject, list(triples)))
 
 
+@pytest.mark.parametrize("skewed", [False, True])
+def test_labels_are_built_only_for_failing_triples(toy, monkeypatch, request, skewed):
+    # a failure's label serializes its triple: every element of each failing
+    # triple once, however many of its relations fail, and nothing for a
+    # triple whose relations all hold, in the sampler's report and in verify's
+    if skewed:
+        request.getfixturevalue("skewed_cocycle")
+    serialized = []
+
+    def spy(owner):
+        honest = owner.serialize
+        monkeypatch.setattr(owner, "serialize", lambda self, x: serialized.append((self, x)) or honest(self, x))
+
+    spy(Curve)
+    spy(ExtensionGroup)
+    rng = random.Random(5)
+    jac = toy.jacobian(ext=True)
+    for sampler, verify, relations, subject, group in (
+        (sample_admissible_triples, verify_cocycle, groups._cocycle_relations, jac.cocycle, jac.a_group),
+        (sample_operable_triples, verify_group_axioms, groups._axiom_relations, jac, jac),
+    ):
+        serialized.clear()
+        triples, _ = sampler(subject, 30, rng)
+        failing = [t for t in triples if not all(holds for holds, _ in relations(subject, *t))]
+        assert bool(failing) == skewed
+        expected = [x for t in failing for x in t]
+        assert [x for g, x in serialized if g is group] == expected
+        serialized.clear()
+        report = verify(subject, list(triples))
+        assert [x for g, x in serialized if g is group] == expected
+        assert len(report.failures) >= len(failing)
+
+
 def test_a_sample_is_reused_only_by_its_own_subject_and_relations(rng):
     A, B = CyclicGroup(9), CyclicGroup(5)
 

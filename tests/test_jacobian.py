@@ -5,7 +5,7 @@ import pytest
 
 from genjac import curve as curve_module, jacobian
 from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
-from genjac.field import ExtField, PrimeField, count_mults
+from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import ExtElement, element_order
 from genjac.jacobian import (
     Modulus,
@@ -345,8 +345,8 @@ def test_tate_table(toy):
 
 def test_miller_does_not_use_the_group_law(toy, monkeypatch):
     # the Miller loop is the oracle for the group-law route, so it must
-    # reach TATE_TABLE with the chord helper, the fields' chord kernels
-    # and Curve.add unavailable
+    # reach TATE_TABLE with the chord helper, the fields' chord and line
+    # kernels and Curve.add unavailable
     points = toy.curve.enumerate_points()
     M, N = toy.modulus.M, toy.modulus.N
 
@@ -359,6 +359,8 @@ def test_miller_does_not_use_the_group_law(toy, monkeypatch):
     monkeypatch.setattr(Curve, "chord_sum", refuse)
     monkeypatch.setattr(PrimeField, "chord_coeffs", refuse)
     monkeypatch.setattr(ExtField, "chord_coeffs", refuse)
+    monkeypatch.setattr(PrimeField, "line_coeffs", refuse)
+    monkeypatch.setattr(ExtField, "line_coeffs", refuse)
     for P in points:
         assert tate_by_miller(P, M, N, 12).serialize() == TATE_TABLE[P.serialize()][0]
 
@@ -525,3 +527,30 @@ def test_extension_add_calls_the_traced_cocycle_once(toy, monkeypatch):
     E, one = toy.curve, toy.units().identity
     toy.jacobian().add(ExtElement(E.parse_point("5;3"), one), ExtElement(E.parse_point("7;8"), one))
     assert calls == {"cocycle": 1, "line_fraction": 1}
+
+
+def test_extension_add_inverts_only_through_field_element_inverse(monkeypatch):
+    # the tracer's field.inverse wraps FieldElement.inverse: a non-vertical add
+    # on E(F_p^2) inverts the chord's denominator and the line fraction's, so
+    # a kernel that inverted inline would read 1 there; on E(F_p) the chord
+    # inverts inline and only the fraction's inverse is counted
+    params = make_toy_params(103, 1)
+    calls = []
+    honest = FieldElement.inverse
+    monkeypatch.setattr(FieldElement, "inverse", lambda x: calls.append(x) or honest(x))
+    rng = random.Random(1)
+    for ext, inverses in ((True, 2), (False, 1)):
+        jac, kinds = params.jacobian(ext), set()
+        while kinds != {"chord", "tangent"}:
+            x = jac.sample(rng)
+            y = jac.sample(rng) if "chord" not in kinds else x
+            P, Q = x.a_part, y.a_part
+            if P.is_infinity or Q.is_infinity or (P.x == Q.x and (P != Q or P.y.is_zero())):
+                continue  # no chord: the identity or a vertical
+            calls.clear()
+            try:
+                jac.add(x, y)
+            except SupportCollisionError:
+                continue
+            assert len(calls) == inverses, (ext, x, y)
+            kinds.add("tangent" if P == Q else "chord")
