@@ -7,29 +7,32 @@ is the vertical line through P + Q.  The quotient has divisor
 (P+Q) + (O) - (P) - (Q), which is exactly the shape a modulus cocycle
 needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
 An evaluation point in that support is found by a zero test on l or v
-and is a hard error rather than a silent wrong value.  The group law,
-the line fraction and point enumeration run through the field kernels
-on coefficients (an int in F_p, a pair in F_{p^2}), counting each product.
-One chord helper, over its field's `chord_coeffs` kernel, gives the slope
-and x(P+Q); a caller that needs both P + Q and the line fraction computes
-it once and hands it to both.  The line fraction is one body over either
-field: its field's `line_coeffs` kernel gives v(M)*l(N) and l(M)*v(N) or
-reports the collision, and one `FieldElement.inverse` divides them.  The
-Miller loop in `jacobian` uses neither helper, no kernel of the group law
-and not `Curve.add`: it stays in `FieldElement` arithmetic with its own
-slope, as the cocycle's independent oracle.  Curves are interned
-like fields, so two curves are equal exactly when they are the same
-object, and a curve over F_{p^2} with coefficients in F_p has the same
-equation over F_p as its base curve.  A curve is a `groups.Group` under
-chord-and-tangent: `identity` is the point at infinity, and scalar
-multiplication and subtraction are the generic ones.
+and is a hard error rather than a silent wrong value.  A point is its
+coordinates' field coefficients (an int in F_p, a pair in F_{p^2}, None
+for the identity), so the group law, the line fraction and point
+enumeration run on them through the field kernels, counting each product;
+`Curve.point` and `random_point` check a point in `FieldElement`
+arithmetic and keep its coefficients.  One chord helper, over its field's
+`chord_coeffs` kernel, gives the slope and x(P+Q); a caller that needs
+both P + Q and the line fraction computes it once and hands it to both.
+The line fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and
+l(M)*v(N) from the `line_coeffs` kernel, or the collision it reports, and
+divides them by one `FieldElement.inverse`.  The Miller loop in `jacobian`
+uses neither helper, no kernel of the group law and not `Curve.add`: it
+stays in `FieldElement` arithmetic with its own slope, as the cocycle's
+independent oracle.  Curves are interned like fields, so two curves are
+equal exactly when they are the same object, and a curve over F_{p^2}
+with coefficients in F_p has the same equation over F_p as its base
+curve.  A curve is a `groups.Group` under chord-and-tangent: `identity`
+is the point at infinity, and scalar multiplication and subtraction are
+the generic ones.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .field import Coeffs, ExtField, FieldElement, _Field
+from .field import Coeffs, ExtField, FieldElement, _Field, coeffs_to_record
 from .groups import Group, SupportCollisionError, element_order as _group_element_order
 from .numbertheory import Factorization
 
@@ -64,7 +67,7 @@ class Curve(Group):
         x, y = self.field(x), self.field(y)
         if y * y != x * x * x + self.a * x + self.b:
             raise ValueError(f"({x!r}, {y!r}) is not on {self!r}")
-        return Point(self, x, y)
+        return Point(self, x.coeffs, y.coeffs)
 
     def parse_point(self, record: str) -> "Point":
         """Inverse of Point.serialize(): 'inf' or 'x;y' coefficient lists."""
@@ -85,10 +88,9 @@ class Curve(Group):
     def embed_point(self, P: "Point") -> "Point":
         if P.curve is not self.base_curve:
             raise ValueError("point does not come from this curve's base curve")
-        if P.is_infinity:
+        if P.x is None:
             return self.identity
-        f = self.field
-        return Point(self, f.embed(P.x), f.embed(P.y))
+        return Point(self, (P.x, 0), (P.y, 0))
 
     def add(self, P: "Point", Q: "Point") -> "Point":
         if P.curve is not self or Q.curve is not self:
@@ -105,15 +107,14 @@ class Curve(Group):
             return self.identity
         lam, x3 = chord
         f = self.field
-        y3 = f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x.coeffs, x3)), P.y.coeffs)
-        return Point(self, FieldElement(f, x3), FieldElement(f, y3))
+        return Point(self, x3, f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x, x3)), P.y))
 
     def neg(self, P: "Point") -> "Point":
         if P.curve is not self:
             raise ValueError("points on mismatched curves")
-        if P.is_infinity:
+        if P.x is None:
             return P
-        return Point(self, P.x, -P.y)
+        return Point(self, P.x, self.field.sub_coeffs(self.field.zero_coeffs, P.y))
 
     def elements(self) -> Iterator["Point"]:
         return iter(self.enumerate_points())
@@ -130,13 +131,13 @@ class Curve(Group):
         if f.order > ENUM_BOUND:
             raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
         add, mul, a, b = f.add_coeffs, f.mul_coeffs, self.a.coeffs, self.b.coeffs
-        roots: dict[Coeffs, list[FieldElement]] = {}
+        roots: dict[Coeffs, list[Coeffs]] = {}
         for y in f.all_coeffs():
-            roots.setdefault(mul(y, y), []).append(FieldElement(f, y))
+            roots.setdefault(mul(y, y), []).append(y)
         points = [self.identity]
         for x in f.all_coeffs():
             ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
-            points += (Point(self, FieldElement(f, x), y) for y in ys)
+            points += (Point(self, x, y) for y in ys)
         return points
 
     def random_point(self, rng) -> "Point":
@@ -146,13 +147,13 @@ class Curve(Group):
             x = f.sample(rng)
             rhs = x * x * x + self.a * x + self.b
             if rhs.is_zero():
-                return Point(self, x, f.zero)
+                return Point(self, x.coeffs, f.zero_coeffs)
             y = rhs.sqrt()
             if y is None:
                 continue
             if rng.randrange(2):
                 y = -y
-            return Point(self, x, y)
+            return Point(self, x.coeffs, y.coeffs)
         raise RuntimeError("no curve point found; curve suspiciously small")
 
     def __repr__(self) -> str:
@@ -160,11 +161,11 @@ class Curve(Group):
 
 
 class Point:
-    """Affine curve point, or the identity when both coordinates are None."""
+    """Affine curve point by its coordinates' field coefficients, or the identity when both are None."""
 
     __slots__ = ("curve", "x", "y")
 
-    def __init__(self, curve: Curve, x: FieldElement | None, y: FieldElement | None) -> None:
+    def __init__(self, curve: Curve, x: Coeffs | None, y: Coeffs | None) -> None:
         self.curve = curve
         self.x = x
         self.y = y
@@ -174,26 +175,18 @@ class Point:
         return self.x is None
 
     def __eq__(self, other) -> bool:
-        if not (isinstance(other, Point) and other.curve is self.curve):
-            return False
-        if self.x is None or other.x is None:
-            return self.x is other.x
-        return self.x.coeffs == other.x.coeffs and self.y.coeffs == other.y.coeffs
+        return isinstance(other, Point) and (other.curve, other.x, other.y) == (self.curve, self.x, self.y)
 
     def __hash__(self) -> int:
-        if self.is_infinity:
-            return hash((self.curve, None))
-        return hash((self.curve, self.x.coeffs, self.y.coeffs))
+        return hash((self.curve, self.x, self.y))
 
     def serialize(self) -> str:
         if self.is_infinity:
             return "inf"
-        return f"{self.x.serialize()};{self.y.serialize()}"
+        return f"{coeffs_to_record(self.x)};{coeffs_to_record(self.y)}"
 
     def __repr__(self) -> str:
-        if self.is_infinity:
-            return "Point(inf)"
-        return f"Point({self.x.serialize()}; {self.y.serialize()})"
+        return f"Point({self.serialize().replace(';', '; ')})"
 
 
 def element_order(P: Point, group_order: Factorization) -> int:
@@ -203,7 +196,7 @@ def element_order(P: Point, group_order: Factorization) -> int:
 
 def _chord(P: Point, Q: Point) -> tuple[Coeffs, Coeffs] | None:
     """(lambda, x(P+Q)) as field coefficients for affine P, Q on one curve; None when P + Q = O."""
-    xP, yP, xQ, yQ, curve = P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs, P.curve
+    xP, yP, xQ, yQ, curve = P.x, P.y, Q.x, Q.y, P.curve
     if xP == xQ and (yP != yQ or yP == curve.field.zero_coeffs):
         return None
     return curve.field.chord_coeffs(xP, yP, xQ, yQ, curve.a.coeffs)
@@ -215,9 +208,9 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     P and Q may live on the base curve while M and N live on an extension
     of it; the slope and x(P+Q) are then computed in the base field and
     only they and P's coordinates are lifted; `chord`, when given, is
-    `_chord(P, Q)` computed by the caller.  When P or Q is the identity
-    the function is the constant 1.  Otherwise M and N must avoid the
-    support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
+    `_chord(P, Q)` computed by the caller.  M and N must lie over F_{p^2}.
+    When P or Q is the identity the function is the constant 1.  Otherwise
+    M and N must avoid the support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
     Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point
     lies in the support exactly when l or v is zero there.
     """
@@ -225,6 +218,8 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     field = curve.field
     if N.curve is not curve:
         raise ValueError("M and N must live on the same curve")
+    if field.degree != 2:
+        raise ValueError("M and N must live over F_p^2")
     lift = P.curve is not curve or Q.curve is not curve
     if lift and not (P.curve is curve.base_curve and Q.curve is curve.base_curve):
         raise ValueError("M and N must live on the points' curve or an extension of it")
@@ -233,7 +228,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
     sub, mul, zero = field.sub_coeffs, field.mul_coeffs, field.zero_coeffs
-    xP, yP, xM, xN = P.x.coeffs, P.y.coeffs, M.x.coeffs, N.x.coeffs
+    xP, yP, xM, xN = P.x, P.y, M.x, N.x
     if lift:
         xP, yP = (xP, 0), (yP, 0)
     if (chord := chord or _chord(P, Q)) is None:
@@ -245,7 +240,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     lam, xS = chord
     if lift:
         lam, xS = (lam, 0), (xS, 0)
-    if (fraction := field.line_coeffs(lam, xP, yP, xS, xM, M.y.coeffs, xN, N.y.coeffs)) is None:
+    if (fraction := field.line_coeffs(lam, xP, yP, xS, xM, M.y, xN, N.y)) is None:
         raise SupportCollisionError("M or N lies in the support of the line fraction")
     num, den = fraction
     return FieldElement(field, mul(num, FieldElement(field, den).inverse().coeffs))

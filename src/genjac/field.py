@@ -8,10 +8,12 @@ pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero being
 is their checked wrapper: one field method, `coeffs_of`, checks every
 operand, coercion and embedding and is the only place that raises on a
 mismatch.  Powers and the Tonelli-Shanks square root run on the kernels
-too.  Two more kernels per field serve the group law, each one straight
-line on ints or int pairs that ticks its products in bulk: `chord_coeffs`
-gives the slope and x(P+Q), and `line_coeffs` the two products of a line
-fraction v/l at (M) - (N), or None on a zero of l or v.  The F_p chord
+too.  A curve point stores its coordinates in the same format, so the
+group law never wraps them.  Its kernels are straight line on ints or int
+pairs and tick their products in bulk: `chord_coeffs`, on each field,
+gives the slope and x(P+Q), and `line_coeffs`, on F_{p^2} only, where
+every modulus lives, the two products of a line fraction v/l at
+(M) - (N), or None on a zero of l or v.  The F_p chord
 inverts inline with `pow(den, -1, p)`; every other inverse, the F_{p^2}
 chord's included, is `FieldElement.inverse`, in F_{p^2} the conjugate over
 the norm (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication and
@@ -23,14 +25,15 @@ negation and inversion count nothing, so the counts compare the work
 different group laws ask of the field.  Fields are interned by one rule,
 `_Field._intern`, one object per parameter set, so two fields are equal
 exactly when they are the same object.  Records are read as written:
-`from_record` takes only coefficients in [0, p) and reduces none of them.
+`from_record` takes only coefficients in [0, p) and reduces none of them,
+and `coeffs_to_record` writes either format.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .numbertheory import double_and_add, is_prime
+from .numbertheory import double_and_add, is_prime, quoted
 
 # Characteristic stays word-sized; exact Python ints do the rest.
 PRIME_BOUND = 1 << 61
@@ -145,10 +148,10 @@ class PrimeField(_Field):
     _registry: dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int) -> "PrimeField":
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p < PRIME_BOUND and not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p >= PRIME_BOUND:
-            raise ValueError(f"prime {p} exceeds the 2^61 bound")
+        if p >= PRIME_BOUND:  # refused before any primality test, whatever its size
+            raise ValueError(f"prime {quoted(p)} exceeds the 2^61 bound")
         return cls._intern(p, p=p, degree=1, order=p, zero_coeffs=0, _nonresidue_t=None)
 
     @property
@@ -175,17 +178,6 @@ class PrimeField(_Field):
             _tally[1] += 2  # lambda and lambda^2
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         return lam, (lam * lam - x1 - x2) % p
-
-    def line_coeffs(self, lam: int, xP: int, yP: int, xS: int, xM: int, yM: int, xN: int, yN: int):
-        """(v(M)*l(N), l(M)*v(N)) for l of slope lam through P and v at x = xS; None on a zero."""
-        p = self.p
-        _tally[1] += 2  # lambda times x(M) - x(P) and x(N) - x(P)
-        l_m, l_n = (yM - yP - lam * (xM - xP)) % p, (yN - yP - lam * (xN - xP)) % p
-        v_m, v_n = (xM - xS) % p, (xN - xS) % p
-        if not (l_m and l_n and v_m and v_n):
-            return None
-        _tally[1] += 2
-        return v_m * l_n % p, l_m * v_n % p
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -251,7 +243,7 @@ class ExtField(_Field):
         return (l0, l1), ((l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p)
 
     def line_coeffs(self, lam, xP, yP, xS, xM, yM, xN, yN):
-        """`PrimeField.line_coeffs` on pairs: (v(M)*l(N), l(M)*v(N)), or None on a zero of l or v."""
+        """(v(M)*l(N), l(M)*v(N)) for l of slope lam through P and v at x = xS; None on a zero."""
         (l0, l1), (p0, p1), (t, s, _), p = lam, xP, self.poly, self.p
         _tally[2] += 2  # lambda times x(M) - x(P) and x(N) - x(P)
         d0, d1 = xM[0] - p0, xM[1] - p1
@@ -344,7 +336,7 @@ class FieldElement:
 
     def serialize(self) -> str:
         """Comma-separated coefficients, little-endian by degree."""
-        return str(self.coeffs) if self.field.degree == 1 else coeffs_to_record(self.coeffs)
+        return coeffs_to_record(self.coeffs)
 
     def sqrt(self) -> "FieldElement | None":
         """A square root if one exists, else None, by one Tonelli-Shanks loop.
@@ -394,5 +386,6 @@ class FieldElement:
         return f"({self.serialize()}) in {self.field.name}"
 
 
-def coeffs_to_record(coeffs: Sequence[int]) -> str:
-    return ",".join(str(c) for c in coeffs)
+def coeffs_to_record(coeffs: int | Sequence[int]) -> str:
+    """An int, or a sequence's entries comma-separated, as a record writes them."""
+    return str(coeffs) if isinstance(coeffs, int) else ",".join(str(c) for c in coeffs)

@@ -7,7 +7,8 @@ that cocycle to the generic extension machinery yields the group that
 extends the curve by the multiplicative group of K.  Scalar
 multiplication of (P, 1) by a suitable order recovers the Tate pairing
 of P against M - N, which this module also computes independently with
-a textbook Miller loop so the two routes can be compared exactly.
+a textbook Miller loop on pairs of field elements, away from the curve's
+kernels, so the two routes share only the field and compare exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Modulus:
             raise ValueError("modulus points must be affine")
         if self.N in (self.M, self.curve.neg(self.M)):
             raise ValueError("modulus points must satisfy N != M and N != -M")
-        if not (self.curve.field.degree == 2 and self.M.x.coeffs[1] and self.N.x.coeffs[1]):
+        if not (self.curve.field.degree == 2 and self.M.x[1] and self.N.x[1]):
             raise ValueError("modulus points need x outside the base field")
 
     @property
@@ -138,7 +139,7 @@ def _sample_modulus_point(EK: Curve, rng) -> Point:
     # x outside the base field: its second coefficient must be nonzero
     while True:
         P = EK.random_point(rng)
-        if P.x.coeffs[1] != 0:
+        if P.x[1] != 0:
             return P
 
 
@@ -189,61 +190,60 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
     """Unreduced Tate pairing value f_{m,P}((M) - (N)) by a plain Miller loop.
 
     Written against the line equations directly, with no use of the
-    cocycle machinery or of `Curve.add`: each step finds T + Q from its
-    own slope, so it serves as an independent cross-check of
-    tate_from_group_law.  Requires m >= 1 and m*P = O.
+    cocycle machinery, `Curve.add` or a kernel: T runs over (x, y) pairs of
+    field elements, None for O, and each step finds T + Q from its own
+    slope, so it cross-checks tate_from_group_law.  Requires m*P = O, m >= 1.
     """
     if M.curve is not N.curve:
         raise ValueError("evaluation points live on different curves")
     curve = M.curve
-    if P.curve is not curve:
-        if P.curve is not curve.base_curve:
-            raise ValueError("P must lie on the evaluation curve or its base curve")
-        P = curve.embed_point(P)
+    if P.curve is not curve and P.curve is not curve.base_curve:
+        raise ValueError("P must lie on the evaluation curve or its base curve")
     if m < 1:
         raise ValueError("the pairing order must be positive")
+    K = curve.field  # an F_p coefficient of a base-curve P lifts to (c, 0)
+    P, M, N = (None if X.x is None else (K(X.x), K(X.y)) for X in (P, M, N))
     # f((M) - (N)) as one fraction, so the loop divides once at the end
-    num = den = curve.field.one
+    num = den = K.one
     T = P
     for bit in bin(m)[3:]:
-        step_num, step_den, T = _miller_step(T, T, M, N)
+        step_num, step_den, T = _miller_step(T, T, M, N, curve.a)
         num = num * num * step_num
         den = den * den * step_den
         if bit == "1":
-            step_num, step_den, T = _miller_step(T, P, M, N)
+            step_num, step_den, T = _miller_step(T, P, M, N, curve.a)
             num = num * step_num
             den = den * step_den
-    if not T.is_infinity:
+    if T is not None:
         raise ValueError("m*P must be the identity")
     return num / den
 
 
-def _miller_step(T: Point, Q: Point, M: Point, N: Point):
-    """l(M)*v(N), l(N)*v(M) and T+Q, for l through T, Q and v vertical at T+Q."""
-    curve = T.curve
-    if T.is_infinity or Q.is_infinity:
+def _miller_step(T, Q, M, N, a: FieldElement):
+    """l(M)*v(N), l(N)*v(M) and T+Q, for l through T, Q and v vertical at T+Q; points are (x, y) or None."""
+    if T is None or Q is None:
         # adding the identity contributes the constant function 1; this
         # happens when P is the identity or the pairing order is a proper
         # multiple of ord(P)
-        one = curve.field.one
-        return one, one, Q if T.is_infinity else T
-    if T.x == Q.x and (T.y != Q.y or T.y.is_zero()):
+        one = a.field.one
+        return one, one, Q if T is None else T
+    (xT, yT), (xQ, yQ), (xM, yM), (xN, yN) = T, Q, M, N
+    if xT == xQ and (yT != yQ or yT.is_zero()):
         # T + Q = O: l is the vertical through T; v is the constant 1
-        l_m, l_n = M.x - T.x, N.x - T.x
+        l_m, l_n = xM - xT, xN - xT
         if l_m.is_zero() or l_n.is_zero():
             raise SupportCollisionError("evaluation point sits on a Miller line")
-        return l_m, l_n, curve.identity
-    if T.x == Q.x:
-        x2 = T.x * T.x
-        lam = (x2 + x2 + x2 + curve.a) / (T.y + T.y)
+        return l_m, l_n, None
+    if xT == xQ:
+        x2 = xT * xT
+        lam = (x2 + x2 + x2 + a) / (yT + yT)
     else:
-        lam = (Q.y - T.y) / (Q.x - T.x)
-    x_s = lam * lam - T.x - Q.x
-    S = Point(curve, x_s, lam * (T.x - x_s) - T.y)
-    l_m = (M.y - T.y) - lam * (M.x - T.x)
-    l_n = (N.y - T.y) - lam * (N.x - T.x)
-    v_m = M.x - S.x
-    v_n = N.x - S.x
+        lam = (yQ - yT) / (xQ - xT)
+    x_s = lam * lam - xT - xQ
+    S = (x_s, lam * (xT - x_s) - yT)
+    l_m = (yM - yT) - lam * (xM - xT)
+    l_n = (yN - yT) - lam * (xN - xT)
+    v_m, v_n = xM - x_s, xN - x_s
     if l_m.is_zero() or l_n.is_zero() or v_m.is_zero() or v_n.is_zero():
         raise SupportCollisionError("evaluation point sits on a Miller line")
     return l_m * v_n, l_n * v_m, S

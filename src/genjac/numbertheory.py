@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witness set, valid far beyond the 2^61 field bound.
+# Deterministic Miller-Rabin witnesses, valid far beyond the 2^61 field bound but only below
+# MR_BOUND, the least composite that passes all twelve (Sorenson and Webster, Math. Comp. 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_BOUND = 318665857834031151167461
 
 # Trial division gives up past this; a prime cofactor is still accepted.
 _TRIAL_LIMIT = 1 << 26
@@ -40,6 +42,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def quoted(n: int) -> str:
+    """n for an error line: its digits, or their count when there are more than 40."""
+    return str(n) if len(str(n)) <= 40 else f"<{len(str(n))} digits>"
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -144,14 +151,17 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # one entry per prime, ascending: order finders take each p^e as the whole p-part
-        prod, last = 1, 1
+        # one entry per prime, ascending: order finders take each p^e as the whole p-part;
+        # sizes are bounded before any power or primality test, so no claim runs long
+        n, prod, last = self.n, 1, 1
         for p, e in self.factors:
-            if e < 1 or p <= last or not is_prime(p):
-                raise ValueError(f"bad factor {p}^{e} in factorization of {self.n}")
+            if not (0 < e <= n.bit_length() and last < p <= n and p < MR_BOUND) or not is_prime(p):
+                raise ValueError(f"bad factor {quoted(p)}^{quoted(e)} in factorization of {quoted(n)}")
             prod, last = prod * p**e, p
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, not {self.n}")
+            if prod > n:
+                raise ValueError(f"factors multiply to more than {quoted(n)}")
+        if prod != n:
+            raise ValueError(f"factors multiply to {prod}, not {quoted(n)}")
 
     @classmethod
     def from_int(cls, n: int) -> "Factorization":

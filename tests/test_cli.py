@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -284,13 +285,26 @@ def test_malformed_params_file_exit_2(toy, tmp_path, capsys):
         (good.replace("modulus.M = 8,3;4,3", "modulus.M = 19,3;4,3"),
          "line 9: modulus.M: coefficients must lie in [0, 11), got '19,3'"),
     ]
+    # numbers that would drive unbounded work if they were computed with before
+    # they were compared: each must end at once, quoted by its digit count
+    claim, huge = 2**9941 - 1, 2**2203 - 1
+    quick = [
+        (good.replace("order.curve_ext = 144 = 2^4 * 3^2", "order.curve_ext = 144 = 2^1000000000000 * 3^2"),
+         "line 12: order.curve_ext: bad factor 2^1000000000000 in factorization of 144"),
+        (good.replace("order.curve = 12 = 2^2 * 3", f"order.curve = {claim} = {claim}"),
+         "line 11: order.curve: bad factor <2993 digits>^1 in factorization of <2993 digits>"),
+        (good.replace("p = 11\n", f"p = {huge}\n"), "line 4: p: prime <664 digits> exceeds the 2^61 bound"),
+    ]
     bad = tmp_path / "bad.txt"
-    for text, message in rows:
+    for text, message in rows + quick:
         bad.write_text(text)
+        start = time.perf_counter()
         assert main(["verify", "--params", str(bad)]) == 2
+        elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
+        assert (text, message) not in quick or (elapsed < 0.1 and len(err) < 200), (message, elapsed)
 
 
 def test_non_canonical_params_file_exit_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
-from genjac.field import ExtField, PrimeField, count_mults
+from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.jacobian import tate_by_miller
 from genjac.numbertheory import Factorization
 
@@ -21,6 +21,13 @@ def EK(E):
 
 ORDER_12 = Factorization.from_int(12)
 ORDER_144 = Factorization.from_int(144)
+
+
+def xy(P):
+    """P's coordinates as field elements, None for O: the oracles read a point through
+    FieldElement arithmetic, so they share no code with the coefficient kernels."""
+    k = P.curve.field
+    return None if P.is_infinity else (k(P.x), k(P.y))
 
 
 def test_curve_construction_errors():
@@ -111,8 +118,8 @@ def test_serialize_parse_roundtrip(E, EK):
 
 def test_random_point_on_curve(E, EK, rng):
     for _ in range(30):
-        p = E.random_point(rng)
-        assert p.y * p.y == p.x * p.x * p.x + E.a * p.x + E.b
+        x, y = xy(E.random_point(rng))
+        assert y * y == x * x * x + E.a * x + E.b
     q = EK.random_point(rng)
     assert q.curve is EK
 
@@ -131,7 +138,7 @@ def test_embed_point(E, EK):
     P = E.point(F(5), F(3))
     lifted = EK.embed_point(P)
     assert lifted.curve is EK
-    assert lifted.x == EK.field.embed(P.x)
+    assert xy(lifted) == tuple(EK.field.embed(c) for c in xy(P))
     assert EK.embed_point(E.identity).is_infinity
 
 
@@ -149,14 +156,15 @@ def _schoolbook(P, Q):
     validated by Curve.point.
     """
     E, k = P.curve, P.curve.field
-    if P.x == Q.x and P.y == -Q.y:
+    (xP, yP), (xQ, yQ) = xy(P), xy(Q)
+    if xP == xQ and yP == -yQ:
         return None, E.identity
-    if P.x == Q.x:
-        lam = (k(3) * P.x * P.x + E.a) / (k(2) * P.y)
+    if xP == xQ:
+        lam = (k(3) * xP * xP + E.a) / (k(2) * yP)
     else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    return lam, E.point(x3, lam * (P.x - x3) - P.y)
+        lam = (yQ - yP) / (xQ - xP)
+    x3 = lam * lam - xP - xQ
+    return lam, E.point(x3, lam * (xP - x3) - yP)
 
 
 def _schoolbook_add(P, Q):
@@ -179,10 +187,11 @@ def _chord_values(P, Q, X):
     if P.is_infinity or Q.is_infinity:
         return k.one, k.one
     lam, S = _schoolbook(P, Q)
+    (xP, yP), (xX, yX) = xy(P), xy(X)
     if lam is None:
-        return k.one, X.x - P.x
-    line = (X.y - P.y) - lam * (X.x - P.x)
-    vertical = X.x - S.x
+        return k.one, xX - xP
+    line = (yX - yP) - lam * (xX - xP)
+    vertical = xX - xy(S)[0]
     return vertical, line
 
 
@@ -268,10 +277,10 @@ def test_line_fraction_vertical_case(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
     Q = E.neg(P)
-    x_p = EK.field.embed(P.x)
-    M, N = [p for p in EK.enumerate_points() if not p.is_infinity and p.x != x_p][:2]
+    x_p = EK.field.embed(xy(P)[0])
+    M, N = [p for p in EK.enumerate_points() if not p.is_infinity and xy(p)[0] != x_p][:2]
     got = eval_line_fraction(P, Q, M, N)
-    assert got == (N.x - x_p) / (M.x - x_p)
+    assert got == (xy(N)[0] - x_p) / (xy(M)[0] - x_p)
     with pytest.raises(SupportCollisionError):
         eval_line_fraction(P, Q, EK.embed_point(P), N)
     with pytest.raises(SupportCollisionError):
@@ -290,15 +299,10 @@ def test_lift_consistency(E, EK, rng):
 
 def test_line_fraction_exhaustive_against_oracle(toy):
     # every pair in E(F_121)^2 and every base pair in E(F_11)^2 at the toy
-    # modulus, and every base pair at two affine points of E(F_11), where
-    # nothing is lifted and the zero tests see F_p values: same value, and
-    # the same collision set as point membership
-    modulus = toy.modulus.M, toy.modulus.N
-    ext_points = toy.ext_curve.enumerate_points()
-    base_points = toy.curve.enumerate_points()
-    base_modulus = toy.curve.parse_point("5;3"), toy.curve.parse_point("7;8")
+    # modulus: same value, and the same collision set as point membership
+    M, N = toy.modulus.M, toy.modulus.N
     collisions = 0
-    for points, (M, N) in ((ext_points, modulus), (base_points, modulus), (base_points, base_modulus)):
+    for points in (toy.ext_curve.enumerate_points(), toy.curve.enumerate_points()):
         for P in points:
             for Q in points:
                 expected = _oracle(P, Q, M, N)
@@ -365,12 +369,13 @@ def test_add_matches_schoolbook_with_exact_counts(name):
             expected = _schoolbook_add(P, Q)
             with count_mults() as counter:
                 got = E.add(P, Q)
-            assert got.curve is E and (got.x, got.y) == (expected.x, expected.y), (P, Q)
-            if P.is_infinity or Q.is_infinity or (P.x == Q.x and P.y == -Q.y):
+            assert got.curve is E and xy(got) == xy(expected), (P, Q)
+            if P.is_infinity or Q.is_infinity or expected.is_infinity:
                 muls = 0
             else:
-                muls = 4 if P.x == Q.x else 3
-                tangents += P.x == Q.x
+                tangent = xy(P)[0] == xy(Q)[0]
+                muls = 4 if tangent else 3
+                tangents += tangent
             assert counter.by_degree == ({field.degree: muls} if muls else {}), (P, Q)
             assert counter.muls == muls
     assert tangents > 0
@@ -387,11 +392,12 @@ KERNEL_CURVES = {
 
 @pytest.mark.parametrize("name", KERNEL_CURVES)
 def test_kernels_match_field_element_arithmetic(name):
-    # every chord and tangent of two affine points, and at each the line
-    # fraction at an evaluation pair (M, N) that walks the points: the same
-    # values as FieldElement arithmetic, None exactly when l or v vanishes at
-    # M or N, and one count per product (2 per chord, 3 per tangent; 2 before
-    # the line's zero test and 2 after it)
+    # every chord and tangent of two affine points, and over F_{p^2} at each
+    # the line fraction at an evaluation pair (M, N) that walks the points:
+    # the same values as FieldElement arithmetic, None exactly when l or v
+    # vanishes at M or N, and one count per product (2 per chord, 3 per
+    # tangent; 2 before the line's zero test and 2 after it); F_p has no line
+    # kernel, since every modulus lives over F_{p^2}
     p, poly, a, b = KERNEL_CURVES[name]
     field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
     E, d = Curve(field, a, b), field.degree
@@ -399,30 +405,35 @@ def test_kernels_match_field_element_arithmetic(name):
     seen = set()
     for i, P in enumerate(points):
         for j, Q in enumerate(points):
-            tangent = P.x == Q.x
-            if tangent and (P.y != Q.y or P.y.is_zero()):
+            (xP, yP), (xQ, yQ) = xy(P), xy(Q)
+            tangent = xP == xQ
+            if tangent and (yP != yQ or yP.is_zero()):
                 continue  # P + Q = O: no chord
             if tangent:
-                lam = (field(3) * P.x * P.x + E.a) / (field(2) * P.y)
+                lam = (field(3) * xP * xP + E.a) / (field(2) * yP)
             else:
-                lam = (Q.y - P.y) / (Q.x - P.x)
-            xS = lam * lam - P.x - Q.x
+                lam = (yQ - yP) / (xQ - xP)
+            xS = lam * lam - xP - xQ
             with count_mults() as counter:
-                got = field.chord_coeffs(P.x.coeffs, P.y.coeffs, Q.x.coeffs, Q.y.coeffs, E.a.coeffs)
+                got = field.chord_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
             assert got == (lam.coeffs, xS.coeffs), (P, Q)
             assert counter.by_degree == {d: 3 if tangent else 2}, (P, Q)
+            kind = "tangent" if tangent else "chord"
+            if d == 1:
+                seen.add(kind)
+                continue
             M, N = points[(i + j) % len(points)], points[(i + 2 * j + 1) % len(points)]
-            l_m, l_n = (M.y - P.y) - lam * (M.x - P.x), (N.y - P.y) - lam * (N.x - P.x)
-            v_m, v_n = M.x - xS, N.x - xS
+            (xM, yM), (xN, yN) = xy(M), xy(N)
+            l_m, l_n = (yM - yP) - lam * (xM - xP), (yN - yP) - lam * (xN - xP)
+            v_m, v_n = xM - xS, xN - xS
             collides = any(z.is_zero() for z in (l_m, l_n, v_m, v_n))
             expected = None if collides else ((v_m * l_n).coeffs, (l_m * v_n).coeffs)
-            args = lam.coeffs, P.x.coeffs, P.y.coeffs, xS.coeffs, M.x.coeffs, M.y.coeffs, N.x.coeffs, N.y.coeffs
             with count_mults() as counter:
-                got = field.line_coeffs(*args)
+                got = field.line_coeffs(lam.coeffs, P.x, P.y, xS.coeffs, M.x, M.y, N.x, N.y)
             assert got == expected, (P, Q, M, N)
             assert counter.by_degree == {d: 2 if collides else 4}, (P, Q, M, N)
-            seen.add(("tangent" if tangent else "chord", "collision" if collides else "value"))
-    assert len(seen) == 4
+            seen.add((kind, "collision" if collides else "value"))
+    assert len(seen) == (2 if d == 1 else 4)
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])
@@ -446,17 +457,17 @@ def test_add_at_word_size_matches_schoolbook(p):
         if expected.is_infinity:
             kind, by_degree = "identity", {}
         else:
-            assert all(type(c) is int and 0 <= c < p for c in (got.x.coeffs, got.y.coeffs)), got
-            kind, by_degree = ("tangent", {1: 4}) if P.x == Q.x else ("chord", {1: 3})
+            assert all(type(c) is int and 0 <= c < p for c in (got.x, got.y)), got
+            kind, by_degree = ("tangent", {1: 4}) if xy(P)[0] == xy(Q)[0] else ("chord", {1: 3})
         assert counter.by_degree == by_degree, (P, Q)
         seen.add(kind)
     assert seen == {"chord", "tangent", "identity"}
 
 
 def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
-    # one format per field on every path that makes a value: a stray (c,)
-    # would compare unequal to c, so Point equality and hashing would
-    # disagree and a BSGS lookup would miss
+    # one format per field on every path that makes a value or a point: a
+    # stray (c,) or FieldElement would compare unequal to c, so Point equality
+    # and hashing would disagree and a BSGS lookup would miss
     rng = random.Random(1)
 
     def values(curve, record):
@@ -464,16 +475,54 @@ def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
         x, y = k.from_record(record), k(3)
         made = [x, y, k([4]), k.sample(rng), k.zero, k.one, *k.elements()]
         made += [x + y, x - y, -x, x * y, x / y, x.inverse(), x ** 5, (x * x).sqrt()]
-        P, Q = curve.random_point(rng), curve.parse_point(curve.random_point(rng).serialize())
-        points = [P, Q, curve.add(P, Q), curve.add(P, P), *curve.enumerate_points()]
-        return made + [c for R in points if not R.is_infinity for c in (R.x, R.y)]
+        return [value.coeffs for value in made]
+
+    def coordinates(curve):
+        # every Point constructor: point, parse_point, random_point,
+        # enumerate_points, add by chord and by tangent, neg and embed_point
+        P = curve.random_point(rng)
+        while P.y == curve.field.zero_coeffs:
+            P = curve.random_point(rng)
+        affine = [R for R in curve.enumerate_points() if not R.is_infinity]
+        Q = curve.parse_point(next(R for R in affine if R.x != P.x).serialize())
+        made = [P, Q, curve.point(P.x, P.y), curve.add(P, Q), curve.add(P, P), curve.neg(P), *affine]
+        identities = [curve.identity, curve.add(P, curve.neg(P))]  # the second by a vertical
+        if curve.base_curve is not None:
+            made.append(curve.embed_point(curve.base_curve.parse_point("5;3")))
+            identities.append(curve.embed_point(curve.base_curve.identity))
+        assert not any(R.is_infinity for R in made)
+        assert all((O.x, O.y) == (None, None) for O in identities)
+        return [c for R in made for c in (R.x, R.y)]
 
     F, K = E.field, EK.field
-    for value in values(E, "5"):
-        assert type(value.coeffs) is int and 0 <= value.coeffs < F.p, value
-    for value in values(EK, "5,2") + [K.embed(F(3)), EK.embed_point(E.parse_point("5;3")).x]:
-        c = value.coeffs
-        assert type(c) is tuple and len(c) == 2 and all(type(a) is int and 0 <= a < K.p for a in c), value
+    for c in values(E, "5") + coordinates(E):
+        assert type(c) is int and 0 <= c < F.p, c
+    for c in values(EK, "5,2") + [K.embed(F(3)).coeffs] + coordinates(EK):
+        assert type(c) is tuple and len(c) == 2 and all(type(a) is int and 0 <= a < K.p for a in c), c
+
+
+@pytest.mark.parametrize("poly, per_add", [(None, 0), ((1, 0, 1), 2)])
+def test_curve_ladder_builds_field_elements_only_for_the_chord_inverse(monkeypatch, poly, per_add):
+    # a point is its coefficients: a ladder on E(F_103) builds no FieldElement,
+    # and one on E(F_103^2) exactly two per non-vertical add, the chord
+    # inverse's operand and its result
+    F = PrimeField(103)
+    E = Curve(F if poly is None else ExtField(F, poly), 1, 0)
+    rng = random.Random(103)
+    P, n = E.random_point(rng), rng.randrange(1 << 20, 1 << 21)
+    built, nonvertical = [], []
+    honest_init, honest_add = FieldElement.__init__, Curve.add
+
+    def add(self, P, Q):
+        nonvertical.append(not (P.is_infinity or Q.is_infinity or P == self.neg(Q)))
+        return honest_add(self, P, Q)
+
+    monkeypatch.setattr(FieldElement, "__init__", lambda x, *args: built.append(args) or honest_init(x, *args))
+    monkeypatch.setattr(Curve, "add", add)
+    E.scalar_mul(n, P)
+    monkeypatch.undo()
+    assert sum(nonvertical) > 20
+    assert len(built) == per_add * sum(nonvertical)
 
 
 def test_line_fraction_exact_counts(E, EK):
@@ -483,7 +532,7 @@ def test_line_fraction_exact_counts(E, EK):
     F = E.field
     P, Q = E.point(F(5), F(3)), E.point(F(7), F(8))
     S, lift = E.add(P, Q), EK.embed_point
-    M, N = [X for X in EK.enumerate_points() if not X.is_infinity and X.x.coeffs[1]][:2]
+    M, N = [X for X in EK.enumerate_points() if not X.is_infinity and X.x[1]][:2]
     cases = [
         ((lift(P), lift(Q), M, N), {2: 7}),  # unlifted chord
         ((lift(P), lift(P), M, N), {2: 8}),  # unlifted tangent

@@ -51,6 +51,12 @@ CHECKS = {
         lambda toy: eval_line_fraction(_base_point(toy), _base_point(toy), toy.modulus.M, _base_point(toy)),
         ValueError, "M and N must live on the same curve",
     ),
+    "eval_line_fraction over F_p": (
+        # a modulus lives over F_p^2, so there is no line kernel over F_p
+        lambda toy: eval_line_fraction(
+            toy.curve.point(5, 3), toy.curve.point(7, 8), _base_point(toy), toy.curve.point(9, 1)),
+        ValueError, "M and N must live over F_p\\^2",
+    ),
     "eval_line_fraction P, Q": (
         lambda toy: eval_line_fraction(OTHER.point(0, 1), OTHER.point(0, 1), toy.modulus.M, toy.modulus.N),
         ValueError, "M and N must live on the points' curve or an extension of it",
