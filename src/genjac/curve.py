@@ -17,10 +17,10 @@ arithmetic and keep its coefficients.  One chord helper, over its field's
 both P + Q and the line fraction computes it once and hands it to both.
 The line fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and
 l(M)*v(N) from the `line_coeffs` kernel, or the collision it reports, and
-divides them by one `FieldElement.inverse`.  The Miller loop in `jacobian`
-uses neither helper, no kernel of the group law and not `Curve.add`: it
-stays in `FieldElement` arithmetic with its own slope, as the cocycle's
-independent oracle.  Curves are interned like fields, so two curves are
+divides them by one `FieldElement.inverse` into coefficients, the unit
+group's format.  The Miller loop in `jacobian` uses neither helper, no
+kernel of the group law and not `Curve.add`: it stays in `FieldElement`
+arithmetic with its own slope, as the cocycle's independent oracle.  Curves are interned like fields, so two curves are
 equal exactly when they are the same object, and a curve over F_{p^2}
 with coefficients in F_p has the same equation over F_p as its base
 curve.  A curve is a `groups.Group` under chord-and-tangent: `identity`
@@ -83,14 +83,7 @@ class Curve(Group):
         """The same equation over an extension of this curve's field."""
         if ext_field.base is not self.field:
             raise ValueError("extension field does not contain the curve's field")
-        return Curve(ext_field, ext_field.embed(self.a), ext_field.embed(self.b))
-
-    def embed_point(self, P: "Point") -> "Point":
-        if P.curve is not self.base_curve:
-            raise ValueError("point does not come from this curve's base curve")
-        if P.x is None:
-            return self.identity
-        return Point(self, (P.x, 0), (P.y, 0))
+        return Curve(ext_field, self.a.coeffs, self.b.coeffs)
 
     def add(self, P: "Point", Q: "Point") -> "Point":
         if P.curve is not self or Q.curve is not self:
@@ -202,8 +195,8 @@ def _chord(P: Point, Q: Point) -> tuple[Coeffs, Coeffs] | None:
     return curve.field.chord_coeffs(xP, yP, xQ, yQ, curve.a.coeffs)
 
 
-def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> FieldElement:
-    """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N).
+def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Coeffs:
+    """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N), as coefficients.
 
     P and Q may live on the base curve while M and N live on an extension
     of it; the slope and x(P+Q) are then computed in the base field and
@@ -224,7 +217,7 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
     if lift and not (P.curve is curve.base_curve and Q.curve is curve.base_curve):
         raise ValueError("M and N must live on the points' curve or an extension of it")
     if P.x is None or Q.x is None:
-        return field.one
+        return field.one_coeffs
     if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
     sub, mul, zero = field.sub_coeffs, field.mul_coeffs, field.zero_coeffs
@@ -236,11 +229,11 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Fi
         l_m, l_n = sub(xM, xP), sub(xN, xP)
         if zero in (l_m, l_n):
             raise SupportCollisionError("M or N is a pole of the line fraction")
-        return FieldElement(field, mul(l_n, FieldElement(field, l_m).inverse().coeffs))
+        return mul(l_n, FieldElement(field, l_m).inverse().coeffs)
     lam, xS = chord
     if lift:
         lam, xS = (lam, 0), (xS, 0)
     if (fraction := field.line_coeffs(lam, xP, yP, xS, xM, M.y, xN, N.y)) is None:
         raise SupportCollisionError("M or N lies in the support of the line fraction")
     num, den = fraction
-    return FieldElement(field, mul(num, FieldElement(field, den).inverse().coeffs))
+    return mul(num, FieldElement(field, den).inverse().coeffs)

@@ -2,22 +2,24 @@
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic.  An element's coefficients are an int in F_p and a
-pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero being
-`zero_coeffs`.  Each field has straight-line kernels on them
-(`add_coeffs`, `sub_coeffs`, `mul_coeffs`), and `FieldElement` arithmetic
-is their checked wrapper: one field method, `coeffs_of`, checks every
-operand, coercion and embedding and is the only place that raises on a
-mismatch.  Powers and the Tonelli-Shanks square root run on the kernels
-too.  A curve point stores its coordinates in the same format, so the
-group law never wraps them.  Its kernels are straight line on ints or int
-pairs and tick their products in bulk: `chord_coeffs`, on each field,
-gives the slope and x(P+Q), and `line_coeffs`, on F_{p^2} only, where
-every modulus lives, the two products of a line fraction v/l at
-(M) - (N), or None on a zero of l or v.  The F_p chord
-inverts inline with `pow(den, -1, p)`; every other inverse, the F_{p^2}
-chord's included, is `FieldElement.inverse`, in F_{p^2} the conjugate over
-the norm (Devegili, O hEigeartaigh, Scott and Dahab, "Multiplication and
-squaring on pairing-friendly fields", ePrint 2006/471).  Each product a
+pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero and one being
+`zero_coeffs` and `one_coeffs`.  Each field has straight-line kernels on
+them (`add_coeffs`, `sub_coeffs`, `mul_coeffs`), and `FieldElement`
+arithmetic is their checked wrapper: one field method, `coeffs_of`, checks
+every operand and coercion and is the only place that raises on a
+mismatch; `K(c)` lifts an F_p coefficient c into F_{p^2} as (c, 0).
+Powers and the Tonelli-Shanks square root run on the kernels too.  A
+curve point stores its coordinates, and a unit itself, in the same
+format, so the group law never wraps them.  Its kernels are straight
+line on ints or int pairs and tick their products in bulk:
+`chord_coeffs`, on each field, gives the slope and x(P+Q), and
+`line_coeffs`, on F_{p^2} only, where every modulus lives, the two
+products of a line fraction v/l at (M) - (N), or None on a zero of l or
+v.  The F_p chord inverts inline with `pow(den, -1, p)`; every other
+inverse, the F_{p^2} chord's included, is `FieldElement.inverse`, in
+F_{p^2} the conjugate over the norm (Devegili, O hEigeartaigh, Scott and
+Dahab, "Multiplication and squaring on pairing-friendly fields", ePrint
+2006/471).  Each product a
 kernel makes adds one to a process-wide tally for its field's degree,
 whether an operator or a kernel caller asked for it, and `count_mults`
 reads the tally by difference over a `with` block; addition, subtraction,
@@ -89,11 +91,11 @@ class _Field:
 
     @property
     def zero(self) -> "FieldElement":
-        return self._at(0)
+        return FieldElement(self, self.zero_coeffs)
 
     @property
     def one(self) -> "FieldElement":
-        return self._at(1)
+        return FieldElement(self, self.one_coeffs)
 
     def coeffs_of(self, x) -> Coeffs:
         """The coefficients of x, which must be an element of this field."""
@@ -144,7 +146,7 @@ class _Field:
 class PrimeField(_Field):
     """F_p for a word-sized prime p; one object per p."""
 
-    __slots__ = ("p", "degree", "order", "zero_coeffs", "_nonresidue_t")
+    __slots__ = ("p", "degree", "order", "zero_coeffs", "one_coeffs", "_nonresidue_t")
     _registry: dict[int, "PrimeField"] = {}
 
     def __new__(cls, p: int) -> "PrimeField":
@@ -152,7 +154,7 @@ class PrimeField(_Field):
             raise ValueError(f"{p} is not prime")
         if p >= PRIME_BOUND:  # refused before any primality test, whatever its size
             raise ValueError(f"prime {quoted(p)} exceeds the 2^61 bound")
-        return cls._intern(p, p=p, degree=1, order=p, zero_coeffs=0, _nonresidue_t=None)
+        return cls._intern(p, p=p, degree=1, order=p, zero_coeffs=0, one_coeffs=1, _nonresidue_t=None)
 
     @property
     def name(self) -> str:
@@ -186,7 +188,7 @@ class PrimeField(_Field):
 class ExtField(_Field):
     """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible; one object per poly."""
 
-    __slots__ = ("base", "p", "degree", "order", "poly", "zero_coeffs", "_nonresidue_t")
+    __slots__ = ("base", "p", "degree", "order", "poly", "zero_coeffs", "one_coeffs", "_nonresidue_t")
     _registry: dict[tuple[int, tuple[int, ...]], "ExtField"] = {}
 
     def __new__(cls, base: PrimeField, poly: Sequence[int]) -> "ExtField":
@@ -205,7 +207,7 @@ class ExtField(_Field):
         if pow(s * s - 4 * t, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"reduction polynomial {list(poly)} is reducible over F_{p}")
         return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly,
-                           zero_coeffs=(0, 0), _nonresidue_t=None)
+                           zero_coeffs=(0, 0), one_coeffs=(1, 0), _nonresidue_t=None)
 
     @property
     def name(self) -> str:
@@ -260,10 +262,6 @@ class ExtField(_Field):
         hi, lo = vm1 * ln1, lm1 * vn1
         return (((vm0 * ln0 - t * hi) % p, (vm0 * ln1 + vm1 * ln0 - s * hi) % p),
                 ((lm0 * vn0 - t * lo) % p, (lm0 * vn1 + lm1 * vn0 - s * lo) % p))
-
-    def embed(self, elem: "FieldElement") -> "FieldElement":
-        """Lift a base-field element along the inclusion F_p -> F_{p^2}."""
-        return FieldElement(self, (self.base.coeffs_of(elem), 0))
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, degree=2, poly={list(self.poly)})"
@@ -350,7 +348,7 @@ class FieldElement:
         f, a = self.field, self.coeffs
         if self.is_zero():
             return self
-        mul, one = f.mul_coeffs, f.one.coeffs
+        mul, one = f.mul_coeffs, f.one_coeffs
         m, t = 0, f.order - 1
         while t % 2 == 0:
             t //= 2

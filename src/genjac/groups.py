@@ -9,7 +9,8 @@ with identity (0, 0) and inverse (-a, -(b + c(a, -a))).  Embedding B as
 {(0, b)} and projecting to A makes 0 -> B -> C -> A -> 0 exact; that
 exactness is what the discrete-log reduction in dlp.py exploits.  All
 backends write their law additively, including the multiplicative group
-of a field, so the same extension machinery covers every case.  An
+of a field, whose units are their field coefficients (its add is
+`mul_coeffs`), so the same extension machinery covers every case.  An
 extension add asks its cocycle for a + a' and c(a, a') in one call, so a
 cocycle that needs the sum anyway computes it once; the cocycle relation
 check takes p + q and q + r from the cocycle the same way.  The
@@ -27,7 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Iterator, NamedTuple
 
-from .field import FieldElement, _Field
+from .field import Coeffs, FieldElement, _Field, coeffs_to_record
 from .numbertheory import Factorization, double_and_add, order_parts
 
 
@@ -66,29 +67,32 @@ class Group(ABC):
 
 
 class MultiplicativeGroup(Group):
-    """Nonzero field elements; the additive interface wraps multiplication."""
+    """Nonzero field elements as coefficients: add is `mul_coeffs`, neg one `FieldElement.inverse`."""
 
     def __init__(self, field: _Field) -> None:
         self.field = field
 
     @property
-    def identity(self) -> FieldElement:
-        return self.field.one
+    def identity(self) -> Coeffs:
+        return self.field.one_coeffs
 
-    def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        return x * y
+    def add(self, x: Coeffs, y: Coeffs) -> Coeffs:
+        return self.field.mul_coeffs(x, y)
 
-    def neg(self, x: FieldElement) -> FieldElement:
-        return x.inverse()
+    def neg(self, x: Coeffs) -> Coeffs:
+        return FieldElement(self.field, x).inverse().coeffs
 
-    def elements(self) -> Iterator[FieldElement]:
-        return (x for x in self.field.elements() if not x.is_zero())
+    def serialize(self, x: Coeffs) -> str:
+        return coeffs_to_record(x)
 
-    def sample(self, rng) -> FieldElement:
+    def elements(self) -> Iterator[Coeffs]:
+        return (x for x in self.field.all_coeffs() if x != self.field.zero_coeffs)
+
+    def sample(self, rng) -> Coeffs:
         while True:
             x = self.field.sample(rng)
             if not x.is_zero():
-                return x
+                return x.coeffs
 
     def describe(self) -> str:
         return f"Gm({self.field.name})"

@@ -4,11 +4,12 @@ For a modulus built from two distinct affine points M, N of E(K), the
 cocycle sends a pair of curve points to f(M)/f(N), where f = v/l is the
 chord-vertical quotient with divisor (P+Q) + (O) - (P) - (Q).  Feeding
 that cocycle to the generic extension machinery yields the group that
-extends the curve by the multiplicative group of K.  Scalar
-multiplication of (P, 1) by a suitable order recovers the Tate pairing
-of P against M - N, which this module also computes independently with
-a textbook Miller loop on pairs of field elements, away from the curve's
-kernels, so the two routes share only the field and compare exactly.
+extends the curve by the multiplicative group of K, its values and fiber
+parts being K's coefficients.  Scalar multiplication of (P, 1) by a
+suitable order recovers the Tate pairing of P against M - N, which this
+module also computes independently with a textbook Miller loop on pairs
+of field elements, away from the curve's kernels, so the two routes
+share only the field and compare exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _chord, element_order, eval_line_fraction
-from .field import ExtField, FieldElement, PrimeField, coeffs_to_record
+from .field import Coeffs, ExtField, FieldElement, PrimeField, coeffs_to_record
 from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
 
@@ -59,10 +60,10 @@ class ModulusCocycle(Cocycle):
         super().__init__(a_group, b_group)
         self.modulus = modulus
 
-    def __call__(self, p: Point, q: Point, chord=None) -> FieldElement:
+    def __call__(self, p: Point, q: Point, chord=None) -> Coeffs:
         return eval_line_fraction(p, q, self.modulus.M, self.modulus.N, chord)
 
-    def sum_and_value(self, p: Point, q: Point) -> tuple[Point, FieldElement]:
+    def sum_and_value(self, p: Point, q: Point) -> tuple[Point, Coeffs]:
         """P + Q and c(P, Q) from one chord, counted as `Curve.add` plus the cocycle."""
         A = self.a_group
         if p.x is None or q.x is None or p.curve is not A or q.curve is not A:
@@ -178,12 +179,12 @@ def tate_from_group_law(P: Point, params: GenJacParams) -> FieldElement:
     lands on the identity and the fiber part is the inverse of the
     unreduced pairing value, which is returned.
     """
-    jac = params.jacobian()
+    jac, K = params.jacobian(), params.ext_curve.field
     m = pairing_order(P, params)
-    total = jac.scalar_mul(m, ExtElement(P, params.ext_curve.field.one))
+    total = jac.scalar_mul(m, ExtElement(P, K.one_coeffs))
     if not total.a_part.is_infinity:
         raise ArithmeticError("pairing order failed to kill the curve component")
-    return total.b_part.inverse()
+    return FieldElement(K, total.b_part).inverse()
 
 
 def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
@@ -191,8 +192,9 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
 
     Written against the line equations directly, with no use of the
     cocycle machinery, `Curve.add` or a kernel: T runs over (x, y) pairs of
-    field elements, None for O, and each step finds T + Q from its own
-    slope, so it cross-checks tate_from_group_law.  Requires m*P = O, m >= 1.
+    field elements, None for O, and each step finds T + Q from its own slope,
+    so it cross-checks tate_from_group_law.  Requires m*P = O, m >= 1 and
+    affine M, N.
     """
     if M.curve is not N.curve:
         raise ValueError("evaluation points live on different curves")
@@ -201,6 +203,8 @@ def tate_by_miller(P: Point, M: Point, N: Point, m: int) -> FieldElement:
         raise ValueError("P must lie on the evaluation curve or its base curve")
     if m < 1:
         raise ValueError("the pairing order must be positive")
+    if M.x is None or N.x is None:
+        raise SupportCollisionError("the identity is in the support")
     K = curve.field  # an F_p coefficient of a base-curve P lifts to (c, 0)
     P, M, N = (None if X.x is None else (K(X.x), K(X.y)) for X in (P, M, N))
     # f((M) - (N)) as one fraction, so the loop divides once at the end

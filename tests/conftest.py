@@ -49,7 +49,7 @@ def skewed_cocycle(monkeypatch):
 
     def skewed(self, p, q, chord=None):
         value = honest(self, p, q, chord)
-        return value + value if p.serialize() < q.serialize() else value
+        return self.b_group.field.add_coeffs(value, value) if p.serialize() < q.serialize() else value
 
     monkeypatch.setattr(ModulusCocycle, "__call__", skewed)
 

@@ -4,7 +4,8 @@ import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
 from genjac.field import ExtField, FieldElement, PrimeField, count_mults
-from genjac.jacobian import tate_by_miller
+from genjac.groups import ExtElement, MultiplicativeGroup, ZeroCocycle
+from genjac.jacobian import make_toy_params, tate_by_miller
 from genjac.numbertheory import Factorization
 
 
@@ -28,6 +29,12 @@ def xy(P):
     FieldElement arithmetic, so they share no code with the coefficient kernels."""
     k = P.curve.field
     return None if P.is_infinity else (k(P.x), k(P.y))
+
+
+def _lift(EK, P):
+    """P on EK, the same equation over an extension of P's field: EK.point checks
+    it again in FieldElement arithmetic, where an F_p coefficient c lifts to (c, 0)."""
+    return EK.identity if P.is_infinity else EK.point(P.x, P.y)
 
 
 def test_curve_construction_errors():
@@ -133,15 +140,6 @@ def test_random_point_gives_up_after_its_draw_budget(E):
         E.random_point(StuckRng())
 
 
-def test_embed_point(E, EK):
-    F = E.field
-    P = E.point(F(5), F(3))
-    lifted = EK.embed_point(P)
-    assert lifted.curve is EK
-    assert xy(lifted) == tuple(EK.field.embed(c) for c in xy(P))
-    assert EK.embed_point(E.identity).is_infinity
-
-
 def test_element_order_rejects_non_multiple(E):
     P = E.point(E.field(5), E.field(3))  # order 3
     with pytest.raises(ValueError):
@@ -196,18 +194,18 @@ def _chord_values(P, Q, X):
 
 
 def _oracle(P, Q, M, N):
-    """(v/l)(M) / (v/l)(N) by definition, or None when M or N is in the support."""
+    """(v/l)(M) / (v/l)(N) by definition, as coefficients, or None when M or N is in the support."""
     EK = M.curve
     if P.curve != EK:
-        P, Q = EK.embed_point(P), EK.embed_point(Q)
+        P, Q = _lift(EK, P), _lift(EK, Q)
     if P.is_infinity or Q.is_infinity:
-        return EK.field.one
+        return EK.field.one_coeffs
     S = _schoolbook(P, Q)[1]
     support = {EK.identity, P, Q, S, EK.neg(S)}
     if M in support or N in support:
         return None
     (v_m, l_m), (v_n, l_n) = _chord_values(P, Q, M), _chord_values(P, Q, N)
-    return (v_m / l_m) / (v_n / l_n)
+    return ((v_m / l_m) / (v_n / l_n)).coeffs
 
 
 def _fused_or_none(P, Q, M, N):
@@ -234,9 +232,9 @@ def test_line_fraction_matches_divisor(E, EK):
     lifted_all = EK.enumerate_points()
     for P, Q in cases:
         S = _schoolbook(P, Q)[1]
-        support = {EK.identity} | {EK.embed_point(T) for T in (P, Q, S, E.neg(S))}
+        support = {EK.identity} | {_lift(EK, T) for T in (P, Q, S, E.neg(S))}
         Y = next(X for X in lifted_all if X not in support)
-        v_y, l_y = _chord_values(EK.embed_point(P), EK.embed_point(Q), Y)
+        v_y, l_y = _chord_values(_lift(EK, P), _lift(EK, Q), Y)
         checked = 0
         for X in lifted_all:
             if X in support:
@@ -244,11 +242,11 @@ def test_line_fraction_matches_divisor(E, EK):
                     with pytest.raises(SupportCollisionError):
                         eval_line_fraction(P, Q, M, N)
                 continue
-            v, l = _chord_values(EK.embed_point(P), EK.embed_point(Q), X)
+            v, l = _chord_values(_lift(EK, P), _lift(EK, Q), X)
             got = eval_line_fraction(P, Q, X, Y)
-            assert not got.is_zero()
-            assert got == (v / l) / (v_y / l_y)
-            assert eval_line_fraction(P, Q, Y, X) == got.inverse()
+            assert not EK.field(got).is_zero()
+            assert got == ((v / l) / (v_y / l_y)).coeffs
+            assert eval_line_fraction(P, Q, Y, X) == EK.field(got).inverse().coeffs
             checked += 1
         assert checked >= 139  # 144 minus at most 5 support points
 
@@ -266,10 +264,10 @@ def test_line_fraction_identity_operand(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
     M, N = EK.enumerate_points()[5:7]
-    assert eval_line_fraction(P, E.identity, M, N) == EK.field.one
-    assert eval_line_fraction(E.identity, P, M, N) == EK.field.one
+    assert eval_line_fraction(P, E.identity, M, N) == EK.field.one_coeffs
+    assert eval_line_fraction(E.identity, P, M, N) == EK.field.one_coeffs
     # the constant 1 has empty support, even at the identity
-    assert eval_line_fraction(P, E.identity, EK.identity, N) == EK.field.one
+    assert eval_line_fraction(P, E.identity, EK.identity, N) == EK.field.one_coeffs
 
 
 def test_line_fraction_vertical_case(E, EK):
@@ -277,14 +275,14 @@ def test_line_fraction_vertical_case(E, EK):
     F = E.field
     P = E.point(F(5), F(3))
     Q = E.neg(P)
-    x_p = EK.field.embed(xy(P)[0])
+    x_p = EK.field(P.x)
     M, N = [p for p in EK.enumerate_points() if not p.is_infinity and xy(p)[0] != x_p][:2]
     got = eval_line_fraction(P, Q, M, N)
-    assert got == (xy(N)[0] - x_p) / (xy(M)[0] - x_p)
+    assert got == ((xy(N)[0] - x_p) / (xy(M)[0] - x_p)).coeffs
     with pytest.raises(SupportCollisionError):
-        eval_line_fraction(P, Q, EK.embed_point(P), N)
+        eval_line_fraction(P, Q, _lift(EK, P), N)
     with pytest.raises(SupportCollisionError):
-        eval_line_fraction(P, Q, M, EK.embed_point(Q))
+        eval_line_fraction(P, Q, M, _lift(EK, Q))
 
 
 def test_lift_consistency(E, EK, rng):
@@ -293,7 +291,7 @@ def test_lift_consistency(E, EK, rng):
     for _ in range(10):
         P, Q = E.random_point(rng), E.random_point(rng)
         M, N = EK.random_point(rng), EK.random_point(rng)
-        lifted = (EK.embed_point(P), EK.embed_point(Q), M, N)
+        lifted = (_lift(EK, P), _lift(EK, Q), M, N)
         assert _fused_or_none(P, Q, M, N) == _fused_or_none(*lifted)
 
 
@@ -340,7 +338,7 @@ def test_point_hash_and_eq(E, EK):
     # the identity against an affine point either way round, another
     # curve's point with the same coefficients, and a non-point
     assert a != E.identity and E.identity != a
-    assert EK.embed_point(a) != a and EK.identity != E.identity
+    assert _lift(EK, a) != a and EK.identity != E.identity
     assert a != a.serialize()
     assert repr(a) == "Point(5; 3)" and repr(E.identity) == "Point(inf)"
 
@@ -464,10 +462,11 @@ def test_add_at_word_size_matches_schoolbook(p):
     assert seen == {"chord", "tangent", "identity"}
 
 
-def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
-    # one format per field on every path that makes a value or a point: a
-    # stray (c,) or FieldElement would compare unequal to c, so Point equality
-    # and hashing would disagree and a BSGS lookup would miss
+def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK, toy):
+    # one format per field on every path that makes a value, a point or a
+    # unit: a stray (c,) or FieldElement would compare unequal to c, so Point
+    # and ExtElement equality and hashing would disagree and a BSGS lookup
+    # would miss
     rng = random.Random(1)
 
     def values(curve, record):
@@ -475,11 +474,17 @@ def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
         x, y = k.from_record(record), k(3)
         made = [x, y, k([4]), k.sample(rng), k.zero, k.one, *k.elements()]
         made += [x + y, x - y, -x, x * y, x / y, x.inverse(), x ** 5, (x * x).sqrt()]
-        return [value.coeffs for value in made]
+        return [value.coeffs for value in made] + [k.zero_coeffs, k.one_coeffs]
+
+    def units(field):
+        # every MultiplicativeGroup constructor: identity, add, neg, sample and elements
+        U = MultiplicativeGroup(field)
+        a, b = U.sample(rng), U.sample(rng)
+        return [U.identity, U.add(a, b), U.neg(a), a, b, *U.elements()]
 
     def coordinates(curve):
         # every Point constructor: point, parse_point, random_point,
-        # enumerate_points, add by chord and by tangent, neg and embed_point
+        # enumerate_points, add by chord and by tangent, and neg
         P = curve.random_point(rng)
         while P.y == curve.field.zero_coeffs:
             P = curve.random_point(rng)
@@ -487,42 +492,74 @@ def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK):
         Q = curve.parse_point(next(R for R in affine if R.x != P.x).serialize())
         made = [P, Q, curve.point(P.x, P.y), curve.add(P, Q), curve.add(P, P), curve.neg(P), *affine]
         identities = [curve.identity, curve.add(P, curve.neg(P))]  # the second by a vertical
-        if curve.base_curve is not None:
-            made.append(curve.embed_point(curve.base_curve.parse_point("5;3")))
-            identities.append(curve.embed_point(curve.base_curve.identity))
         assert not any(R.is_infinity for R in made)
         assert all((O.x, O.y) == (None, None) for O in identities)
         return [c for R in made for c in (R.x, R.y)]
 
+    def fiber_values():
+        # every cocycle value, at a chord, a tangent, a vertical and an identity
+        # operand, and the b_part of every extension operation, on the base
+        # curve and on its extension
+        made = []
+        for ext in (False, True):
+            jac = toy.jacobian(ext)
+            A, c = jac.a_group, jac.cocycle
+            P, Q = A.parse_point("5;3"), A.parse_point("7;8")
+            made += [c(P, Q), c(P, P), c(P, A.neg(P)), c(P, A.identity), ZeroCocycle(A, jac.b_group)(P, Q)]
+            x, y = ExtElement(P, jac.b_group.sample(rng)), ExtElement(Q, jac.b_group.sample(rng))
+            made += [z.b_part for z in (jac.add(x, y), jac.neg(x), jac.scalar_mul(5, x), jac.identity)]
+        return made
+
     F, K = E.field, EK.field
-    for c in values(E, "5") + coordinates(E):
+    assert toy.ext_curve is EK
+    for c in values(E, "5") + units(F) + coordinates(E):
         assert type(c) is int and 0 <= c < F.p, c
-    for c in values(EK, "5,2") + [K.embed(F(3)).coeffs] + coordinates(EK):
+    for c in values(EK, "5,2") + [K(F(3).coeffs).coeffs] + units(K) + coordinates(EK) + fiber_values():
         assert type(c) is tuple and len(c) == 2 and all(type(a) is int and 0 <= a < K.p for a in c), c
 
 
-@pytest.mark.parametrize("poly, per_add", [(None, 0), ((1, 0, 1), 2)])
-def test_curve_ladder_builds_field_elements_only_for_the_chord_inverse(monkeypatch, poly, per_add):
-    # a point is its coefficients: a ladder on E(F_103) builds no FieldElement,
-    # and one on E(F_103^2) exactly two per non-vertical add, the chord
-    # inverse's operand and its result
-    F = PrimeField(103)
-    E = Curve(F if poly is None else ExtField(F, poly), 1, 0)
+@pytest.mark.parametrize("group, chord, vertical, identity", [
+    ("E(F_103)", 0, 0, 0),
+    ("E(F_103^2)", 2, 0, 0),
+    ("jacobian()", 2, 2, 0),
+    ("jacobian(ext=True)", 4, 2, 0),
+])
+def test_curve_ladder_builds_field_elements_only_for_the_chord_inverse(monkeypatch, group, chord, vertical, identity):
+    # a point and a unit are their coefficients: FieldElements built per add of
+    # a ladder on make_toy_params(103, 1), split as chord or tangent / vertical
+    # / identity operand.  A curve ladder builds two per F_p^2 chord, the chord
+    # inverse's operand and its result; an extension add builds two more for
+    # the line fraction's inverse, a vertical only those, and nothing outside
+    # the adds builds any.  The scalar's leading bits are ord(P), so the ladder
+    # reaches O by a vertical add and then adds to the identity.
+    params = make_toy_params(103, 1)
+    G = {"E(F_103)": params.curve, "E(F_103^2)": params.ext_curve,
+         "jacobian()": params.jacobian(), "jacobian(ext=True)": params.jacobian(ext=True)}[group]
+    A = G if isinstance(G, Curve) else G.a_group
     rng = random.Random(103)
-    P, n = E.random_point(rng), rng.randrange(1 << 20, 1 << 21)
-    built, nonvertical = [], []
-    honest_init, honest_add = FieldElement.__init__, Curve.add
+    P = A.random_point(rng)
+    g = P if G is A else ExtElement(P, params.units().sample(rng))
+    order = element_order(P, params.ext_curve_order if A is params.ext_curve else params.curve_order)
+    n = order << 20 | rng.randrange(1 << 20)
+    built, per_kind = [], {"chord": [], "vertical": [], "identity": []}
+    honest_init, honest_add = FieldElement.__init__, type(G).add
 
-    def add(self, P, Q):
-        nonvertical.append(not (P.is_infinity or Q.is_infinity or P == self.neg(Q)))
-        return honest_add(self, P, Q)
+    def add(self, y, z):
+        Q, R = (y, z) if G is A else (y.a_part, z.a_part)
+        kind = "identity" if Q.is_infinity or R.is_infinity else "vertical" if Q == A.neg(R) else "chord"
+        start = len(built)
+        total = honest_add(self, y, z)
+        per_kind[kind].append(len(built) - start)
+        return total
 
     monkeypatch.setattr(FieldElement, "__init__", lambda x, *args: built.append(args) or honest_init(x, *args))
-    monkeypatch.setattr(Curve, "add", add)
-    E.scalar_mul(n, P)
+    monkeypatch.setattr(type(G), "add", add)
+    G.scalar_mul(n, g)
     monkeypatch.undo()
-    assert sum(nonvertical) > 20
-    assert len(built) == per_add * sum(nonvertical)
+    assert len(per_kind["chord"]) > 20
+    assert {kind: set(counts) for kind, counts in per_kind.items()} == {
+        "chord": {chord}, "vertical": {vertical}, "identity": {identity}}
+    assert len(built) == sum(map(sum, per_kind.values()))
 
 
 def test_line_fraction_exact_counts(E, EK):
@@ -531,7 +568,7 @@ def test_line_fraction_exact_counts(E, EK):
     # a collision records every product made before its zero test
     F = E.field
     P, Q = E.point(F(5), F(3)), E.point(F(7), F(8))
-    S, lift = E.add(P, Q), EK.embed_point
+    S, lift = E.add(P, Q), lambda T: _lift(EK, T)
     M, N = [X for X in EK.enumerate_points() if not X.is_infinity and X.x[1]][:2]
     cases = [
         ((lift(P), lift(Q), M, N), {2: 7}),  # unlifted chord

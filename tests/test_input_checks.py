@@ -11,7 +11,7 @@ import pytest
 
 from genjac.curve import Curve, eval_line_fraction
 from genjac.field import ExtField, PrimeField
-from genjac.groups import MultiplicativeGroup
+from genjac.groups import MultiplicativeGroup, SupportCollisionError
 from genjac.jacobian import Modulus, ModulusCocycle, pairing_order, tate_by_miller
 
 from subjects import CoboundaryCocycle, CyclicGroup
@@ -29,10 +29,6 @@ CHECKS = {
     "Curve.extend": (
         lambda toy: toy.curve.extend(ExtField(F19, (1, 0, 1))),
         ValueError, "does not contain the curve's field",
-    ),
-    "Curve.embed_point": (
-        lambda toy: toy.ext_curve.embed_point(toy.modulus.M),
-        ValueError, "does not come from this curve's base curve",
     ),
     "Curve.add": (
         lambda toy: toy.curve.add(_base_point(toy), OTHER.point(0, 1)),
@@ -66,10 +62,6 @@ CHECKS = {
     "ExtField base": (
         lambda toy: ExtField(toy.ext_curve.field, (1, 0, 1)),
         ValueError, "extension must sit over a PrimeField",
-    ),
-    "ExtField.embed": (
-        lambda toy: toy.ext_curve.field.embed(F19(1)),
-        ValueError, "mismatched field parameters",
     ),
     # tests/subjects.py
     "CyclicGroup": (lambda toy: CyclicGroup(0), ValueError, "modulus must be positive"),
@@ -105,6 +97,14 @@ CHECKS = {
     "tate_by_miller P": (
         lambda toy: tate_by_miller(OTHER.point(0, 1), toy.modulus.M, toy.modulus.N, 2),
         ValueError, "P must lie on the evaluation curve or its base curve",
+    ),
+    "tate_by_miller M = O": (
+        lambda toy: tate_by_miller(_base_point(toy), toy.ext_curve.identity, toy.modulus.N, 2),
+        SupportCollisionError, "the identity is in the support",
+    ),
+    "tate_by_miller P = M = O": (
+        lambda toy: tate_by_miller(toy.curve.identity, toy.ext_curve.identity, toy.modulus.N, 1),
+        SupportCollisionError, "the identity is in the support",
     ),
 }
 

@@ -125,7 +125,7 @@ def test_modulus_validation(toy):
     with pytest.raises(ValueError, match="N != -M"):
         Modulus(M, EK.neg(M))
     with pytest.raises(ValueError, match="outside the base field"):
-        Modulus(EK.embed_point(toy.curve.parse_point("5;3")), N)
+        Modulus(EK.parse_point("5;3"), N)
     with pytest.raises(ValueError, match="outside the base field"):
         Modulus(toy.curve.parse_point("5;3"), toy.curve.parse_point("7;8"))  # a curve over F_p
     assert EK.sub(M, N) == EK.add(M, EK.neg(N))
@@ -239,8 +239,8 @@ def test_cocycle_pinned_values(toy):
     E = toy.curve
     P = E.parse_point("5;3")
     P2 = E.parse_point("5;8")
-    assert c(P, P).serialize() == "4,4"
-    assert c(P, P2).serialize() == "10,6"
+    assert c(P, P) == (4, 4)
+    assert c(P, P2) == (10, 6)
 
 
 def test_cocycle_normalization_and_symmetry(toy, rng):
@@ -250,10 +250,10 @@ def test_cocycle_normalization_and_symmetry(toy, rng):
     for _ in range(10):
         P = E.random_point(rng)
         Q = E.random_point(rng)
-        assert c(E.identity, P) == K.one
-        assert c(P, E.identity) == K.one
+        assert c(E.identity, P) == K.one_coeffs
+        assert c(P, E.identity) == K.one_coeffs
         assert c(P, Q) == c(Q, P)
-    assert c(E.identity, E.identity) == K.one
+    assert c(E.identity, E.identity) == K.one_coeffs
 
 
 def test_extension_law_matches_display_formula(toy, rng):
@@ -261,18 +261,19 @@ def test_extension_law_matches_display_formula(toy, rng):
     c = toy.modulus_cocycle()
     E = toy.curve
     U = toy.units()
+    K = U.field
     for _ in range(30):
         x = ExtElement(E.random_point(rng), U.sample(rng))
         y = ExtElement(E.random_point(rng), U.sample(rng))
         got = jac.add(x, y)
         assert got.a_part == E.add(x.a_part, y.a_part)
-        assert got.b_part == x.b_part * y.b_part * c(x.a_part, y.a_part)
+        assert got.b_part == (K(x.b_part) * K(y.b_part) * K(c(x.a_part, y.a_part))).coeffs
 
 
 def test_pinned_double_of_embedded_point(toy):
     jac = toy.jacobian()
     P = toy.curve.parse_point("5;3")
-    one = toy.ext_curve.field.one
+    one = toy.ext_curve.field.one_coeffs
     s = jac.add(ExtElement(P, one), ExtElement(P, one))
     assert jac.serialize(s) == "5;8|4,4"
 
@@ -368,7 +369,7 @@ def test_miller_does_not_use_the_group_law(toy, monkeypatch):
 
 def test_group_law_extraction_kills_curve_component(toy):
     jac = toy.jacobian()
-    one = toy.ext_curve.field.one
+    one = toy.ext_curve.field.one_coeffs
     for P in toy.curve.enumerate_points():
         m = pairing_order(P, toy)
         total = jac.scalar_mul(m, ExtElement(P, one))
@@ -430,12 +431,12 @@ def test_miller_refuses_evaluation_points_on_its_lines(toy):
     # 0;0 has order 2, so its doubling line is the vertical x = 0 through M
     P = toy.curve.parse_point("0;0")
     with pytest.raises(SupportCollisionError, match="sits on a Miller line"):
-        tate_by_miller(P, EK.embed_point(P), N, 2)
+        tate_by_miller(P, EK.point(P.x, P.y), N, 2)
     # 7;3 has order 12: the tangent at P and the chord through 2P and P
     # pass through M = P, and no vertical does, since 6P = 0;0
     P = toy.curve.parse_point("7;3")
     with pytest.raises(SupportCollisionError, match="sits on a Miller line"):
-        tate_by_miller(P, EK.embed_point(P), N, 12)
+        tate_by_miller(P, EK.point(P.x, P.y), N, 12)
 
 
 def test_tate_chain_never_collides_for_base_points(toy):
@@ -500,7 +501,7 @@ def test_extension_add_gap_over_curve_add_and_two_unit_muls(toy, ext):
     # chord or a tangent, 1 for a vertical, none with an identity operand
     jac, A = toy.jacobian(ext), toy.modulus_cocycle(ext).a_group
     P, Q = A.parse_point("5;3"), A.parse_point("7;8")
-    b = toy.units().field.from_record("2,7")
+    b = toy.units().field.from_record("2,7").coeffs
     for (p, q), gap in [((P, Q), 5), ((P, P), 5), ((P, A.neg(P)), 1), ((P, A.identity), 0)]:
         with count_mults() as ext_add:
             jac.add(ExtElement(p, b), ExtElement(q, b))
