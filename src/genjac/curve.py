@@ -10,7 +10,9 @@ An evaluation point in that support is found by a zero test on l or v
 and is a hard error rather than a silent wrong value.  A point is its
 coordinates' field coefficients (an int in F_p, a pair in F_{p^2}, None
 for the identity), so the group law, the line fraction and point
-enumeration run on them through the field kernels, counting each product;
+enumeration run on them through the field kernels, counting each product:
+`enumerate_points` makes a `Point` per (x, y) that its field's
+`curve_points_coeffs` yields, with no list of pairs in between;
 `Curve.point` and `random_point` check a point in `FieldElement`
 arithmetic and keep its coefficients.  One chord helper, over its field's
 `chord_coeffs` kernel, gives the slope and x(P+Q); a caller that needs
@@ -119,18 +121,12 @@ class Curve(Group):
         return f"E({self.field.name})"
 
     def enumerate_points(self) -> list["Point"]:
-        """All rational points including the identity; field must be desk-scale."""
+        """All rational points, the identity first, in `curve_points_coeffs` order; desk-scale only."""
         f = self.field
         if f.order > ENUM_BOUND:
             raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
-        add, mul, a, b = f.add_coeffs, f.mul_coeffs, self.a.coeffs, self.b.coeffs
-        roots: dict[Coeffs, list[Coeffs]] = {}
-        for y in f.all_coeffs():
-            roots.setdefault(mul(y, y), []).append(y)
         points = [self.identity]
-        for x in f.all_coeffs():
-            ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
-            points += (Point(self, x, y) for y in ys)
+        points += (Point(self, x, y) for x, y in f.curve_points_coeffs(self.a.coeffs, self.b.coeffs))
         return points
 
     def random_point(self, rng) -> "Point":

@@ -12,19 +12,21 @@ Powers and the Tonelli-Shanks square root run on the kernels too.  A
 curve point stores its coordinates, and a unit itself, in the same
 format, so the group law never wraps them.  Its kernels are straight
 line on ints or int pairs and tick their products in bulk:
-`chord_coeffs`, on each field, gives the slope and x(P+Q), and
-`line_coeffs`, on F_{p^2} only, where every modulus lives, the two
-products of a line fraction v/l at (M) - (N), or None on a zero of l or
-v.  The F_p chord inverts inline with `pow(den, -1, p)`; every other
-inverse, the F_{p^2} chord's included, is `FieldElement.inverse`, in
-F_{p^2} the conjugate over the norm (Devegili, O hEigeartaigh, Scott and
-Dahab, "Multiplication and squaring on pairing-friendly fields", ePrint
-2006/471).  Each product a
-kernel makes adds one to a process-wide tally for its field's degree,
-whether an operator or a kernel caller asked for it, and `count_mults`
-reads the tally by difference over a `with` block; addition, subtraction,
-negation and inversion count nothing, so the counts compare the work
-different group laws ask of the field.  Fields are interned by one rule,
+`chord_coeffs`, on each field, gives the slope and x(P+Q); `line_coeffs`,
+on F_{p^2} only, where every modulus lives, the two products of a line
+fraction v/l at (M) - (N), or None on a zero of l or v; and
+`curve_points_coeffs`, on each field, every (x, y) on a curve, each x's
+x^3 + ax + b looked up in a table of the squares y^2 and their roots,
+4 products per field element.  The F_p chord inverts inline with
+`pow(den, -1, p)`; every other inverse, the F_{p^2} chord's included, is
+`FieldElement.inverse`, in F_{p^2} the conjugate over the norm (Devegili,
+O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
+pairing-friendly fields", ePrint 2006/471).  Each product a kernel makes
+adds one to a process-wide tally for its field's degree, whether an
+operator or a kernel caller asked for it, and `count_mults` reads the
+tally by difference over a `with` block; addition, subtraction, negation
+and inversion count nothing, so the counts compare the work different
+group laws ask of the field.  Fields are interned by one rule,
 `_Field._intern`, one object per parameter set, so two fields are equal
 exactly when they are the same object.  Records are read as written:
 `from_record` takes only coefficients in [0, p) and reduces none of them,
@@ -90,10 +92,6 @@ class _Field:
         return FieldElement(self, coeffs[0] if self.degree == 1 else tuple(coeffs))
 
     @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_coeffs)
-
-    @property
     def one(self) -> "FieldElement":
         return FieldElement(self, self.one_coeffs)
 
@@ -121,10 +119,6 @@ class _Field:
         """Coefficients of all field elements, in a fixed base-p little-endian order."""
         digits = range(self.p)
         return iter(digits) if self.degree == 1 else ((lo, hi) for hi in digits for lo in digits)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements, in all_coeffs() order."""
-        return (FieldElement(self, c) for c in self.all_coeffs())
 
     def sample(self, rng) -> "FieldElement":
         return self._at(rng.randrange(self.order))
@@ -180,6 +174,17 @@ class PrimeField(_Field):
             _tally[1] += 2  # lambda and lambda^2
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         return lam, (lam * lam - x1 - x2) % p
+
+    def curve_points_coeffs(self, a: int, b: int) -> Iterator[tuple[int, int]]:
+        """(x, y) on y^2 = x^3 + ax + b, by x and then by y in all_coeffs() order, straight-line."""
+        p = self.p
+        _tally[1] += 4 * p  # y^2 for every y, then x^2, x^3 and a*x for every x
+        roots = {0: (0,)}  # a nonzero square's roots y < p - y, in that order
+        for y in range(1, (p + 1) // 2):
+            roots[y * y % p] = (y, p - y)
+        for x in range(p):
+            for y in roots.get(((x * x + a) * x + b) % p, ()):
+                yield x, y
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -262,6 +267,24 @@ class ExtField(_Field):
         hi, lo = vm1 * ln1, lm1 * vn1
         return (((vm0 * ln0 - t * hi) % p, (vm0 * ln1 + vm1 * ln0 - s * hi) % p),
                 ((lm0 * vn0 - t * lo) % p, (lm0 * vn1 + lm1 * vn0 - s * lo) % p))
+
+    def curve_points_coeffs(self, a, b) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+        """(x, y) on y^2 = x^3 + ax + b, by x and then by y in all_coeffs() order, on the pairs."""
+        (t, s, _), p, (a0, a1), (b0, b1) = self.poly, self.p, a, b
+        _tally[2] += 4 * p * p  # y^2 for every y, then x^2, x^3 and a*x for every x
+        # a nonzero square's roots y, -y in that order: y1 < p - y1, or y1 = 0 and y0 < p - y0
+        roots = {(0, 0): ((0, 0),)}
+        for y1 in range((p + 1) // 2):
+            hi = y1 * y1
+            for y0 in range(p) if y1 else range(1, (p + 1) // 2):
+                roots[(y0 * y0 - t * hi) % p, (2 * y0 * y1 - s * hi) % p] = ((y0, y1), (-y0 % p, -y1 % p))
+        for x1 in range(p):
+            hi = x1 * x1
+            for x0 in range(p):
+                c0, c1 = x0 * x0 - t * hi + a0, 2 * x0 * x1 - s * hi + a1  # x^2 + a, times x below
+                d = x1 * c1
+                for y in roots.get(((x0 * c0 - t * d + b0) % p, (x0 * c1 + x1 * c0 - s * d + b1) % p), ()):
+                    yield (x0, x1), y
 
     def __repr__(self) -> str:
         return f"ExtField(p={self.p}, degree=2, poly={list(self.poly)})"
@@ -365,7 +388,7 @@ class FieldElement:
             if i == m:
                 return None
             if c is None:
-                # the first non-square in elements() order, once per field; all
+                # the first non-square in all_coeffs() order, once per field; all
                 # of F_p is square in F_{p^2}, so there the search starts at u
                 index = f.p if f.degree == 2 else 1
                 while double_and_add(mul, z := f._at(index).coeffs, (f.order - 1) // 2) == one:

@@ -1,11 +1,37 @@
 import functools
 import random
+import signal
 from pathlib import Path
 
 import pytest
 
 from genjac import ModulusCocycle, make_toy_params
 from genjac.groups import Cocycle, ExtensionGroup
+
+# wall-clock bound on each phase of a test: setup, which builds the session
+# fixtures the test is the first to use, call and teardown; the slowest test
+# takes about 6 s, so a phase that reaches the bound is stuck in a loop
+TEST_SECONDS = 60
+
+
+def _expired(signum, frame):
+    pytest.fail(f"test ran past its {TEST_SECONDS} s bound")
+
+
+def _time_bound(item):
+    """Fail a test phase that runs past TEST_SECONDS instead of letting it hang the suite."""
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# hooks rather than an autouse fixture: a fixture runs after the session
+# fixtures, so a hang in building `toy` would escape it
+pytest_runtest_setup = pytest_runtest_call = pytest_runtest_teardown = pytest.hookimpl(wrapper=True)(_time_bound)
 
 
 @pytest.fixture(scope="session")

@@ -4,11 +4,15 @@
 `CoboundaryCocycle` is a random split extension, a valid cocycle whose
 extension is isomorphic to the direct product.  `brute_force_dlp` is the
 linear-scan oracle that the discrete-log solvers are checked against.
+`enumerate_by_definition` lists E(F_q) through the field's `mul_coeffs`
+and `add_coeffs`, the oracle for the enumeration kernels.
 """
 
 from typing import Any, Iterator
 
+from genjac.curve import Curve, Point
 from genjac.dlp import DlpSolution, NoSolutionError, Step
+from genjac.field import Coeffs
 from genjac.groups import Cocycle, Group
 
 BRUTE_FORCE_BOUND = 10**6
@@ -89,3 +93,18 @@ def brute_force_dlp(group: Group, generator: Any, target: Any, order: int) -> Dl
             return DlpSolution(k, order, (Step("brute-force", f"order {order}"),))
         acc = group.add(acc, generator)
     raise NoSolutionError("target is not in the subgroup generated by the generator")
+
+
+def enumerate_by_definition(E: Curve) -> list[Point]:
+    """All points of E, the identity first: a table of y^2 over every y, then each x's
+    x^3 + ax + b looked up in it, every product through the field's `mul_coeffs`."""
+    f = E.field
+    add, mul, a, b = f.add_coeffs, f.mul_coeffs, E.a.coeffs, E.b.coeffs
+    roots: dict[Coeffs, list[Coeffs]] = {}
+    for y in f.all_coeffs():
+        roots.setdefault(mul(y, y), []).append(y)
+    points = [E.identity]
+    for x in f.all_coeffs():
+        ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
+        points += (Point(E, x, y) for y in ys)
+    return points

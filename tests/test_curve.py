@@ -7,6 +7,7 @@ from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import ExtElement, MultiplicativeGroup, ZeroCocycle
 from genjac.jacobian import make_toy_params, tate_by_miller
 from genjac.numbertheory import Factorization
+from subjects import enumerate_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,29 @@ def test_enumeration_counts(E, EK):
     assert len(set(pts)) == 12
     assert all(p.curve is E for p in pts)
     assert len(EK.enumerate_points()) == 144
+
+
+def test_enumeration_kernel_matches_the_oracle():
+    # point for point, in order, at the same count; over F_p^2 under the default
+    # u^2 + 1 and under u^2 + u + t, whose s = 1 reaches the kernel's s terms
+    for p in (7, 11, 19, 103, 1019):
+        base = PrimeField(p)
+        t = next(t for t in range(p) if pow(1 - 4 * t, (p - 1) // 2, p) == p - 1)
+        for a, b in ((1, 0), (1, 1), (2, 3), (0, 1), (3, 5)):
+            try:
+                E = Curve(base, a, b)
+            except ValueError:
+                continue  # singular
+            curves = [E]
+            if p < 100:
+                curves += [E.extend(ExtField(base, (1, 0, 1))), E.extend(ExtField(base, (t, 1, 1)))]
+            for curve in curves:
+                with count_mults() as kernel:
+                    points = curve.enumerate_points()
+                with count_mults() as oracle:
+                    expected = enumerate_by_definition(curve)
+                assert [(P.x, P.y) for P in points] == [(P.x, P.y) for P in expected], curve
+                assert points == expected and kernel.by_degree == oracle.by_degree, curve
 
 
 def test_known_points_and_doubling(E):
@@ -472,9 +496,9 @@ def test_coefficients_are_an_int_in_F_p_and_a_pair_in_F_p2(E, EK, toy):
     def values(curve, record):
         k = curve.field
         x, y = k.from_record(record), k(3)
-        made = [x, y, k([4]), k.sample(rng), k.zero, k.one, *k.elements()]
+        made = [x, y, k([4]), k.sample(rng), k(0), k.one, *(k(c) for c in k.all_coeffs())]
         made += [x + y, x - y, -x, x * y, x / y, x.inverse(), x ** 5, (x * x).sqrt()]
-        return [value.coeffs for value in made] + [k.zero_coeffs, k.one_coeffs]
+        return [value.coeffs for value in made] + [k.zero_coeffs, k.one_coeffs, *k.all_coeffs()]
 
     def units(field):
         # every MultiplicativeGroup constructor: identity, add, neg, sample and elements

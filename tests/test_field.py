@@ -83,7 +83,7 @@ def test_general_quadratic_arithmetic(F):
     K = ExtField(F, (t, s, 1))
     u = K([0, 1])
     assert u * u == -K(s) * u - K(t)
-    els = list(K.elements())
+    els = [K(c) for c in K.all_coeffs()]
     for x in els:
         for y in els[::7]:
             # schoolbook product, reduced with u^2 = -s*u - t
@@ -136,7 +136,7 @@ def test_sqrt_roots_and_counts_pinned():
     for field in (PrimeField(11), PrimeField(17), ExtField(PrimeField(11), (1, 0, 1)),
                   ExtField(PrimeField(103), (1, 0, 1)), ExtField(PrimeField(17), (14, 0, 1))):
         field._nonresidue_t = None  # interned: the first root pays for the search again
-        for x in field.elements():
+        for x in (field(c) for c in field.all_coeffs()):
             with count_mults() as c:
                 r = x.sqrt()
             lines.append(f"{x.serialize()}:{'-' if r is None else r.serialize()}:{c.muls}")
@@ -154,7 +154,7 @@ def test_pow_matches_the_operator_ladder(F, K):
             assert c.by_degree == expected.by_degree
         assert x**0 == x.field.one
         with pytest.raises(ArithmeticError):
-            x.field.zero ** 0
+            x.field(0) ** 0
 
 
 def test_coercion_and_mismatch(F, K):
@@ -171,9 +171,9 @@ def test_coercion_and_mismatch(F, K):
             with pytest.raises(ValueError, match="mismatched field parameters"):
                 op(x, y)
     with pytest.raises(ZeroDivisionError):
-        F(3) / F.zero
+        F(3) / F(0)
     with pytest.raises(ZeroDivisionError):
-        K([1, 2]) / K.zero
+        K([1, 2]) / K(0)
 
 
 @pytest.mark.parametrize("p, poly", [(11, None), (11, (1, 0, 1)), (7, (3, 1, 1))])
@@ -181,8 +181,8 @@ def test_arithmetic_exhaustive_against_oracle(p, poly):
     # F_11, F_11[u]/(u^2 + 1) and F_7[u]/(u^2 + u + 3): every pair of
     # elements against schoolbook arithmetic on plain ints
     K = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
-    els = list(K.elements())
-    zero, one = K.zero.coeffs, K.one.coeffs
+    els = [K(c) for c in K.all_coeffs()]
+    zero, one = K(0).coeffs, K.one.coeffs
 
     def add(a, b):
         if poly is None:
@@ -261,7 +261,7 @@ def test_fermat_and_pow(F, K):
     with pytest.raises(ZeroDivisionError):
         F(0).inverse()
     with pytest.raises(ZeroDivisionError):
-        K.zero.inverse()
+        K(0).inverse()
 
 
 @pytest.mark.parametrize(
@@ -275,7 +275,7 @@ def test_sqrt(p, poly):
     # fields with p = 1 mod 4
     field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
     half = (field.order - 1) // 2
-    for x in field.elements():
+    for x in (field(c) for c in field.all_coeffs()):
         r = x.sqrt()
         if x.is_zero() or x**half == field.one:
             assert r is not None and r * r == x
@@ -284,8 +284,8 @@ def test_sqrt(p, poly):
 
 
 def test_elements_enumeration(F, K):
-    assert len(list(F.elements())) == 11
-    els = list(K.elements())
+    assert len([F(c) for c in F.all_coeffs()]) == 11
+    els = [K(c) for c in K.all_coeffs()]
     assert len(els) == 121
     assert len(set(els)) == 121
 

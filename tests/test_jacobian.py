@@ -20,6 +20,7 @@ from genjac.jacobian import (
     tate_from_group_law,
 )
 from genjac.numbertheory import Factorization, is_prime
+from subjects import enumerate_by_definition
 
 # the exact parameter file for p=11, seed=7; every pinned value below
 # depends on this modulus
@@ -197,8 +198,8 @@ def test_curve_orders_match_enumeration():
             except ValueError:
                 continue  # singular
             n, n_ext = curve_orders(E)
-            assert n == len(E.enumerate_points())
-            assert n_ext == len(E.extend(K).enumerate_points())
+            assert n == len(enumerate_by_definition(E))
+            assert n_ext == len(enumerate_by_definition(E.extend(K)))
             traces.add(p + 1 - n)
     assert 0 in traces and len(traces) > 5
 
@@ -217,13 +218,14 @@ def test_curve_orders_above_enumeration_bound():
 
 
 def test_load_params_cost_is_linear_in_p(tmp_path):
-    # counting E(F_p) costs O(p) multiplications; enumerating E(F_{p^2})
-    # would cost millions at this p
-    path = tmp_path / "p1019.txt"
-    path.write_text(params_to_text(make_toy_params(1019, seed=1)))
-    with count_mults() as counter:
-        load_params(str(path))
-    assert counter.muls < 10**5
+    # counting E(F_p) costs 4 products per field element, and the two modulus
+    # points' on-curve checks 4 each; enumerating E(F_{p^2}) would cost 4p^2
+    for p in (11, 103, 1019, 10007):
+        path = tmp_path / f"p{p}.txt"
+        path.write_text(params_to_text(make_toy_params(p, seed=1)))
+        with count_mults() as counter:
+            load_params(str(path))
+        assert counter.by_degree == {1: 4 * p, 2: 8}
 
 
 def test_modulus_points_have_irrational_x(toy):
