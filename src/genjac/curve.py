@@ -1,33 +1,33 @@
 """Affine short-Weierstrass curves y^2 = x^3 + ax + b over exact finite fields.
 
-Besides the chord-and-tangent group law this module evaluates the
-rational function v/l attached to a pair of points P, Q: l is the line
-through P and Q (tangent at P when P = Q, vertical when Q = -P) and v
-is the vertical line through P + Q.  The quotient has divisor
-(P+Q) + (O) - (P) - (Q), which is exactly the shape a modulus cocycle
-needs; it is evaluated at a degree-zero divisor (M) - (N) in one pass.
-An evaluation point in that support is found by a zero test on l or v
-and is a hard error rather than a silent wrong value.  A point is its
-coordinates' field coefficients (an int in F_p, a pair in F_{p^2}, None
-for the identity), so the group law, the line fraction and point
-enumeration run on them through the field kernels, counting each product:
-`enumerate_points` makes a `Point` per (x, y) that its field's
+Besides the chord-and-tangent group law this module evaluates the rational
+function v/l attached to a pair of points P, Q: l is the line through P and
+Q (tangent at P when P = Q, vertical when Q = -P) and v is the vertical line
+through P + Q.  The quotient has divisor (P+Q) + (O) - (P) - (Q), which is
+exactly the shape a modulus cocycle needs; it is evaluated at a degree-zero
+divisor (M) - (N) in one pass.  An evaluation point in that support is found
+by a zero test on l or v and is a hard error rather than a silent wrong
+value.  A point is its coordinates' field coefficients (an int in F_p, a
+pair in F_{p^2}, None for the identity), so the group law, the line fraction
+and point enumeration run on them through the field kernels, counting each
+product: `enumerate_points` makes a `Point` per (x, y) that its field's
 `curve_points_coeffs` yields, with no list of pairs in between;
-`Curve.point` and `random_point` check a point in `FieldElement`
-arithmetic and keep its coefficients.  One chord helper, over its field's
-`chord_coeffs` kernel, gives the slope and x(P+Q); a caller that needs
-both P + Q and the line fraction computes it once and hands it to both.
-The line fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and
-l(M)*v(N) from the `line_coeffs` kernel, or the collision it reports, and
-divides them by one `FieldElement.inverse` into coefficients, the unit
-group's format.  The Miller loop in `jacobian` uses neither helper, no
-kernel of the group law and not `Curve.add`: it stays in `FieldElement`
-arithmetic with its own slope, as the cocycle's independent oracle.  Curves are interned like fields, so two curves are
-equal exactly when they are the same object, and a curve over F_{p^2}
-with coefficients in F_p has the same equation over F_p as its base
-curve.  A curve is a `groups.Group` under chord-and-tangent: `identity`
-is the point at infinity, and scalar multiplication and subtraction are
-the generic ones.
+`Curve.point` and `random_point` check a point in `FieldElement` arithmetic
+and keep its coefficients.  One vertical-line test comes first; then
+`Curve.add` is one call of its field's `chord_sum_coeffs` kernel, and a
+caller that needs P + Q and the line fraction hands that call's slope and
+x(P+Q) on to the line fraction, which otherwise asks `chord_coeffs`.  The
+line fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and l(M)*v(N) from
+the `line_coeffs` kernel, or the collision it reports, and divides them by
+one `FieldElement.inverse` into coefficients, the unit group's format.  The
+Miller loop in `jacobian` uses no helper, no kernel of the group law and not
+`Curve.add`: it stays in `FieldElement` arithmetic with its own slope, as
+the cocycle's independent oracle.  Curves are interned like fields, so two
+curves are equal exactly when they are the same object, and a curve over
+F_{p^2} with coefficients in F_p has the same equation over F_p as its base
+curve.  A curve is a `groups.Group` under chord-and-tangent: `identity` is
+the point at infinity, and scalar multiplication and subtraction are the
+generic ones.
 """
 
 from __future__ import annotations
@@ -94,15 +94,10 @@ class Curve(Group):
             return Q
         if Q.x is None:
             return P
-        return self.chord_sum(P, _chord(P, Q))
-
-    def chord_sum(self, P: "Point", chord) -> "Point":
-        """P + Q from `_chord(P, Q)` for affine P, Q on this curve: one product for y."""
-        if chord is None:
+        if _vertical(P, Q):
             return self.identity
-        lam, x3 = chord
-        f = self.field
-        return Point(self, x3, f.sub_coeffs(f.mul_coeffs(lam, f.sub_coeffs(P.x, x3)), P.y))
+        _, x3, y3 = self.field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, self.a.coeffs)
+        return Point(self, x3, y3)
 
     def neg(self, P: "Point") -> "Point":
         if P.curve is not self:
@@ -183,12 +178,9 @@ def element_order(P: Point, group_order: Factorization) -> int:
     return _group_element_order(P.curve, P, group_order)
 
 
-def _chord(P: Point, Q: Point) -> tuple[Coeffs, Coeffs] | None:
-    """(lambda, x(P+Q)) as field coefficients for affine P, Q on one curve; None when P + Q = O."""
-    xP, yP, xQ, yQ, curve = P.x, P.y, Q.x, Q.y, P.curve
-    if xP == xQ and (yP != yQ or yP == curve.field.zero_coeffs):
-        return None
-    return curve.field.chord_coeffs(xP, yP, xQ, yQ, curve.a.coeffs)
+def _vertical(P: Point, Q: Point) -> bool:
+    """Whether P + Q = O for affine P, Q on one curve: the line through them is vertical."""
+    return P.x == Q.x and (P.y != Q.y or P.y == P.curve.field.zero_coeffs)
 
 
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Coeffs:
@@ -196,8 +188,8 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Co
 
     P and Q may live on the base curve while M and N live on an extension
     of it; the slope and x(P+Q) are then computed in the base field and
-    only they and P's coordinates are lifted; `chord`, when given, is
-    `_chord(P, Q)` computed by the caller.  M and N must lie over F_{p^2}.
+    only they and P's coordinates are lifted; `chord`, when given, is the
+    (lambda, x(P+Q)) the caller's kernel found.  M and N must lie over F_{p^2}.
     When P or Q is the identity the function is the constant 1.  Otherwise
     M and N must avoid the support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
     Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point
@@ -220,7 +212,9 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Co
     xP, yP, xM, xN = P.x, P.y, M.x, N.x
     if lift:
         xP, yP = (xP, 0), (yP, 0)
-    if (chord := chord or _chord(P, Q)) is None:
+    if chord is None and not _vertical(P, Q):  # on P's curve, before any lift
+        chord = P.curve.field.chord_coeffs(P.x, P.y, Q.x, Q.y, P.curve.a.coeffs)
+    if chord is None:
         # P + Q = O: l is the vertical through P and v is the constant 1
         l_m, l_n = sub(xM, xP), sub(xN, xP)
         if zero in (l_m, l_n):

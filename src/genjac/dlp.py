@@ -24,7 +24,7 @@ from math import isqrt, prod
 from typing import Any, Callable
 
 from .groups import ExtensionGroup, Group
-from .numbertheory import Factorization, crt, order_parts
+from .numbertheory import Factorization, NotAMultipleError, crt, order_parts
 
 # Largest subgroup order bsgs will accept.  The baby-step table for an order
 # at this bound holds 2^20 elements, at most about 0.4 GB: at p ~ 2^60 an entry
@@ -158,19 +158,23 @@ def solve_extension_dlp(
     """One discrete log in each factor group; the extension is never searched.
 
     For g = (P, b), k0 = log_P of target's base part comes from Pohlig-Hellman
-    in A against n, whose modulus is n_A = ord(P).  Then n_A * g = (O, t) lies
+    in A against `a_multiple(n)`, gcd(n, |A|), whose modulus is n_A = ord(P);
+    a wrong `a_order` can only make it refuse n.  Then n_A * g = (O, t) lies
     in the fiber, and j = log_t of the fiber part of target - k0 * g comes
-    from Pohlig-Hellman in B against n / n_A, whose order search raises
-    ValueError unless t^(n / n_A) = 1.  The exponent is k0 + j * n_A.
+    from Pohlig-Hellman in B against n / n_A, whose order search refuses n
+    unless t^(n / n_A) = 1.  The exponent is k0 + j * n_A.
     """
     if not isinstance(group, ExtensionGroup):
         raise TypeError("solve_extension_dlp only applies to extension groups")
     A, B, n = group.a_group, group.b_group, order.n
-    base_log = _factor_log(A, generator.a_part, target.a_part, order, "projected-to-A")
-    n_a = base_log.order
-    t = group.scalar_mul(n_a, generator).b_part
-    rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
-    fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B")
+    try:
+        base_log = _factor_log(A, generator.a_part, target.a_part, group.a_multiple(order), "projected-to-A")
+        n_a = base_log.order
+        t = group.scalar_mul(n_a, generator).b_part
+        rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
+        fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B")
+    except NotAMultipleError:
+        raise NotAMultipleError(f"{n} is not a multiple of the element's order") from None
     # k0 < n_A and j < ord(t), so the exponent is already reduced mod n_A * ord(t)
     exponent, modulus = base_log.exponent + fiber_log.exponent * n_a, n_a * fiber_log.order
     if group.scalar_mul(exponent, generator) != target:

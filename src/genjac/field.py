@@ -12,7 +12,8 @@ Powers and the Tonelli-Shanks square root run on the kernels too.  A
 curve point stores its coordinates, and a unit itself, in the same
 format, so the group law never wraps them.  Its kernels are straight
 line on ints or int pairs and tick their products in bulk:
-`chord_coeffs`, on each field, gives the slope and x(P+Q); `line_coeffs`,
+`chord_coeffs`, on each field, gives the slope and x(P+Q), and
+`chord_sum_coeffs` calls it and adds y(P+Q) for one product; `line_coeffs`,
 on F_{p^2} only, where every modulus lives, the two products of a line
 fraction v/l at (M) - (N), or None on a zero of l or v; and
 `curve_points_coeffs`, on each field, every (x, y) on a curve, each x's
@@ -175,6 +176,12 @@ class PrimeField(_Field):
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         return lam, (lam * lam - x1 - x2) % p
 
+    def chord_sum_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int, int]:
+        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`, then one product for y."""
+        lam, x3 = self.chord_coeffs(x1, y1, x2, y2, a)
+        _tally[1] += 1
+        return lam, x3, (lam * (x1 - x3) - y1) % self.p
+
     def curve_points_coeffs(self, a: int, b: int) -> Iterator[tuple[int, int]]:
         """(x, y) on y^2 = x^3 + ax + b, by x and then by y in all_coeffs() order, straight-line."""
         p = self.p
@@ -248,6 +255,15 @@ class ExtField(_Field):
         l0, l1 = (n0 * d0 - t * hi) % p, (n0 * d1 + n1 * d0 - s * hi) % p
         hi = l1 * l1
         return (l0, l1), ((l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p)
+
+    def chord_sum_coeffs(self, xP, yP, xQ, yQ, a):
+        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`, then one product for y."""
+        lam, x3 = self.chord_coeffs(xP, yP, xQ, yQ, a)
+        (l0, l1), (t, s, _), p = lam, self.poly, self.p
+        _tally[2] += 1
+        d0, d1 = xP[0] - x3[0], xP[1] - x3[1]
+        hi = l1 * d1
+        return lam, x3, ((l0 * d0 - t * hi - yP[0]) % p, (l0 * d1 + l1 * d0 - s * hi - yP[1]) % p)
 
     def line_coeffs(self, lam, xP, yP, xS, xM, yM, xN, yN):
         """(v(M)*l(N), l(M)*v(N)) for l of slope lam through P and v at x = xS; None on a zero."""
@@ -382,7 +398,7 @@ class FieldElement:
         c = f._nonresidue_t
         while b != one:
             i, probe = 1, mul(b, b)
-            while probe != one:
+            while probe != one and i < m:  # b^(2^m) = 1 always, so the bound only ends broken arithmetic
                 probe = mul(probe, probe)
                 i += 1
             if i == m:
@@ -393,6 +409,8 @@ class FieldElement:
                 index = f.p if f.degree == 2 else 1
                 while double_and_add(mul, z := f._at(index).coeffs, (f.order - 1) // 2) == one:
                     index += 1
+                    if index == f.order:
+                        raise ArithmeticError(f"no non-square in {f.name}")
                 c = f._nonresidue_t = double_and_add(mul, z, t)
             e = double_and_add(mul, c, 1 << (m - i - 1))
             x = mul(x, e)

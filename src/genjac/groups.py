@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, NamedTuple
 
 from .field import Coeffs, FieldElement, _Field, coeffs_to_record
-from .numbertheory import Factorization, double_and_add, order_parts
+from .numbertheory import Factorization, NotAMultipleError, double_and_add, order_parts
 
 
 class SupportCollisionError(Exception):
@@ -140,12 +140,17 @@ class ZeroCocycle(Cocycle):
 
 
 class ExtensionGroup(Group):
-    """The group on A x B determined by a symmetric 2-cocycle."""
+    """The group on A x B determined by a symmetric 2-cocycle; `a_order` is None or a multiple of |A|."""
 
-    def __init__(self, cocycle: Cocycle) -> None:
+    def __init__(self, cocycle: Cocycle, a_order: int | None = None) -> None:
         self.cocycle = cocycle
         self.a_group = cocycle.a_group
         self.b_group = cocycle.b_group
+        self.a_order = a_order
+
+    def a_multiple(self, n: Factorization) -> Factorization:
+        """A factored multiple n of an element's order cut to gcd(n, a_order) by `Factorization.divisor`."""
+        return n if self.a_order is None else n.divisor(math.gcd(n.n, self.a_order))
 
     @property
     def identity(self) -> ExtElement:
@@ -183,18 +188,19 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
     """Exact order of x given a factored multiple n of it, by `order_parts`.
 
     In an extension it is n_A * ord(t), with n_A = ord(x.a_part) found in A
-    against n and n_A * x = (0, t) from one ladder, because a normalized
-    cocycle makes {(0, b)} a copy of B; ord(t) is found in B against n / n_A,
-    and that search is also the test that n is a multiple of ord(x).
+    against `a_multiple(n)`, gcd(n, |A|), and n_A * x = (0, t) from one ladder,
+    as a normalized cocycle makes {(0, b)} a copy of B; ord(t) is found in B
+    against n / n_A.  Both searches test that n is a multiple of ord(x), a
+    wrong `a_order` failing only the first, and a failure names n.
     """
     if isinstance(group, ExtensionGroup):
         n, B = order_multiple.n, group.b_group
-        n_a = element_order(group.a_group, x.a_part, order_multiple)
-        t = group.scalar_mul(n_a, x).b_part
         try:
+            n_a = element_order(group.a_group, x.a_part, group.a_multiple(order_multiple))
+            t = group.scalar_mul(n_a, x).b_part
             return n_a * element_order(B, t, order_multiple.divisor(n // n_a))
-        except ValueError:
-            raise ValueError(f"{n} is not a multiple of the element's order") from None
+        except NotAMultipleError:
+            raise NotAMultipleError(f"{n} is not a multiple of the element's order") from None
     parts = order_parts(group.add, group.identity, x, order_multiple)
     return math.prod(l**f for l, _, f, _, _ in parts)
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _chord, element_order, eval_line_fraction
+from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _vertical, element_order, eval_line_fraction
 from .field import Coeffs, ExtField, FieldElement, PrimeField, coeffs_to_record
 from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
@@ -68,8 +68,10 @@ class ModulusCocycle(Cocycle):
         A = self.a_group
         if p.x is None or q.x is None or p.curve is not A or q.curve is not A:
             return super().sum_and_value(p, q)
-        chord = _chord(p, q)
-        return A.chord_sum(p, chord), self(p, q, chord)
+        if _vertical(p, q):
+            return A.identity, self(p, q)
+        lam, x3, y3 = A.field.chord_sum_coeffs(p.x, p.y, q.x, q.y, A.a.coeffs)
+        return Point(A, x3, y3), self(p, q, (lam, x3))
 
     def describe(self) -> str:
         return f"generalized-jacobian({self.modulus.M.serialize()} ; {self.modulus.N.serialize()})"
@@ -100,7 +102,7 @@ class GenJacParams:
         return ModulusCocycle(self.ext_curve if ext else self.curve, self.units(), self.modulus)
 
     def jacobian(self, ext: bool = False) -> ExtensionGroup:
-        return ExtensionGroup(self.modulus_cocycle(ext))
+        return ExtensionGroup(self.modulus_cocycle(ext), (self.ext_curve_order if ext else self.curve_order).n)
 
     def jacobian_order(self) -> Factorization:
         return self.curve_order.merge(self.unit_order)

@@ -8,6 +8,7 @@ factored multiple of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ MR_BOUND = 318665857834031151167461
 _TRIAL_LIMIT = 1 << 26
 
 
+@functools.lru_cache(maxsize=1024)  # a factorization's few primes are re-proved on every merge and divisor
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for word-sized integers."""
     if n < 2:
@@ -99,6 +101,10 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
     return x, m
 
 
+class NotAMultipleError(ValueError):
+    """A claimed multiple of an element's order is not one; the message names it."""
+
+
 def double_and_add(add, x, n: int):
     """n * x for n >= 1, left to right; `add` is the group law written additively."""
     acc = x
@@ -130,7 +136,7 @@ def order_parts(add, identity, x, multiple: Factorization) -> list[tuple]:
             gamma, y, f = y, double_and_add(add, y, l), f + 1
         parts.append((l, e, f, gamma, y0))
     if y != identity:
-        raise ValueError(f"{n} is not a multiple of the element's order")
+        raise NotAMultipleError(f"{n} is not a multiple of the element's order")
     return parts
 
 

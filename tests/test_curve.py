@@ -418,8 +418,9 @@ def test_kernels_match_field_element_arithmetic(name):
     # the line fraction at an evaluation pair (M, N) that walks the points:
     # the same values as FieldElement arithmetic, None exactly when l or v
     # vanishes at M or N, and one count per product (2 per chord, 3 per
-    # tangent; 2 before the line's zero test and 2 after it); F_p has no line
-    # kernel, since every modulus lives over F_{p^2}
+    # tangent, one more for the sum kernel's y; 2 before the line's zero test
+    # and 2 after it); F_p has no line kernel, since every modulus lives over
+    # F_{p^2}
     p, poly, a, b = KERNEL_CURVES[name]
     field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
     E, d = Curve(field, a, b), field.degree
@@ -440,6 +441,11 @@ def test_kernels_match_field_element_arithmetic(name):
                 got = field.chord_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
             assert got == (lam.coeffs, xS.coeffs), (P, Q)
             assert counter.by_degree == {d: 3 if tangent else 2}, (P, Q)
+            yS = lam * (xP - xS) - yP
+            with count_mults() as counter:
+                got = field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
+            assert got == (lam.coeffs, xS.coeffs, yS.coeffs), (P, Q)
+            assert counter.by_degree == {d: 4 if tangent else 3}, (P, Q)
             kind = "tangent" if tangent else "chord"
             if d == 1:
                 seen.add(kind)

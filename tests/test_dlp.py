@@ -10,7 +10,7 @@ from genjac.dlp import (
     pohlig_hellman,
     solve_extension_dlp,
 )
-from genjac.groups import ExtElement, element_order
+from genjac.groups import ExtElement, ExtensionGroup, element_order
 from genjac.numbertheory import Factorization, order_parts
 
 from subjects import CyclicGroup, brute_force_dlp
@@ -368,12 +368,28 @@ def test_generator_with_trivial_fiber_value(toy, base_jac):
     assert sol.methods() == ("projected-to-A", "bsgs", "pohlig-hellman-prime(2,1)", "crt", "crt")
 
 
+@pytest.mark.parametrize("ext", [False, True])
+def test_a_order_never_changes_a_transcript(ext):
+    # the curve-side run against gcd(n, #E) finds the same digits, so the
+    # transcript is the one without a_order, against ord(g) and against |J|
+    params = make_toy_params(103, 1)
+    jac, plain = params.jacobian(ext), ExtensionGroup(params.modulus_cocycle(ext))
+    multiple = (params.ext_curve_order if ext else params.curve_order).merge(params.unit_order)
+    rng = random.Random(103)
+    for _ in range(30):
+        gen = jac.sample(rng)
+        n = element_order(jac, gen, multiple)
+        target = jac.scalar_mul(rng.randrange(n), gen)
+        for order in (multiple.divisor(n), multiple):
+            assert solve_extension_dlp(jac, gen, target, order) == solve_extension_dlp(plain, gen, target, order)
+
+
 def test_factor_solver_rejects_non_multiple_order(base_jac, pinned_generator):
     target = base_jac.scalar_mul(7, pinned_generator)
     # 15 misses the order 2 of the curve part; 10 and 2 miss the order 15 of
     # the fiber value 2 * g = (O, t), and 2 leaves no fiber log to solve
     for n in (15, 10, 2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{n} is not a multiple of the element's order$"):
             solve_extension_dlp(base_jac, pinned_generator, target, Factorization.from_int(n))
 
 

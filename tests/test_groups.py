@@ -20,7 +20,7 @@ from genjac.groups import (
     verify_cocycle,
     verify_group_axioms,
 )
-from genjac.dlp import pohlig_hellman
+from genjac.dlp import pohlig_hellman, solve_extension_dlp
 from genjac.jacobian import ModulusCocycle
 from genjac.numbertheory import Factorization, order_parts
 
@@ -298,6 +298,49 @@ def test_element_order_rejects_non_multiples(toy):
     for n in (15, 10, 2):
         with pytest.raises(ValueError, match=f"^{n} is not a multiple of the element's order$"):
             element_order(toy.jacobian(), g, Factorization.from_int(n))
+
+
+@pytest.mark.parametrize("ext", [False, True])
+def test_a_order_never_changes_an_element_order(toy, ext):
+    # the params' group searches the curve part against #E: every element at
+    # p = 11 and 200 seeded ones at p = 103 keep the order found without it
+    big = make_toy_params(103, 1)
+    rng = random.Random(103)
+    for params in (toy, big):
+        jac, plain = params.jacobian(ext), ExtensionGroup(params.modulus_cocycle(ext))
+        assert jac.a_order == (params.ext_curve_order if ext else params.curve_order).n
+        assert plain.a_order is None
+        elements = jac.elements() if params is toy else [jac.sample(rng) for _ in range(200)]
+        multiple = (params.ext_curve_order if ext else params.curve_order).merge(params.unit_order)
+        for x in elements:
+            assert _order_or_collision(jac, x, multiple) == _order_or_collision(plain, x, multiple), x
+
+
+def _order_or_collision(group, x, multiple):
+    # over F_p^2 the ladder n_A * x can meet the modulus, with or without a_order
+    try:
+        return element_order(group, x, multiple)
+    except SupportCollisionError:
+        return None
+
+
+def test_wrong_a_order_refuses_and_never_misleads(toy):
+    # a_order 5 or 6 misses ord(P) = 12 and refuses n, a true multiple, by
+    # name; 24 and 84 are wrong too but multiples of 12, so nothing changes
+    honest = toy.jacobian()
+    g = ExtElement(toy.curve.parse_point("7;3"), toy.ext_curve.field([2, 7]).coeffs)
+    n = toy.jacobian_order()
+    target = honest.scalar_mul(1000, g)
+    order, solution = element_order(honest, g, n), solve_extension_dlp(honest, g, target, n)
+    for a_order in (1, 5, 6, 24, 84):
+        jac = ExtensionGroup(toy.modulus_cocycle(), a_order)
+        if a_order % 12:
+            for search in (lambda: element_order(jac, g, n), lambda: solve_extension_dlp(jac, g, target, n)):
+                with pytest.raises(ValueError, match=f"^{n.n} is not a multiple of the element's order$"):
+                    search()
+        else:
+            assert element_order(jac, g, n) == order
+            assert solve_extension_dlp(jac, g, target, n) == solution
 
 
 class _CountingExtension(ExtensionGroup):

@@ -350,20 +350,20 @@ def test_tate_table(toy):
 
 def test_miller_does_not_use_the_group_law(toy, monkeypatch):
     # the Miller loop is the oracle for the group-law route, so it must
-    # reach TATE_TABLE with the chord helper, the fields' chord kernels, the
-    # line kernel and Curve.add unavailable
+    # reach TATE_TABLE with the vertical-line test, the fields' chord and sum
+    # kernels, the line kernel and Curve.add unavailable
     points = toy.curve.enumerate_points()
     M, N = toy.modulus.M, toy.modulus.N
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Miller loop called the group law")
 
-    monkeypatch.setattr(curve_module, "_chord", refuse)
-    monkeypatch.setattr(jacobian, "_chord", refuse)
+    monkeypatch.setattr(curve_module, "_vertical", refuse)
+    monkeypatch.setattr(jacobian, "_vertical", refuse)
     monkeypatch.setattr(Curve, "add", refuse)
-    monkeypatch.setattr(Curve, "chord_sum", refuse)
-    monkeypatch.setattr(PrimeField, "chord_coeffs", refuse)
-    monkeypatch.setattr(ExtField, "chord_coeffs", refuse)
+    for field in (PrimeField, ExtField):
+        monkeypatch.setattr(field, "chord_coeffs", refuse)
+        monkeypatch.setattr(field, "chord_sum_coeffs", refuse)
     monkeypatch.setattr(ExtField, "line_coeffs", refuse)
     for P in points:
         assert tate_by_miller(P, M, N, 12).serialize() == TATE_TABLE[P.serialize()][0]
