@@ -10,16 +10,17 @@ by a zero test on l or v and is a hard error rather than a silent wrong
 value.  A point is its coordinates' field coefficients (an int in F_p, a
 pair in F_{p^2}, None for the identity), so the group law, the line fraction
 and point enumeration run on them through the field kernels, counting each
-product: `enumerate_points` makes a `Point` per (x, y) that its field's
-`curve_points_coeffs` yields, with no list of pairs in between;
+product and inversion: `enumerate_points` makes a `Point` per (x, y) that
+its field's `curve_points_coeffs` yields, with no list of pairs in between;
 `Curve.point` and `random_point` check a point in `FieldElement` arithmetic
 and keep its coefficients.  One vertical-line test comes first; then
-`Curve.add` is one call of its field's `chord_sum_coeffs` kernel, and a
-caller that needs P + Q and the line fraction hands that call's slope and
-x(P+Q) on to the line fraction, which otherwise asks `chord_coeffs`.  The
-line fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and l(M)*v(N) from
-the `line_coeffs` kernel, or the collision it reports, and divides them by
-one `FieldElement.inverse` into coefficients, the unit group's format.  The
+`Curve.add` is one call of its field's `chord_sum_coeffs` kernel, which
+inverts inline and builds no `FieldElement` on either field, and a caller
+that needs P + Q and the line fraction hands that call's slope and x(P+Q)
+on to the line fraction, which otherwise asks `chord_coeffs`.  The line
+fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and l(M)*v(N) from the
+`line_coeffs` kernel, or the collision it reports, and divides them by one
+`FieldElement.inverse` into coefficients, the unit group's format.  The
 Miller loop in `jacobian` uses no helper, no kernel of the group law and not
 `Curve.add`: it stays in `FieldElement` arithmetic with its own slope, as
 the cocycle's independent oracle.  Curves are interned like fields, so two

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p and F_{p^2}, with an always-on multiplication tally.
+"""Exact arithmetic in F_p and F_{p^2}, with always-on multiplication and inversion tallies.
 
 F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic.  An element's coefficients are an int in F_p and a
@@ -18,20 +18,21 @@ on F_{p^2} only, where every modulus lives, the two products of a line
 fraction v/l at (M) - (N), or None on a zero of l or v; and
 `curve_points_coeffs`, on each field, every (x, y) on a curve, each x's
 x^3 + ax + b looked up in a table of the squares y^2 and their roots,
-4 products per field element.  The F_p chord inverts inline with
-`pow(den, -1, p)`; every other inverse, the F_{p^2} chord's included, is
-`FieldElement.inverse`, in F_{p^2} the conjugate over the norm (Devegili,
+4 products per field element.  Both chords invert inline, F_p's with
+`pow(den, -1, p)` and F_{p^2}'s as the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
-pairing-friendly fields", ePrint 2006/471).  Each product a kernel makes
-adds one to a process-wide tally for its field's degree, whether an
-operator or a kernel caller asked for it, and `count_mults` reads the
-tally by difference over a `with` block; addition, subtraction, negation
-and inversion count nothing, so the counts compare the work different
-group laws ask of the field.  Fields are interned by one rule,
-`_Field._intern`, one object per parameter set, so two fields are equal
-exactly when they are the same object.  Records are read as written:
-`from_record` takes only coefficients in [0, p) and reduces none of them,
-and `coeffs_to_record` writes either format.
+pairing-friendly fields", ePrint 2006/471); every other inverse is
+`FieldElement.inverse`, which keeps its own copy of that formula as the
+kernel tests' independent oracle.  Each product a kernel makes adds one to
+a process-wide tally for its field's degree, whether an operator or a
+kernel caller asked for it, each inversion, a chord's or `inverse`'s, one
+to a second tally, and `count_mults` reads both by difference over a
+`with` block; addition, subtraction and negation count nothing, so the
+counts compare the work different group laws ask of the field.  Fields
+are interned by one rule, `_Field._intern`, one object per parameter set,
+so two fields are equal exactly when they are the same object.  Records
+are read as written: `from_record` takes only coefficients in [0, p) and
+reduces none of them, and `coeffs_to_record` writes either format.
 """
 
 from __future__ import annotations
@@ -45,28 +46,36 @@ PRIME_BOUND = 1 << 61
 Coeffs = int | tuple[int, int]  # an element's coefficients, by its field's degree
 
 
-# field multiplications made so far in this process, indexed by extension
-# degree; only the kernels add to it, a list being the cheapest increment
+# field multiplications and inversions made so far in this process, indexed by extension
+# degree; only the kernels and `FieldElement.inverse` add to them, a list being the cheapest increment
 _tally = [0, 0, 0]
+_inversions = [0, 0, 0]
 
 
 class count_mults:
-    """Count the field multiplications and divisions made in a `with` block, split by
-    extension degree; blocks nest, and counts are process-wide."""
+    """Count the field multiplications made in a `with` block, and apart from them the inversions
+    (`inversions`), each split by extension degree; blocks nest, and counts are process-wide."""
 
     __slots__ = ("_start", "_stop")
 
     def __enter__(self) -> "count_mults":
-        self._start, self._stop = _tally[:], None
+        self._start, self._stop = (_tally[:], _inversions[:]), None
         return self
 
     def __exit__(self, *exc) -> None:
-        self._stop = _tally[:]
+        self._stop = (_tally[:], _inversions[:])
+
+    def _delta(self, ledger: int) -> dict[int, int]:
+        stop, start = (self._stop or (_tally, _inversions))[ledger], self._start[ledger]  # running inside the block
+        return {d: stop[d] - start[d] for d in (1, 2) if stop[d] != start[d]}
 
     @property
     def by_degree(self) -> dict[int, int]:
-        stop, start = self._stop or _tally, self._start  # the running tally inside the block
-        return {d: stop[d] - start[d] for d in (1, 2) if stop[d] != start[d]}
+        return self._delta(0)
+
+    @property
+    def inversions(self) -> dict[int, int]:
+        return self._delta(1)
 
     @property
     def muls(self) -> int:
@@ -168,6 +177,7 @@ class PrimeField(_Field):
     def chord_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int]:
         """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line."""
         p = self.p
+        _inversions[1] += 1
         if x1 == x2:
             _tally[1] += 3  # x^2, lambda and lambda^2
             lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
@@ -239,18 +249,21 @@ class ExtField(_Field):
 
     def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
         """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line
-        on the pairs; the denominator is inverted by `FieldElement.inverse`."""
+        on the pairs; the denominator d0 + d1*u is inverted inline, its conjugate (d0 - s*d1) - d1*u
+        over its norm d0^2 - s*d0*d1 + t*d1^2 by one `pow`, as `FieldElement.inverse` does."""
         (x1, x1u), (x2, x2u), (t, s, _), p = xP, xQ, self.poly, self.p
+        _inversions[2] += 1
         if xP == xQ:
             _tally[2] += 3  # x^2, lambda and lambda^2
             hi = x1u * x1u
             n0, n1 = 3 * (x1 * x1 - t * hi) + a[0], 3 * (2 * x1 * x1u - s * hi) + a[1]
-            den = (2 * yP[0] % p, 2 * yP[1] % p)
+            d0, d1 = 2 * yP[0], 2 * yP[1]
         else:
             _tally[2] += 2  # lambda and lambda^2
             n0, n1 = yQ[0] - yP[0], yQ[1] - yP[1]
-            den = ((x2 - x1) % p, (x2u - x1u) % p)
-        d0, d1 = FieldElement(self, den).inverse().coeffs
+            d0, d1 = x2 - x1, x2u - x1u
+        inv = pow(d0 * d0 - s * d0 * d1 + t * d1 * d1, -1, p)
+        d0, d1 = (d0 - s * d1) * inv % p, -d1 * inv % p
         hi = n1 * d1
         l0, l1 = (n0 * d0 - t * hi) % p, (n0 * d1 + n1 * d0 - s * hi) % p
         hi = l1 * l1
@@ -335,7 +348,7 @@ class FieldElement:
         return FieldElement(f, f.mul_coeffs(self.coeffs, f.coeffs_of(other)))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        # inverse-and-multiply, so one counted multiplication per division
+        # inverse-and-multiply, so one counted multiplication and inversion per division
         f = self.field
         f.coeffs_of(other)
         return FieldElement(f, f.mul_coeffs(self.coeffs, other.inverse().coeffs))
@@ -344,6 +357,7 @@ class FieldElement:
         f, a = self.field, self.coeffs
         if a == f.zero_coeffs:
             raise ZeroDivisionError(f"division by zero in {f!r}")
+        _inversions[f.degree] += 1
         if f.degree == 1:
             return FieldElement(f, pow(a, -1, f.p))
         (a0, a1), (t, s, _), p = a, f.poly, f.p

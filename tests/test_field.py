@@ -345,7 +345,7 @@ def test_counter_semantics(F, K):
     # division is inverse-then-multiply and counts exactly once
     with count_mults() as c:
         F(3) / F(5)
-    assert c.muls == 1
+    assert c.muls == 1 and c.inversions == {1: 1}
 
     # the kernels are the counter: one per mul_coeffs call at its degree,
     # none for add_coeffs or sub_coeffs
@@ -358,12 +358,14 @@ def test_counter_semantics(F, K):
     with count_mults() as c:
         F.add_coeffs(3, 5), F.sub_coeffs(3, 5)
         K.add_coeffs((1, 2), (3, 4)), K.sub_coeffs((1, 2), (3, 4))
-    assert c.muls == 0 and c.by_degree == {}
+    assert c.muls == 0 and c.by_degree == {} and c.inversions == {}
 
-    # inversion itself is free of counted multiplications
+    # inversion itself is free of counted multiplications and is counted
+    # apart, by degree; read inside its block, the count is the running one
     with count_mults() as c:
         K([1, 2]).inverse()
-    assert c.muls == 0
+        assert c.inversions == {2: 1}
+    assert c.muls == 0 and c.inversions == {2: 1}
 
     # pow(x, 10): 10 = 0b1010, three squarings plus one multiply
     with count_mults() as c:

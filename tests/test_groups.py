@@ -7,7 +7,7 @@ import pytest
 
 from genjac import groups, make_toy_params
 from genjac.curve import Curve, SupportCollisionError, element_order as point_order
-from genjac.field import FieldElement
+from genjac.field import FieldElement, count_mults
 from genjac.groups import (
     Cocycle,
     ExtElement,
@@ -413,13 +413,17 @@ def test_verify_reuses_the_samplers_outcomes(monkeypatch):
 
 def test_cocycle_relations_take_the_sums_from_the_cocycle(monkeypatch):
     # p + q and q + r come with c(p, q) and c(q, r) from one chord each, so no
-    # Curve.add runs; adding them again would cost 40 adds and 40 inversions here
+    # Curve.add runs; adding them again would cost 40 adds and 40 inversions here.
+    # The ledger counts every inversion, the chords' inline ones too; only the
+    # line fractions' go through FieldElement.inverse
     cocycle = make_toy_params(103, 1).modulus_cocycle(ext=True)
     calls = Counter()
     _count_calls(monkeypatch, calls, Curve, "add")
     _count_calls(monkeypatch, calls, FieldElement, "inverse")
-    sample_admissible_triples(cocycle, 20, random.Random(1))
-    assert calls == {"inverse": 201}
+    with count_mults() as counter:
+        sample_admissible_triples(cocycle, 20, random.Random(1))
+    assert calls == {"inverse": 100}
+    assert counter.inversions == {2: 201}
 
 
 def test_reused_report_names_the_same_failures(toy, skewed_cocycle):

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -512,6 +513,53 @@ def test_extension_add_gap_over_curve_add_and_two_unit_muls(toy, ext):
         assert ext_add.muls - curve_add.muls - 2 == gap, (p, q)
 
 
+# the price of one add by kind: (products, inversions), each by field degree;
+# an extension add is the curve add, two unit products and the line fraction's
+# 4 products, one division product and one F_p^2 inversion (1 and 1 for a
+# vertical); its chord slope and x(P+Q) stay in the curve's field
+PRICE_TABLE = {
+    "E(F_p)": {"chord": ({1: 3}, {1: 1}), "tangent": ({1: 4}, {1: 1}), "vertical": ({}, {}), "identity": ({}, {})},
+    "E(F_p^2)": {"chord": ({2: 3}, {2: 1}), "tangent": ({2: 4}, {2: 1}), "vertical": ({}, {}), "identity": ({}, {})},
+    "jacobian()": {"chord": ({1: 3, 2: 7}, {1: 1, 2: 1}), "tangent": ({1: 4, 2: 7}, {1: 1, 2: 1}),
+                   "vertical": ({2: 3}, {2: 1}), "identity": ({2: 2}, {})},
+    "jacobian(ext=True)": {"chord": ({2: 10}, {2: 2}), "tangent": ({2: 11}, {2: 2}),
+                           "vertical": ({2: 3}, {2: 1}), "identity": ({2: 2}, {})},
+}
+
+
+@pytest.mark.parametrize("source", ["p103", "p10007", "ordinary-p103"])
+def test_price_table_by_add_kind(source):
+    # every add of 60 random points with a random point, itself, its negative
+    # and the identity, both ways round, costs exactly its kind's products and
+    # inversions; an extension add that meets the modulus' support is skipped
+    if source == "ordinary-p103":
+        params = load_params(str(Path(__file__).parent / "data" / "ordinary-p103.txt"))
+    else:
+        params = make_toy_params(int(source[1:]), 1)
+    rows = {"E(F_p)": params.curve, "E(F_p^2)": params.ext_curve,
+            "jacobian()": params.jacobian(), "jacobian(ext=True)": params.jacobian(ext=True)}
+    rng = random.Random(5)
+    for name, G in rows.items():
+        A = G if isinstance(G, Curve) else G.a_group
+        seen = set()
+        for _ in range(60):
+            P = A.random_point(rng)
+            for Q in (A.random_point(rng), P, A.neg(P), A.identity):
+                for x, y in ((P, Q), (Q, P)):
+                    kind = ("identity" if x.is_infinity or y.is_infinity else "vertical" if y == A.neg(x)
+                            else "tangent" if x == y else "chord")
+                    if G is not A:
+                        x, y = ExtElement(x, G.b_group.sample(rng)), ExtElement(y, G.b_group.sample(rng))
+                    try:
+                        with count_mults() as counter:
+                            G.add(x, y)
+                    except SupportCollisionError:
+                        continue
+                    assert (counter.by_degree, counter.inversions) == PRICE_TABLE[name][kind], (name, kind, x, y)
+                    seen.add(kind)
+        assert seen == PRICE_TABLE[name].keys(), name
+
+
 def test_extension_add_calls_the_traced_cocycle_once(toy, monkeypatch):
     # perfbench's tracer wraps these two names; an add that bypasses them
     # would leave its cocycle spans empty
@@ -535,15 +583,15 @@ def test_extension_add_calls_the_traced_cocycle_once(toy, monkeypatch):
 
 def test_extension_add_inverts_only_through_field_element_inverse(monkeypatch):
     # the tracer's field.inverse wraps FieldElement.inverse: a non-vertical add
-    # on E(F_p^2) inverts the chord's denominator and the line fraction's, so
-    # a kernel that inverted inline would read 1 there; on E(F_p) the chord
-    # inverts inline and only the fraction's inverse is counted
+    # inverts the chord's denominator inline, on E(F_p^2) as on E(F_p), and the
+    # line fraction's through FieldElement.inverse, so the tracer sees one call
+    # per add; the ledger counts both, the chord's in the curve's field
     params = make_toy_params(103, 1)
     calls = []
     honest = FieldElement.inverse
     monkeypatch.setattr(FieldElement, "inverse", lambda x: calls.append(x) or honest(x))
     rng = random.Random(1)
-    for ext, inverses in ((True, 2), (False, 1)):
+    for ext, ledger in ((True, {2: 2}), (False, {1: 1, 2: 1})):
         jac, kinds = params.jacobian(ext), set()
         while kinds != {"chord", "tangent"}:
             x = jac.sample(rng)
@@ -554,8 +602,9 @@ def test_extension_add_inverts_only_through_field_element_inverse(monkeypatch):
                 continue  # no chord: the identity or a vertical
             calls.clear()
             try:
-                jac.add(x, y)
+                with count_mults() as counter:
+                    jac.add(x, y)
             except SupportCollisionError:
                 continue
-            assert len(calls) == inverses, (ext, x, y)
+            assert len(calls) == 1 and counter.inversions == ledger, (ext, x, y)
             kinds.add("tangent" if P == Q else "chord")
