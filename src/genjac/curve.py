@@ -13,22 +13,22 @@ and point enumeration run on them through the field kernels, counting each
 product and inversion: `enumerate_points` makes a `Point` per (x, y) that
 its field's `curve_points_coeffs` yields, with no list of pairs in between;
 `Curve.point` and `random_point` check a point in `FieldElement` arithmetic
-and keep its coefficients.  One vertical-line test comes first; then
-`Curve.add` is one call of its field's `chord_sum_coeffs` kernel, which
-inverts inline and builds no `FieldElement` on either field, and a caller
-that needs P + Q and the line fraction hands that call's slope and x(P+Q)
-on to the line fraction, which otherwise asks `chord_coeffs`.  The line
-fraction, at M, N over F_{p^2} only, takes v(M)*l(N) and l(M)*v(N) from the
-`line_coeffs` kernel, or the collision it reports, and divides them by one
-`FieldElement.inverse` into coefficients, the unit group's format.  The
-Miller loop in `jacobian` uses no helper, no kernel of the group law and not
-`Curve.add`: it stays in `FieldElement` arithmetic with its own slope, as
-the cocycle's independent oracle.  Curves are interned like fields, so two
-curves are equal exactly when they are the same object, and a curve over
-F_{p^2} with coefficients in F_p has the same equation over F_p as its base
-curve.  A curve is a `groups.Group` under chord-and-tangent: `identity` is
-the point at infinity, and scalar multiplication and subtraction are the
-generic ones.
+and keep its coefficients.  `Curve.add` is one vertical-line test and one
+call of its field's straight-line `chord_sum_coeffs`, which inverts inline
+and builds no `FieldElement`; a caller that needs P + Q and the line
+fraction makes the same two steps and hands the slope and x(P+Q) on to the
+line fraction, which otherwise asks `chord_coeffs`.  The line fraction, at
+M, N over F_{p^2} only, checks its four arguments in one test, takes
+v(M)*l(N) and l(M)*v(N) from the `line_coeffs` kernel, or the collision it
+reports, and divides them by one `FieldElement.inverse` into coefficients,
+the unit group's format.  The Miller loop in `jacobian` uses no helper, no
+kernel of the group law and not `Curve.add`: it stays in `FieldElement`
+arithmetic with its own slope, as the cocycle's independent oracle.  Curves
+are interned like fields, so two curves are equal exactly when they are the
+same object, and a curve over F_{p^2} with coefficients in F_p has the same
+equation over F_p as its base curve.  A curve is a `groups.Group` under
+chord-and-tangent: `identity` is the point at infinity, and scalar
+multiplication and subtraction are the generic ones.
 """
 
 from __future__ import annotations
@@ -187,44 +187,37 @@ def _vertical(P: Point, Q: Point) -> bool:
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Coeffs:
     """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N), as coefficients.
 
-    P and Q may live on the base curve while M and N live on an extension
-    of it; the slope and x(P+Q) are then computed in the base field and
-    only they and P's coordinates are lifted; `chord`, when given, is the
-    (lambda, x(P+Q)) the caller's kernel found.  M and N must lie over F_{p^2}.
-    When P or Q is the identity the function is the constant 1.  Otherwise
-    M and N must avoid the support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P,
-    Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point
-    lies in the support exactly when l or v is zero there.
+    P and Q may live on the base curve while M and N live on an extension of it; the slope
+    and x(P+Q) are then computed in the base field and only they and P's coordinates are
+    lifted; `chord`, when given, is the (lambda, x(P+Q)) the caller's kernel found.  M and N
+    must lie over F_{p^2}.  When P or Q is the identity the function is the constant 1.
+    Otherwise M and N must avoid the support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes
+    exactly at P, Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point lies
+    in the support exactly when l or v is zero there.
     """
-    curve = M.curve
-    field = curve.field
-    if N.curve is not curve:
-        raise ValueError("M and N must live on the same curve")
-    if field.degree != 2:
-        raise ValueError("M and N must live over F_p^2")
-    lift = P.curve is not curve or Q.curve is not curve
-    if lift and not (P.curve is curve.base_curve and Q.curve is curve.base_curve):
-        raise ValueError("M and N must live on the points' curve or an extension of it")
+    curve, field = M.curve, M.curve.field
+    # one test passes every valid call: M, N on one curve over F_{p^2}, P, Q on it or both on its base curve
+    if not (N.curve is curve and field.degree == 2 and Q.curve is P.curve
+            and (P.curve is curve or P.curve is curve.base_curve)):
+        raise ValueError("M and N must live on the same curve" if N.curve is not curve
+                         else "M and N must live over F_p^2" if field.degree != 2
+                         else "M and N must live on the points' curve or an extension of it")
     if P.x is None or Q.x is None:
         return field.one_coeffs
     if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
-    sub, mul, zero = field.sub_coeffs, field.mul_coeffs, field.zero_coeffs
-    xP, yP, xM, xN = P.x, P.y, M.x, N.x
-    if lift:
-        xP, yP = (xP, 0), (yP, 0)
     if chord is None and not _vertical(P, Q):  # on P's curve, before any lift
         chord = P.curve.field.chord_coeffs(P.x, P.y, Q.x, Q.y, P.curve.a.coeffs)
+    xP, yP = P.x, P.y
+    if P.curve is not curve:  # F_p coefficients c lift to (c, 0)
+        xP, yP, chord = (xP, 0), (yP, 0), chord and ((chord[0], 0), (chord[1], 0))
     if chord is None:
-        # P + Q = O: l is the vertical through P and v is the constant 1
-        l_m, l_n = sub(xM, xP), sub(xN, xP)
-        if zero in (l_m, l_n):
+        # P + Q = O: l is the vertical through P and v is the constant 1, so the value is l(N) / l(M)
+        den, num = field.sub_coeffs(M.x, xP), field.sub_coeffs(N.x, xP)
+        if field.zero_coeffs in (num, den):
             raise SupportCollisionError("M or N is a pole of the line fraction")
-        return mul(l_n, FieldElement(field, l_m).inverse().coeffs)
-    lam, xS = chord
-    if lift:
-        lam, xS = (lam, 0), (xS, 0)
-    if (fraction := field.line_coeffs(lam, xP, yP, xS, xM, M.y, xN, N.y)) is None:
+    elif (fraction := field.line_coeffs(chord[0], xP, yP, chord[1], M.x, M.y, N.x, N.y)) is None:
         raise SupportCollisionError("M or N lies in the support of the line fraction")
-    num, den = fraction
-    return mul(num, FieldElement(field, den).inverse().coeffs)
+    else:
+        num, den = fraction
+    return field.mul_coeffs(num, FieldElement(field, den).inverse().coeffs)

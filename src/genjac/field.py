@@ -10,10 +10,10 @@ every operand and coercion and is the only place that raises on a
 mismatch; `K(c)` lifts an F_p coefficient c into F_{p^2} as (c, 0).
 Powers and the Tonelli-Shanks square root run on the kernels too.  A
 curve point stores its coordinates, and a unit itself, in the same
-format, so the group law never wraps them.  Its kernels are straight
-line on ints or int pairs and tick their products in bulk:
-`chord_coeffs`, on each field, gives the slope and x(P+Q), and
-`chord_sum_coeffs` calls it and adds y(P+Q) for one product; `line_coeffs`,
+format, so the group law never wraps them.  Its kernels are each one
+straight line on ints or int pairs, call no other kernel and tick their
+products in bulk: `chord_sum_coeffs`, on each field, gives a curve add's
+slope, x(P+Q) and y(P+Q), and `chord_coeffs` the first two; `line_coeffs`,
 on F_{p^2} only, where every modulus lives, the two products of a line
 fraction v/l at (M) - (N), or None on a zero of l or v; and
 `curve_points_coeffs`, on each field, every (x, y) on a curve, each x's
@@ -187,10 +187,17 @@ class PrimeField(_Field):
         return lam, (lam * lam - x1 - x2) % p
 
     def chord_sum_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int, int]:
-        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`, then one product for y."""
-        lam, x3 = self.chord_coeffs(x1, y1, x2, y2, a)
-        _tally[1] += 1
-        return lam, x3, (lam * (x1 - x3) - y1) % self.p
+        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`' products and one for y."""
+        p = self.p
+        _inversions[1] += 1
+        if x1 == x2:
+            _tally[1] += 4  # x^2, lambda, lambda^2 and y
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+        else:
+            _tally[1] += 3  # lambda, lambda^2 and y
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return lam, x3, (lam * (x1 - x3) - y1) % p
 
     def curve_points_coeffs(self, a: int, b: int) -> Iterator[tuple[int, int]]:
         """(x, y) on y^2 = x^3 + ax + b, by x and then by y in all_coeffs() order, straight-line."""
@@ -208,9 +215,9 @@ class PrimeField(_Field):
 
 
 class ExtField(_Field):
-    """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible; one object per poly."""
+    """F_{p^2} = F_p[u]/(u^2 + s*u + t), poly = (t, s, 1) monic irreducible, `_tsp` = (t, s, p)."""
 
-    __slots__ = ("base", "p", "degree", "order", "poly", "zero_coeffs", "one_coeffs", "_nonresidue_t")
+    __slots__ = ("base", "p", "degree", "order", "poly", "_tsp", "zero_coeffs", "one_coeffs", "_nonresidue_t")
     _registry: dict[tuple[int, tuple[int, ...]], "ExtField"] = {}
 
     def __new__(cls, base: PrimeField, poly: Sequence[int]) -> "ExtField":
@@ -228,7 +235,7 @@ class ExtField(_Field):
         # irreducible iff the discriminant is a non-square (Euler's criterion)
         if pow(s * s - 4 * t, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"reduction polynomial {list(poly)} is reducible over F_{p}")
-        return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly,
+        return cls._intern((p, poly), base=base, p=p, degree=2, order=p * p, poly=poly, _tsp=(t, s, p),
                            zero_coeffs=(0, 0), one_coeffs=(1, 0), _nonresidue_t=None)
 
     @property
@@ -243,15 +250,14 @@ class ExtField(_Field):
 
     def mul_coeffs(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         _tally[2] += 1
-        (a0, a1), (b0, b1), (t, s, _), p = a, b, self.poly, self.p
+        (a0, a1), (b0, b1), (t, s, p) = a, b, self._tsp
         hi = a1 * b1  # times u^2 = -s*u - t
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
 
     def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line
-        on the pairs; the denominator d0 + d1*u is inverted inline, its conjugate (d0 - s*d1) - d1*u
-        over its norm d0^2 - s*d0*d1 + t*d1^2 by one `pow`, as `FieldElement.inverse` does."""
-        (x1, x1u), (x2, x2u), (t, s, _), p = xP, xQ, self.poly, self.p
+        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a; the denominator d0 + d1*u
+        is inverted inline, like `FieldElement.inverse`: its conjugate (d0 - s*d1) - d1*u over its norm."""
+        (x1, x1u), (x2, x2u), (t, s, p) = xP, xQ, self._tsp
         _inversions[2] += 1
         if xP == xQ:
             _tally[2] += 3  # x^2, lambda and lambda^2
@@ -270,17 +276,31 @@ class ExtField(_Field):
         return (l0, l1), ((l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p)
 
     def chord_sum_coeffs(self, xP, yP, xQ, yQ, a):
-        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`, then one product for y."""
-        lam, x3 = self.chord_coeffs(xP, yP, xQ, yQ, a)
-        (l0, l1), (t, s, _), p = lam, self.poly, self.p
-        _tally[2] += 1
-        d0, d1 = xP[0] - x3[0], xP[1] - x3[1]
+        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`' products and one for y."""
+        (x1, x1u), (x2, x2u), (t, s, p) = xP, xQ, self._tsp
+        _inversions[2] += 1
+        if xP == xQ:
+            _tally[2] += 4  # x^2, lambda, lambda^2 and y
+            hi = x1u * x1u
+            n0, n1 = 3 * (x1 * x1 - t * hi) + a[0], 3 * (2 * x1 * x1u - s * hi) + a[1]
+            d0, d1 = 2 * yP[0], 2 * yP[1]
+        else:
+            _tally[2] += 3  # lambda, lambda^2 and y
+            n0, n1 = yQ[0] - yP[0], yQ[1] - yP[1]
+            d0, d1 = x2 - x1, x2u - x1u
+        inv = pow(d0 * d0 - s * d0 * d1 + t * d1 * d1, -1, p)
+        d0, d1 = (d0 - s * d1) * inv % p, -d1 * inv % p
+        hi = n1 * d1
+        l0, l1 = (n0 * d0 - t * hi) % p, (n0 * d1 + n1 * d0 - s * hi) % p
+        hi = l1 * l1
+        x3, x3u = (l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p
+        d0, d1 = x1 - x3, x1u - x3u
         hi = l1 * d1
-        return lam, x3, ((l0 * d0 - t * hi - yP[0]) % p, (l0 * d1 + l1 * d0 - s * hi - yP[1]) % p)
+        return (l0, l1), (x3, x3u), ((l0 * d0 - t * hi - yP[0]) % p, (l0 * d1 + l1 * d0 - s * hi - yP[1]) % p)
 
     def line_coeffs(self, lam, xP, yP, xS, xM, yM, xN, yN):
         """(v(M)*l(N), l(M)*v(N)) for l of slope lam through P and v at x = xS; None on a zero."""
-        (l0, l1), (p0, p1), (t, s, _), p = lam, xP, self.poly, self.p
+        (l0, l1), (p0, p1), (t, s, p) = lam, xP, self._tsp
         _tally[2] += 2  # lambda times x(M) - x(P) and x(N) - x(P)
         d0, d1 = xM[0] - p0, xM[1] - p1
         hi = l1 * d1
@@ -299,7 +319,7 @@ class ExtField(_Field):
 
     def curve_points_coeffs(self, a, b) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
         """(x, y) on y^2 = x^3 + ax + b, by x and then by y in all_coeffs() order, on the pairs."""
-        (t, s, _), p, (a0, a1), (b0, b1) = self.poly, self.p, a, b
+        (t, s, p), (a0, a1), (b0, b1) = self._tsp, a, b
         _tally[2] += 4 * p * p  # y^2 for every y, then x^2, x^3 and a*x for every x
         # a nonzero square's roots y, -y in that order: y1 < p - y1, or y1 = 0 and y0 < p - y0
         roots = {(0, 0): ((0, 0),)}
@@ -360,7 +380,7 @@ class FieldElement:
         _inversions[f.degree] += 1
         if f.degree == 1:
             return FieldElement(f, pow(a, -1, f.p))
-        (a0, a1), (t, s, _), p = a, f.poly, f.p
+        (a0, a1), (t, s, p) = a, f._tsp
         # conjugate (a0 - s*a1) - a1*u over the norm a0^2 - s*a0*a1 + t*a1^2
         inv = pow(a0 * a0 - s * a0 * a1 + t * a1 * a1, -1, p)
         return FieldElement(f, ((a0 - s * a1) * inv % p, -a1 * inv % p))

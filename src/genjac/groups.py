@@ -157,9 +157,9 @@ class ExtensionGroup(Group):
         return ExtElement(self.a_group.identity, self.b_group.identity)
 
     def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        B = self.b_group
-        a_sum, c = self.cocycle.sum_and_value(x.a_part, y.a_part)
-        return ExtElement(a_sum, B.add(B.add(x.b_part, y.b_part), c))
+        (a1, b1), (a2, b2), B = x, y, self.b_group
+        a_sum, c = self.cocycle.sum_and_value(a1, a2)
+        return tuple.__new__(ExtElement, (a_sum, B.add(B.add(b1, b2), c)))  # skips NamedTuple's Python __new__
 
     def neg(self, x: ExtElement) -> ExtElement:
         A, B = self.a_group, self.b_group

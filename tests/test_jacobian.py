@@ -560,25 +560,68 @@ def test_price_table_by_add_kind(source):
         assert seen == PRICE_TABLE[name].keys(), name
 
 
-def test_extension_add_calls_the_traced_cocycle_once(toy, monkeypatch):
-    # perfbench's tracer wraps these two names; an add that bypasses them
-    # would leave its cocycle spans empty
-    calls = {"cocycle": 0, "line_fraction": 0}
-    honest_call, honest_fraction = jacobian.ModulusCocycle.__call__, jacobian.eval_line_fraction
+def test_extension_add_calls_the_traced_cocycle_once(monkeypatch):
+    # perfbench's tracer wraps ExtensionGroup.add, ModulusCocycle.__call__, jacobian's
+    # eval_line_fraction and FieldElement.inverse, and the bench tests' ledger counts
+    # the cocycle inside __call__, so along a whole ladder on make_toy_params(103, 1)
+    # every extension add enters the first three once each and divides once unless an
+    # operand is the identity; a chord or tangent add, on the extension ladder or the
+    # curve ladder beneath it, makes one sum-kernel call and no chord-only call.  The
+    # scalar's leading bits are ord(P), so a ladder reaches O by a vertical add and
+    # then adds to the identity.
+    params = make_toy_params(103, 1)
+    calls = dict.fromkeys(("ext_add", "cocycle", "line_fraction", "inverse", "sum_kernel", "chord_kernel"), 0)
 
-    def cocycle(self, *args):
-        calls["cocycle"] += 1
-        return honest_call(self, *args)
+    def count(owner, name, key):
+        honest = getattr(owner, name)
 
-    def line_fraction(*args):
-        calls["line_fraction"] += 1
-        return honest_fraction(*args)
+        def counted(*args):
+            calls[key] += 1
+            return honest(*args)
+        monkeypatch.setattr(owner, name, counted)
 
-    monkeypatch.setattr(jacobian.ModulusCocycle, "__call__", cocycle)
-    monkeypatch.setattr(jacobian, "eval_line_fraction", line_fraction)
-    E, one = toy.curve, toy.units().identity
-    toy.jacobian().add(ExtElement(E.parse_point("5;3"), one), ExtElement(E.parse_point("7;8"), one))
-    assert calls == {"cocycle": 1, "line_fraction": 1}
+    count(jacobian.ModulusCocycle, "__call__", "cocycle")
+    count(jacobian, "eval_line_fraction", "line_fraction")
+    count(FieldElement, "inverse", "inverse")
+    for field in (PrimeField, ExtField):
+        count(field, "chord_sum_coeffs", "sum_kernel")
+        count(field, "chord_coeffs", "chord_kernel")
+    count(jacobian.ExtensionGroup, "add", "ext_add")
+    rng = random.Random(103)
+    for ext in (False, True):
+        jac = params.jacobian(ext)
+        A = jac.a_group
+        for G in (jac, A):
+            honest_add, per_add = type(G).add, []
+
+            def add(self, x, y):
+                Q, R = (x.a_part, y.a_part) if G is jac else (x, y)
+                kind = "identity" if Q.is_infinity or R.is_infinity else "vertical" if Q == A.neg(R) else "chord"
+                before = dict(calls)
+                total = honest_add(self, x, y)
+                per_add.append((kind, {key: calls[key] - before[key] for key in calls}))
+                return total
+            while True:  # operands whose ladder meets no support collision
+                P = A.random_point(rng)
+                n = element_order(A, P, params.ext_curve_order if ext else params.curve_order) << 8 | rng.randrange(256)
+                g = ExtElement(P, params.units().sample(rng)) if G is jac else P
+                per_add.clear()
+                monkeypatch.setattr(type(G), "add", add)
+                try:
+                    G.scalar_mul(n, g)
+                    break
+                except SupportCollisionError:
+                    continue
+                finally:
+                    monkeypatch.setattr(type(G), "add", honest_add)
+            assert {kind for kind, _ in per_add} == {"chord", "vertical", "identity"}, (ext, G)
+            for kind, made in per_add:
+                chord = int(kind == "chord")
+                expected = {"ext_add": 0, "cocycle": 0, "line_fraction": 0, "inverse": 0,
+                            "sum_kernel": chord, "chord_kernel": 0}
+                if G is jac:
+                    expected.update(ext_add=1, cocycle=1, line_fraction=1, inverse=int(kind != "identity"))
+                assert made == expected, (ext, G, kind)
 
 
 def test_extension_add_inverts_only_through_field_element_inverse(monkeypatch):
