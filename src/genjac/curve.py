@@ -11,9 +11,11 @@ value.  A point is its coordinates' field coefficients (an int in F_p, a
 pair in F_{p^2}, None for the identity), so the group law, the line fraction
 and point enumeration run on them through the field kernels, counting each
 product and inversion: `enumerate_points` makes a `Point` per (x, y) that
-its field's `curve_points_coeffs` yields, with no list of pairs in between;
-`Curve.point` and `random_point` check a point in `FieldElement` arithmetic
-and keep its coefficients.  `Curve.add` is one vertical-line test and one
+its field's `curve_points_coeffs` yields, with no list of pairs in between
+and the cyclic garbage collector paused; `random_point` evaluates
+x^3 + ax + b on `mul_coeffs` and `add_coeffs` and asks `FieldElement.sqrt`
+for y; `Curve.point` checks a point in `FieldElement` arithmetic and keeps
+its coefficients.  `Curve.add` is one vertical-line test and one
 call of its field's straight-line `chord_sum_coeffs`, which inverts inline
 and builds no `FieldElement`; a caller that needs P + Q and the line
 fraction makes the same two steps and hands the slope and x(P+Q) on to the
@@ -33,6 +35,7 @@ multiplication and subtraction are the generic ones.
 
 from __future__ import annotations
 
+import gc
 from typing import Iterator
 
 from .field import Coeffs, ExtField, FieldElement, _Field, coeffs_to_record
@@ -121,24 +124,28 @@ class Curve(Group):
         f = self.field
         if f.order > ENUM_BOUND:
             raise ValueError(f"field of order {f.order} exceeds enumeration bound {ENUM_BOUND}")
-        points = [self.identity]
-        points += (Point(self, x, y) for x, y in f.curve_points_coeffs(self.a.coeffs, self.b.coeffs))
+        points, collecting = [self.identity], gc.isenabled()
+        gc.disable()  # the Points are all kept, so collections while they are built find nothing
+        try:
+            points += (Point(self, x, y) for x, y in f.curve_points_coeffs(self.a.coeffs, self.b.coeffs))
+        finally:
+            if collecting:
+                gc.enable()
         return points
 
     def random_point(self, rng) -> "Point":
         """A uniform-ish random affine point, via random x and a square-root attempt."""
         f = self.field
+        add, mul, zero, a, b = f.add_coeffs, f.mul_coeffs, f.zero_coeffs, self.a.coeffs, self.b.coeffs
         for _ in range(POINT_DRAWS):
-            x = f.sample(rng)
-            rhs = x * x * x + self.a * x + self.b
-            if rhs.is_zero():
-                return Point(self, x.coeffs, f.zero_coeffs)
-            y = rhs.sqrt()
+            x = f.sample(rng).coeffs
+            rhs = add(add(mul(mul(x, x), x), mul(a, x)), b)
+            if rhs == zero:
+                return Point(self, x, zero)
+            y = FieldElement(f, rhs).sqrt()
             if y is None:
                 continue
-            if rng.randrange(2):
-                y = -y
-            return Point(self, x.coeffs, y.coeffs)
+            return Point(self, x, f.sub_coeffs(zero, y.coeffs) if rng.randrange(2) else y.coeffs)
         raise RuntimeError("no curve point found; curve suspiciously small")
 
     def __repr__(self) -> str:

@@ -4,11 +4,14 @@ F_{p^2} = F_p[u]/(u^2 + s*u + t) for an odd prime p and any monic
 irreducible quadratic.  An element's coefficients are an int in F_p and a
 pair (a0, a1) meaning a0 + a1*u in F_{p^2}, the field's zero and one being
 `zero_coeffs` and `one_coeffs`.  Each field has straight-line kernels on
-them (`add_coeffs`, `sub_coeffs`, `mul_coeffs`), and `FieldElement`
-arithmetic is their checked wrapper: one field method, `coeffs_of`, checks
-every operand and coercion and is the only place that raises on a
-mismatch; `K(c)` lifts an F_p coefficient c into F_{p^2} as (c, 0).
-Powers and the Tonelli-Shanks square root run on the kernels too.  A
+them (`add_coeffs`, `sub_coeffs`, `mul_coeffs`) and a power kernel,
+`pow_coeffs`, that ticks left-to-right square-and-multiply's products: the
+built-in `pow` on F_p, one loop on the pair on F_{p^2}.  `FieldElement`
+arithmetic is their checked wrapper: an operand of the element's own field
+is taken inline, and any other operand, and every coercion, goes to one
+field method, `coeffs_of`, the only place that raises on a mismatch;
+`K(c)` lifts an F_p coefficient c into F_{p^2} as (c, 0).  Powers and the
+Tonelli-Shanks square root run on `pow_coeffs` and `mul_coeffs`.  A
 curve point stores its coordinates, and a unit itself, in the same
 format, so the group law never wraps them.  Its kernels are each one
 straight line on ints or int pairs, call no other kernel and tick their
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .numbertheory import double_and_add, is_prime, quoted
+from .numbertheory import is_prime, quoted
 
 # Characteristic stays word-sized; exact Python ints do the rest.
 PRIME_BOUND = 1 << 61
@@ -174,6 +177,11 @@ class PrimeField(_Field):
         _tally[1] += 1
         return a * b % self.p
 
+    def pow_coeffs(self, a: int, n: int) -> int:
+        """a^n for n >= 1 by the built-in `pow`, ticking left-to-right square-and-multiply's products."""
+        _tally[1] += n.bit_length() + n.bit_count() - 2
+        return pow(a, n, self.p)
+
     def chord_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int]:
         """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line."""
         p = self.p
@@ -253,6 +261,19 @@ class ExtField(_Field):
         (a0, a1), (b0, b1), (t, s, p) = a, b, self._tsp
         hi = a1 * b1  # times u^2 = -s*u - t
         return ((a0 * b0 - t * hi) % p, (a0 * b1 + a1 * b0 - s * hi) % p)
+
+    def pow_coeffs(self, a: tuple[int, int], n: int) -> tuple[int, int]:
+        """a^n for n >= 1 by left-to-right square-and-multiply on the pair, ticking each product."""
+        _tally[2] += n.bit_length() + n.bit_count() - 2
+        (a0, a1), (t, s, p) = a, self._tsp
+        x0, x1 = a0, a1
+        for bit in bin(n)[3:]:
+            hi = x1 * x1
+            x0, x1 = (x0 * x0 - t * hi) % p, (2 * x0 * x1 - s * hi) % p
+            if bit == "1":
+                hi = x1 * a1
+                x0, x1 = (x0 * a0 - t * hi) % p, (x0 * a1 + x1 * a0 - s * hi) % p
+        return x0, x1
 
     def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
         """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a; the denominator d0 + d1*u
@@ -340,7 +361,8 @@ class ExtField(_Field):
 
 
 class FieldElement:
-    """Immutable element of a PrimeField or ExtField."""
+    """Immutable element of a PrimeField or ExtField; `+`, `-`, `*` and `/` take an operand of its
+    own field inline and pass any other to `coeffs_of`, the one place that raises."""
 
     __slots__ = ("field", "coeffs")
 
@@ -353,11 +375,13 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        return FieldElement(f, f.add_coeffs(self.coeffs, f.coeffs_of(other)))
+        b = other.coeffs if type(other) is FieldElement and other.field is f else f.coeffs_of(other)
+        return FieldElement(f, f.add_coeffs(self.coeffs, b))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        return FieldElement(f, f.sub_coeffs(self.coeffs, f.coeffs_of(other)))
+        b = other.coeffs if type(other) is FieldElement and other.field is f else f.coeffs_of(other)
+        return FieldElement(f, f.sub_coeffs(self.coeffs, b))
 
     def __neg__(self) -> "FieldElement":
         f = self.field
@@ -365,12 +389,14 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         f = self.field
-        return FieldElement(f, f.mul_coeffs(self.coeffs, f.coeffs_of(other)))
+        b = other.coeffs if type(other) is FieldElement and other.field is f else f.coeffs_of(other)
+        return FieldElement(f, f.mul_coeffs(self.coeffs, b))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         # inverse-and-multiply, so one counted multiplication and inversion per division
         f = self.field
-        f.coeffs_of(other)
+        if not (type(other) is FieldElement and other.field is f):
+            f.coeffs_of(other)
         return FieldElement(f, f.mul_coeffs(self.coeffs, other.inverse().coeffs))
 
     def inverse(self) -> "FieldElement":
@@ -393,7 +419,7 @@ class FieldElement:
                 raise ArithmeticError("0**0 is undefined")
             return self.field.one
         f = self.field
-        return FieldElement(f, double_and_add(f.mul_coeffs, self.coeffs, n))
+        return FieldElement(f, f.pow_coeffs(self.coeffs, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -416,17 +442,17 @@ class FieldElement:
         GTM 138, Alg. 1.5.1).  b of order 2^m means a is a non-square; otherwise
         a power of c = z^t, z a fixed non-square whose z^t coefficients the field
         keeps, fixes x and lowers b's order.  The loop runs on coefficients
-        through `mul_coeffs`; only the root is built as an element.
+        through `mul_coeffs` and `pow_coeffs`; only the root is built as an element.
         """
         f, a = self.field, self.coeffs
         if self.is_zero():
             return self
-        mul, one = f.mul_coeffs, f.one_coeffs
+        mul, power, one = f.mul_coeffs, f.pow_coeffs, f.one_coeffs
         m, t = 0, f.order - 1
         while t % 2 == 0:
             t //= 2
             m += 1
-        w = double_and_add(mul, a, t // 2) if t > 1 else one
+        w = power(a, t // 2) if t > 1 else one
         x = mul(a, w)
         b = mul(x, w)
         c = f._nonresidue_t
@@ -441,12 +467,12 @@ class FieldElement:
                 # the first non-square in all_coeffs() order, once per field; all
                 # of F_p is square in F_{p^2}, so there the search starts at u
                 index = f.p if f.degree == 2 else 1
-                while double_and_add(mul, z := f._at(index).coeffs, (f.order - 1) // 2) == one:
+                while power(z := f._at(index).coeffs, (f.order - 1) // 2) == one:
                     index += 1
                     if index == f.order:
                         raise ArithmeticError(f"no non-square in {f.name}")
-                c = f._nonresidue_t = double_and_add(mul, z, t)
-            e = double_and_add(mul, c, 1 << (m - i - 1))
+                c = f._nonresidue_t = power(z, t)
+            e = power(c, 1 << (m - i - 1))
             x = mul(x, e)
             c = mul(e, e)
             b = mul(b, c)

@@ -5,17 +5,29 @@
 extension is isomorphic to the direct product.  `brute_force_dlp` is the
 linear-scan oracle that the discrete-log solvers are checked against.
 `enumerate_by_definition` lists E(F_q) through the field's `mul_coeffs`
-and `add_coeffs`, the oracle for the enumeration kernels.
+and `add_coeffs`, the oracle for the enumeration kernels, and
+`random_point_by_definition` draws a point of E in `FieldElement`
+arithmetic, the oracle for `Curve.random_point`.  `KERNEL_CURVES` are the
+curves the field kernels are checked on.
 """
 
 from typing import Any, Iterator
 
-from genjac.curve import Curve, Point
+from genjac.curve import POINT_DRAWS, Curve, Point
 from genjac.dlp import DlpSolution, NoSolutionError, Step
 from genjac.field import Coeffs
 from genjac.groups import Cocycle, Group
 
 BRUTE_FORCE_BOUND = 10**6
+
+# the kernels on F_p and on two F_{p^2} whose reduction polynomial u^2 + s*u + t
+# has s != 0 and t != 1, so every s- and t-term of the pair products is exercised;
+# each entry is (p, poly or None for F_p, a, b)
+KERNEL_CURVES = {
+    "E(F_11)": (11, None, 1, 3),
+    "E(F_7[u]/(u^2+u+3))": (7, (3, 1, 1), [0, 1], 1),
+    "E(F_11[u]/(u^2+3u+6))": (11, (6, 3, 1), [2, 1], [0, 3]),
+}
 
 
 class CyclicGroup(Group):
@@ -108,3 +120,21 @@ def enumerate_by_definition(E: Curve) -> list[Point]:
         ys = roots.get(add(add(mul(mul(x, x), x), mul(a, x)), b), ())
         points += (Point(E, x, y) for y in ys)
     return points
+
+
+def random_point_by_definition(E: Curve, rng) -> Point:
+    """A random affine point of E, drawn as `Curve.random_point` draws it: a random x until
+    x^3 + ax + b is zero or a square, then one draw for the sign of y, in `FieldElement` arithmetic."""
+    f = E.field
+    for _ in range(POINT_DRAWS):
+        x = f.sample(rng)
+        rhs = x * x * x + E.a * x + E.b
+        if rhs.is_zero():
+            return Point(E, x.coeffs, f.zero_coeffs)
+        y = rhs.sqrt()
+        if y is None:
+            continue
+        if rng.randrange(2):
+            y = -y
+        return Point(E, x.coeffs, y.coeffs)
+    raise RuntimeError("no curve point found; curve suspiciously small")

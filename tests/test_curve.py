@@ -1,13 +1,15 @@
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
 from genjac.curve import Curve, SupportCollisionError, element_order, eval_line_fraction
 from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import ExtElement, MultiplicativeGroup, ZeroCocycle
-from genjac.jacobian import make_toy_params, tate_by_miller
+from genjac.jacobian import load_params, make_toy_params, tate_by_miller
 from genjac.numbertheory import Factorization
-from subjects import enumerate_by_definition
+from subjects import KERNEL_CURVES, enumerate_by_definition, random_point_by_definition
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,35 @@ def test_enumeration_kernel_matches_the_oracle():
                 assert points == expected and kernel.by_degree == oracle.by_degree, curve
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["whole", "kernel-raises"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_enumeration_pauses_the_collector_and_restores_it(E, monkeypatch, collecting, broken):
+    # the collector is off while the Points are built and back in the caller's
+    # state afterwards, also when the kernel raises part-way through
+    kernel, seen = PrimeField.curve_points_coeffs, []
+
+    def watched(field, a, b):
+        for i, xy in enumerate(kernel(field, a, b)):
+            seen.append(gc.isenabled())
+            if broken and i == 3:
+                raise RuntimeError("kernel broke")
+            yield xy
+
+    monkeypatch.setattr(PrimeField, "curve_points_coeffs", watched)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if broken:
+            with pytest.raises(RuntimeError, match="kernel broke"):
+                E.enumerate_points()
+        else:
+            assert len(E.enumerate_points()) == 12
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) == (4 if broken else 11) and not any(seen)
+
+
 def test_known_points_and_doubling(E):
     F = E.field
     P = E.point(F(5), F(3))
@@ -162,6 +193,47 @@ def test_random_point_gives_up_after_its_draw_budget(E):
 
     with pytest.raises(RuntimeError, match="no curve point found"):
         E.random_point(StuckRng())
+
+
+def _ordinary_p103(ext):
+    params = load_params(str(Path(__file__).parent / "data" / "ordinary-p103.txt"))
+    return params.ext_curve if ext else params.curve
+
+
+def _kernel_curve(name):
+    p, poly, a, b = KERNEL_CURVES[name]
+    return Curve(ExtField(PrimeField(p), poly), a, b)
+
+
+# y^2 = x^3 + x over F_p and F_p^2, whose x = 0 has a zero right-hand side; the
+# ordinary curve a = 2, b = 3, where the a*x and b terms count; and the two
+# extensions with s != 0 of KERNEL_CURVES
+RANDOM_POINT_CURVES = {
+    **{f"y^2=x^3+x over F_{p}": lambda p=p: Curve(PrimeField(p), 1, 0) for p in (11, 103, 10007)},
+    **{f"y^2=x^3+x over F_{p}^2": lambda p=p: Curve(ExtField(PrimeField(p), (1, 0, 1)), 1, 0)
+       for p in (11, 103, 10007)},
+    "ordinary-p103": lambda: _ordinary_p103(False),
+    "ordinary-p103 over F_p^2": lambda: _ordinary_p103(True),
+    **{name: lambda name=name: _kernel_curve(name) for name, (_, poly, _, _) in KERNEL_CURVES.items() if poly},
+}
+
+
+@pytest.mark.parametrize("name", RANDOM_POINT_CURVES)
+def test_random_point_matches_the_definition(name):
+    # the same 200 points, the same products and inversions, and the same draws
+    E = RANDOM_POINT_CURVES[name]()
+    fast, slow = random.Random(name), random.Random(name)
+    E.field._nonresidue_t = None  # interned: each run pays for the non-residue search
+    with count_mults() as kernel:
+        got = [E.random_point(fast) for _ in range(200)]
+    E.field._nonresidue_t = None
+    with count_mults() as oracle:
+        expected = [random_point_by_definition(E, slow) for _ in range(200)]
+    assert [(P.x, P.y) for P in got] == [(P.x, P.y) for P in expected]
+    assert got == expected and fast.getstate() == slow.getstate()
+    assert (kernel.by_degree, kernel.inversions) == (oracle.by_degree, oracle.inversions)
+    if name.startswith("y^2=x^3+x over F_11"):  # x = 0 drawn: the point (0, 0)
+        assert E.point(0, 0) in got
 
 
 def test_element_order_rejects_non_multiple(E):
@@ -401,15 +473,6 @@ def test_add_matches_schoolbook_with_exact_counts(name):
             assert counter.by_degree == ({field.degree: muls} if muls else {}), (P, Q)
             assert counter.muls == muls
     assert tangents > 0
-
-
-# the kernels on F_p and on two F_{p^2} whose reduction polynomial u^2 + s*u + t
-# has s != 0 and t != 1, so every s- and t-term of the pair products is exercised
-KERNEL_CURVES = {
-    "E(F_11)": (11, None, 1, 3),
-    "E(F_7[u]/(u^2+u+3))": (7, (3, 1, 1), [0, 1], 1),
-    "E(F_11[u]/(u^2+3u+6))": (11, (6, 3, 1), [2, 1], [0, 3]),
-}
 
 
 @pytest.mark.parametrize("name", KERNEL_CURVES)

@@ -14,6 +14,7 @@ from genjac.field import (
 )
 from genjac.jacobian import make_toy_params, params_to_text
 from genjac.numbertheory import double_and_add
+from subjects import KERNEL_CURVES
 
 
 @pytest.fixture(scope="module")
@@ -166,18 +167,29 @@ def test_sqrt_roots_and_counts_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SQRT_ROOTS_SHA256
 
 
-def test_pow_matches_the_operator_ladder(F, K):
-    # the same value and the same counted multiplications as the ladder on elements
-    for x in (F(7), K([3, 5]), ExtField(PrimeField(103), (1, 0, 1))([17, 88])):
-        for n in (1, 2, 331, 2**20 + 1):
-            with count_mults() as expected:
-                value = double_and_add(operator.mul, x, n)
-            with count_mults() as c:
-                assert x**n == value
-            assert c.by_degree == expected.by_degree
-        assert x**0 == x.field.one
+def test_pow_matches_the_operator_ladder(K):
+    # pow_coeffs, and x**n through it, give the same value and the same counted
+    # multiplications as the ladder on elements: on the KERNEL_CURVES fields, whose
+    # s != 0 and t != 1 reach every term of the pair products, and at word size
+    fields = [K, ExtField(PrimeField(103), (1, 0, 1)), PrimeField(10007), PrimeField(2**61 - 1),
+              ExtField(PrimeField(10007), (1, 0, 1))]
+    fields += [PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
+               for p, poly, _, _ in KERNEL_CURVES.values()]
+    for field in fields:
+        q = field.order
+        for x in (field._at(q // 3 + 3), field._at(q - 2), field.one, field(0)):
+            for n in (1, 2, 3, 2**20, 2**20 + 1, 331, (q - 1) // 2, 2**61 + 1):
+                with count_mults() as expected:
+                    value = double_and_add(operator.mul, x, n)
+                with count_mults() as c:
+                    assert field.pow_coeffs(x.coeffs, n) == value.coeffs, (field, x, n)
+                assert c.by_degree == expected.by_degree, (field, x, n)
+                with count_mults() as c:
+                    assert x**n == value
+                assert c.by_degree == expected.by_degree, (field, x, n)
+        assert field.one**0 == field._at(q - 2)**0 == field.one
         with pytest.raises(ArithmeticError):
-            x.field(0) ** 0
+            field(0) ** 0
 
 
 def test_coercion_and_mismatch(F, K):
