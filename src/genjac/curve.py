@@ -15,11 +15,11 @@ its field's `curve_points_coeffs` yields, with no list of pairs in between
 and the cyclic garbage collector paused; `random_point` evaluates
 x^3 + ax + b on `mul_coeffs` and `add_coeffs` and asks `FieldElement.sqrt`
 for y; `Curve.point` checks a point in `FieldElement` arithmetic and keeps
-its coefficients.  `Curve.add` is one vertical-line test and one
-call of its field's straight-line `chord_sum_coeffs`, which inverts inline
-and builds no `FieldElement`; a caller that needs P + Q and the line
-fraction makes the same two steps and hands the slope and x(P+Q) on to the
-line fraction, which otherwise asks `chord_coeffs`.  The line fraction, at
+its coefficients.  `Curve.add` is one call of its field's straight-line
+`chord_sum_coeffs`, which inverts inline, builds no `FieldElement` and
+returns None exactly when P + Q = O; a caller that needs P + Q and the line
+fraction makes the same call and hands its result on to the line fraction,
+which otherwise asks the same kernel.  The line fraction, at
 M, N over F_{p^2} only, checks its four arguments in one test, takes
 v(M)*l(N) and l(M)*v(N) from the `line_coeffs` kernel, or the collision it
 reports, and divides them by one `FieldElement.inverse` into coefficients,
@@ -98,10 +98,9 @@ class Curve(Group):
             return Q
         if Q.x is None:
             return P
-        if _vertical(P, Q):
+        if (chord := self.field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, self.a.coeffs)) is None:
             return self.identity
-        _, x3, y3 = self.field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, self.a.coeffs)
-        return Point(self, x3, y3)
+        return Point(self, chord[1], chord[2])
 
     def neg(self, P: "Point") -> "Point":
         if P.curve is not self:
@@ -186,21 +185,17 @@ def element_order(P: Point, group_order: Factorization) -> int:
     return _group_element_order(P.curve, P, group_order)
 
 
-def _vertical(P: Point, Q: Point) -> bool:
-    """Whether P + Q = O for affine P, Q on one curve: the line through them is vertical."""
-    return P.x == Q.x and (P.y != Q.y or P.y == P.curve.field.zero_coeffs)
-
-
 def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Coeffs:
     """Evaluate v/l at the degree-zero divisor (M) - (N): (v/l)(M) / (v/l)(N), as coefficients.
 
     P and Q may live on the base curve while M and N live on an extension of it; the slope
     and x(P+Q) are then computed in the base field and only they and P's coordinates are
-    lifted; `chord`, when given, is the (lambda, x(P+Q)) the caller's kernel found.  M and N
-    must lie over F_{p^2}.  When P or Q is the identity the function is the constant 1.
-    Otherwise M and N must avoid the support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes
-    exactly at P, Q and -(P+Q), and v exactly at +-(P+Q), so an affine evaluation point lies
-    in the support exactly when l or v is zero there.
+    lifted.  `chord`, when given, is the caller's `chord_sum_coeffs` result for P, Q, () for
+    None; without it this function asks that kernel.  M and N must lie over F_{p^2}.  When P
+    or Q is the identity the function is the constant 1.  Otherwise M and N must avoid the
+    support {O, P, Q, P+Q, -(P+Q)}.  On the curve l vanishes exactly at P, Q and -(P+Q), and v
+    exactly at +-(P+Q), so an affine evaluation point lies in the support exactly when l or v
+    is zero there.
     """
     curve, field = M.curve, M.curve.field
     # one test passes every valid call: M, N on one curve over F_{p^2}, P, Q on it or both on its base curve
@@ -213,12 +208,12 @@ def eval_line_fraction(P: Point, Q: Point, M: Point, N: Point, chord=None) -> Co
         return field.one_coeffs
     if M.x is None or N.x is None:
         raise SupportCollisionError("the identity is in the support")
-    if chord is None and not _vertical(P, Q):  # on P's curve, before any lift
-        chord = P.curve.field.chord_coeffs(P.x, P.y, Q.x, Q.y, P.curve.a.coeffs)
+    if chord is None:  # on P's curve, before any lift
+        chord = P.curve.field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, P.curve.a.coeffs)
     xP, yP = P.x, P.y
     if P.curve is not curve:  # F_p coefficients c lift to (c, 0)
         xP, yP, chord = (xP, 0), (yP, 0), chord and ((chord[0], 0), (chord[1], 0))
-    if chord is None:
+    if not chord:
         # P + Q = O: l is the vertical through P and v is the constant 1, so the value is l(N) / l(M)
         den, num = field.sub_coeffs(M.x, xP), field.sub_coeffs(N.x, xP)
         if field.zero_coeffs in (num, den):

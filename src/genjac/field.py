@@ -15,13 +15,14 @@ Tonelli-Shanks square root run on `pow_coeffs` and `mul_coeffs`.  A
 curve point stores its coordinates, and a unit itself, in the same
 format, so the group law never wraps them.  Its kernels are each one
 straight line on ints or int pairs, call no other kernel and tick their
-products in bulk: `chord_sum_coeffs`, on each field, gives a curve add's
-slope, x(P+Q) and y(P+Q), and `chord_coeffs` the first two; `line_coeffs`,
-on F_{p^2} only, where every modulus lives, the two products of a line
+products in bulk: `chord_sum_coeffs`, the one chord kernel on each field,
+gives the slope, x(P+Q) and y(P+Q) for a curve add and a line fraction
+alike, or None, counting nothing, when P + Q = O; `line_coeffs`, on
+F_{p^2} only, where every modulus lives, the two products of a line
 fraction v/l at (M) - (N), or None on a zero of l or v; and
 `curve_points_coeffs`, on each field, every (x, y) on a curve, each x's
 x^3 + ax + b looked up in a table of the squares y^2 and their roots,
-4 products per field element.  Both chords invert inline, F_p's with
+4 products per field element.  The chord inverts inline, F_p's with
 `pow(den, -1, p)` and F_{p^2}'s as the conjugate over the norm (Devegili,
 O hEigeartaigh, Scott and Dahab, "Multiplication and squaring on
 pairing-friendly fields", ePrint 2006/471); every other inverse is
@@ -182,28 +183,19 @@ class PrimeField(_Field):
         _tally[1] += n.bit_length() + n.bit_count() - 2
         return pow(a, n, self.p)
 
-    def chord_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int]:
-        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a, straight-line."""
+    def chord_sum_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int, int] | None:
+        """(lambda, x(P+Q), y(P+Q)) for affine P, Q on a curve with x-coefficient a, straight-line;
+        None, counting nothing, when P + Q = O: x1 == x2 and y1 != y2 or y1 == 0."""
         p = self.p
-        _inversions[1] += 1
         if x1 == x2:
-            _tally[1] += 3  # x^2, lambda and lambda^2
-            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-        else:
-            _tally[1] += 2  # lambda and lambda^2
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        return lam, (lam * lam - x1 - x2) % p
-
-    def chord_sum_coeffs(self, x1: int, y1: int, x2: int, y2: int, a: int) -> tuple[int, int, int]:
-        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`' products and one for y."""
-        p = self.p
-        _inversions[1] += 1
-        if x1 == x2:
+            if y1 != y2 or not y1:
+                return None
             _tally[1] += 4  # x^2, lambda, lambda^2 and y
             lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
         else:
             _tally[1] += 3  # lambda, lambda^2 and y
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        _inversions[1] += 1
         x3 = (lam * lam - x1 - x2) % p
         return lam, x3, (lam * (x1 - x3) - y1) % p
 
@@ -275,32 +267,14 @@ class ExtField(_Field):
                 x0, x1 = (x0 * a0 - t * hi) % p, (x0 * a1 + x1 * a0 - s * hi) % p
         return x0, x1
 
-    def chord_coeffs(self, xP, yP, xQ, yQ, a) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(lambda, x(P+Q)) for affine P + Q != O on a curve with x-coefficient a; the denominator d0 + d1*u
-        is inverted inline, like `FieldElement.inverse`: its conjugate (d0 - s*d1) - d1*u over its norm."""
-        (x1, x1u), (x2, x2u), (t, s, p) = xP, xQ, self._tsp
-        _inversions[2] += 1
-        if xP == xQ:
-            _tally[2] += 3  # x^2, lambda and lambda^2
-            hi = x1u * x1u
-            n0, n1 = 3 * (x1 * x1 - t * hi) + a[0], 3 * (2 * x1 * x1u - s * hi) + a[1]
-            d0, d1 = 2 * yP[0], 2 * yP[1]
-        else:
-            _tally[2] += 2  # lambda and lambda^2
-            n0, n1 = yQ[0] - yP[0], yQ[1] - yP[1]
-            d0, d1 = x2 - x1, x2u - x1u
-        inv = pow(d0 * d0 - s * d0 * d1 + t * d1 * d1, -1, p)
-        d0, d1 = (d0 - s * d1) * inv % p, -d1 * inv % p
-        hi = n1 * d1
-        l0, l1 = (n0 * d0 - t * hi) % p, (n0 * d1 + n1 * d0 - s * hi) % p
-        hi = l1 * l1
-        return (l0, l1), ((l0 * l0 - t * hi - x1 - x2) % p, (2 * l0 * l1 - s * hi - x1u - x2u) % p)
-
     def chord_sum_coeffs(self, xP, yP, xQ, yQ, a):
-        """(lambda, x(P+Q), y(P+Q)) for affine P + Q != O: `chord_coeffs`' products and one for y."""
+        """(lambda, x(P+Q), y(P+Q)) for affine P, Q on a curve with x-coefficient a, or None, counting
+        nothing, when P + Q = O; the denominator d0 + d1*u is inverted inline, like
+        `FieldElement.inverse`: its conjugate (d0 - s*d1) - d1*u over its norm."""
         (x1, x1u), (x2, x2u), (t, s, p) = xP, xQ, self._tsp
-        _inversions[2] += 1
         if xP == xQ:
+            if yP != yQ or yP == (0, 0):
+                return None
             _tally[2] += 4  # x^2, lambda, lambda^2 and y
             hi = x1u * x1u
             n0, n1 = 3 * (x1 * x1 - t * hi) + a[0], 3 * (2 * x1 * x1u - s * hi) + a[1]
@@ -309,6 +283,7 @@ class ExtField(_Field):
             _tally[2] += 3  # lambda, lambda^2 and y
             n0, n1 = yQ[0] - yP[0], yQ[1] - yP[1]
             d0, d1 = x2 - x1, x2u - x1u
+        _inversions[2] += 1
         inv = pow(d0 * d0 - s * d0 * d1 + t * d1 * d1, -1, p)
         d0, d1 = (d0 - s * d1) * inv % p, -d1 * inv % p
         hi = n1 * d1

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, _vertical, element_order, eval_line_fraction
+from .curve import ENUM_BOUND, Curve, Point, SupportCollisionError, element_order, eval_line_fraction
 from .field import Coeffs, ExtField, FieldElement, PrimeField, coeffs_to_record
 from .groups import Cocycle, ExtElement, ExtensionGroup, MultiplicativeGroup
 from .numbertheory import Factorization
@@ -65,15 +65,15 @@ class ModulusCocycle(Cocycle):
         return eval_line_fraction(p, q, self.M, self.N, chord)
 
     def sum_and_value(self, p: Point, q: Point) -> tuple[Point, Coeffs]:
-        """P + Q and c(P, Q) from one chord, counted as `Curve.add` plus the cocycle; c still comes
-        from `__call__`, which perfbench's tracer times and the bench tests' cost ledger wraps."""
+        """P + Q and c(P, Q) from one `chord_sum_coeffs` call, whose None is P + Q = O, counted as
+        `Curve.add` plus the cocycle; c still comes from `__call__`, which perfbench's tracer times
+        and the bench tests' cost ledger wraps, handed the kernel's result (() for None)."""
         A = self.a_group
         if p.x is None or q.x is None or p.curve is not A or q.curve is not A:
             return super().sum_and_value(p, q)
-        if _vertical(p, q):
-            return A.identity, self.__call__(p, q)
-        lam, x3, y3 = A.field.chord_sum_coeffs(p.x, p.y, q.x, q.y, A.a.coeffs)
-        return Point(A, x3, y3), self.__call__(p, q, (lam, x3))
+        if (chord := A.field.chord_sum_coeffs(p.x, p.y, q.x, q.y, A.a.coeffs)) is None:
+            return A.identity, self.__call__(p, q, ())
+        return Point(A, chord[1], chord[2]), self.__call__(p, q, chord)
 
     def describe(self) -> str:
         return f"generalized-jacobian({self.modulus.M.serialize()} ; {self.modulus.N.serialize()})"

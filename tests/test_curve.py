@@ -477,13 +477,14 @@ def test_add_matches_schoolbook_with_exact_counts(name):
 
 @pytest.mark.parametrize("name", KERNEL_CURVES)
 def test_kernels_match_field_element_arithmetic(name):
-    # every chord and tangent of two affine points, and over F_{p^2} at each
+    # every pair of affine points, and over F_{p^2} at each chord and tangent
     # the line fraction at an evaluation pair (M, N) that walks the points:
-    # the same values as FieldElement arithmetic, None exactly when l or v
-    # vanishes at M or N, and one count per product (2 per chord, 3 per
-    # tangent, one more for the sum kernel's y; 2 before the line's zero test
-    # and 2 after it); F_p has no line kernel, since every modulus lives over
-    # F_{p^2}
+    # the chord kernel returns None with nothing counted exactly when
+    # P + Q = O, the y = 0 tangents included, and otherwise the same values as
+    # FieldElement arithmetic and one count per product (3 per chord, 4 per
+    # tangent) and one inversion; the line kernel gives None exactly when l or
+    # v vanishes at M or N, and counts 2 products before its zero test and 2
+    # after it; F_p has no line kernel, since every modulus lives over F_{p^2}
     p, poly, a, b = KERNEL_CURVES[name]
     field = PrimeField(p) if poly is None else ExtField(PrimeField(p), poly)
     E, d = Curve(field, a, b), field.degree
@@ -493,22 +494,21 @@ def test_kernels_match_field_element_arithmetic(name):
         for j, Q in enumerate(points):
             (xP, yP), (xQ, yQ) = xy(P), xy(Q)
             tangent = xP == xQ
+            with count_mults() as counter:
+                got = field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
             if tangent and (yP != yQ or yP.is_zero()):
-                continue  # P + Q = O: no chord
+                assert got is None, (P, Q)
+                assert (counter.by_degree, counter.inversions) == ({}, {}), (P, Q)
+                seen.add("y = 0" if yP.is_zero() else "vertical")
+                continue
             if tangent:
                 lam = (field(3) * xP * xP + E.a) / (field(2) * yP)
             else:
                 lam = (yQ - yP) / (xQ - xP)
             xS = lam * lam - xP - xQ
-            with count_mults() as counter:
-                got = field.chord_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
-            assert got == (lam.coeffs, xS.coeffs), (P, Q)
-            assert counter.by_degree == {d: 3 if tangent else 2}, (P, Q)
             yS = lam * (xP - xS) - yP
-            with count_mults() as counter:
-                got = field.chord_sum_coeffs(P.x, P.y, Q.x, Q.y, E.a.coeffs)
             assert got == (lam.coeffs, xS.coeffs, yS.coeffs), (P, Q)
-            assert counter.by_degree == {d: 4 if tangent else 3}, (P, Q)
+            assert (counter.by_degree, counter.inversions) == ({d: 4 if tangent else 3}, {d: 1}), (P, Q)
             kind = "tangent" if tangent else "chord"
             if d == 1:
                 seen.add(kind)
@@ -524,7 +524,9 @@ def test_kernels_match_field_element_arithmetic(name):
             assert got == expected, (P, Q, M, N)
             assert counter.by_degree == {d: 2 if collides else 4}, (P, Q, M, N)
             seen.add((kind, "collision" if collides else "value"))
-    assert len(seen) == (2 if d == 1 else 4)
+    kinds = {"chord", "tangent"} if d == 1 else {(k, v) for k in ("chord", "tangent") for v in ("collision", "value")}
+    halves = {"y = 0"} if any(xy(P)[1].is_zero() for P in points) else set()  # points of order 2
+    assert seen == kinds | {"vertical"} | halves
 
 
 @pytest.mark.parametrize("p", [10007, 2**61 - 1])
@@ -656,18 +658,19 @@ def test_ladder_builds_field_elements_only_for_the_fraction(monkeypatch, group, 
 
 
 def test_line_fraction_exact_counts(E, EK):
-    # by_degree per evaluation, as measured before the arithmetic moved to
-    # coefficient kernels: a lifted slope and x(P+Q) cost F_p products, and
-    # a collision records every product made before its zero test
+    # by_degree per evaluation: with no add behind it the line fraction asks
+    # the chord kernel, which also makes y(P+Q)'s product; a lifted chord
+    # costs F_p products, and a collision records every product made before
+    # its zero test
     F = E.field
     P, Q = E.point(F(5), F(3)), E.point(F(7), F(8))
     S, lift = E.add(P, Q), lambda T: _lift(EK, T)
     M, N = [X for X in EK.enumerate_points() if not X.is_infinity and X.x[1]][:2]
     cases = [
-        ((lift(P), lift(Q), M, N), {2: 7}),  # unlifted chord
-        ((lift(P), lift(P), M, N), {2: 8}),  # unlifted tangent
-        ((P, Q, M, N), {1: 2, 2: 5}),  # lifted chord
-        ((P, P, M, N), {1: 3, 2: 5}),  # lifted tangent
+        ((lift(P), lift(Q), M, N), {2: 8}),  # unlifted chord
+        ((lift(P), lift(P), M, N), {2: 9}),  # unlifted tangent
+        ((P, Q, M, N), {1: 3, 2: 5}),  # lifted chord
+        ((P, P, M, N), {1: 4, 2: 5}),  # lifted tangent
         ((P, E.neg(P), M, N), {2: 1}),  # vertical
         ((P, E.identity, M, N), {}),  # identity operand
     ]
@@ -676,9 +679,9 @@ def test_line_fraction_exact_counts(E, EK):
             eval_line_fraction(*args)
         assert counter.by_degree == by_degree, args
     collisions = [
-        ((P, Q, lift(P), N), {1: 2, 2: 2}),  # M on the chord
-        ((P, Q, M, lift(S)), {1: 2, 2: 2}),  # N on the vertical through P+Q
-        ((lift(P), lift(P), M, lift(P)), {2: 5}),  # N on the tangent
+        ((P, Q, lift(P), N), {1: 3, 2: 2}),  # M on the chord
+        ((P, Q, M, lift(S)), {1: 3, 2: 2}),  # N on the vertical through P+Q
+        ((lift(P), lift(P), M, lift(P)), {2: 6}),  # N on the tangent
         ((P, E.neg(P), lift(P), N), {}),  # M at the pole of the vertical
         ((P, Q, EK.identity, N), {}),  # the identity
     ]

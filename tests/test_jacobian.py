@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from genjac import curve as curve_module, jacobian
+from genjac import jacobian
 from genjac.curve import ENUM_BOUND, Curve, SupportCollisionError
 from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import ExtElement, element_order
@@ -351,19 +351,16 @@ def test_tate_table(toy):
 
 def test_miller_does_not_use_the_group_law(toy, monkeypatch):
     # the Miller loop is the oracle for the group-law route, so it must
-    # reach TATE_TABLE with the vertical-line test, the fields' chord and sum
-    # kernels, the line kernel and Curve.add unavailable
+    # reach TATE_TABLE with the fields' chord kernels, the line kernel and
+    # Curve.add unavailable
     points = toy.curve.enumerate_points()
     M, N = toy.modulus.M, toy.modulus.N
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Miller loop called the group law")
 
-    monkeypatch.setattr(curve_module, "_vertical", refuse)
-    monkeypatch.setattr(jacobian, "_vertical", refuse)
     monkeypatch.setattr(Curve, "add", refuse)
     for field in (PrimeField, ExtField):
-        monkeypatch.setattr(field, "chord_coeffs", refuse)
         monkeypatch.setattr(field, "chord_sum_coeffs", refuse)
     monkeypatch.setattr(ExtField, "line_coeffs", refuse)
     for P in points:
@@ -565,12 +562,12 @@ def test_extension_add_calls_the_traced_cocycle_once(monkeypatch):
     # eval_line_fraction and FieldElement.inverse, and the bench tests' ledger counts
     # the cocycle inside __call__, so along a whole ladder on make_toy_params(103, 1)
     # every extension add enters the first three once each and divides once unless an
-    # operand is the identity; a chord or tangent add, on the extension ladder or the
-    # curve ladder beneath it, makes one sum-kernel call and no chord-only call.  The
-    # scalar's leading bits are ord(P), so a ladder reaches O by a vertical add and
-    # then adds to the identity.
+    # operand is the identity; a chord, tangent or vertical add, on the extension ladder
+    # or the curve ladder beneath it, makes one chord-kernel call, and an identity add
+    # none.  The scalar's leading bits are ord(P), so a ladder reaches O by a vertical
+    # add and then adds to the identity.
     params = make_toy_params(103, 1)
-    calls = dict.fromkeys(("ext_add", "cocycle", "line_fraction", "inverse", "sum_kernel", "chord_kernel"), 0)
+    calls = dict.fromkeys(("ext_add", "cocycle", "line_fraction", "inverse", "kernel"), 0)
 
     def count(owner, name, key):
         honest = getattr(owner, name)
@@ -584,8 +581,7 @@ def test_extension_add_calls_the_traced_cocycle_once(monkeypatch):
     count(jacobian, "eval_line_fraction", "line_fraction")
     count(FieldElement, "inverse", "inverse")
     for field in (PrimeField, ExtField):
-        count(field, "chord_sum_coeffs", "sum_kernel")
-        count(field, "chord_coeffs", "chord_kernel")
+        count(field, "chord_sum_coeffs", "kernel")
     count(jacobian.ExtensionGroup, "add", "ext_add")
     rng = random.Random(103)
     for ext in (False, True):
@@ -616,9 +612,8 @@ def test_extension_add_calls_the_traced_cocycle_once(monkeypatch):
                     monkeypatch.setattr(type(G), "add", honest_add)
             assert {kind for kind, _ in per_add} == {"chord", "vertical", "identity"}, (ext, G)
             for kind, made in per_add:
-                chord = int(kind == "chord")
                 expected = {"ext_add": 0, "cocycle": 0, "line_fraction": 0, "inverse": 0,
-                            "sum_kernel": chord, "chord_kernel": 0}
+                            "kernel": int(kind != "identity")}
                 if G is jac:
                     expected.update(ext_add=1, cocycle=1, line_fraction=1, inverse=int(kind != "identity"))
                 assert made == expected, (ext, G, kind)
