@@ -10,10 +10,10 @@ with identity (0, 0) and inverse (-a, -(b + c(a, -a))).  Embedding B as
 exactness is what the discrete-log reduction in dlp.py exploits.  All
 backends write their law additively, including the multiplicative group
 of a field, whose units are their field coefficients (its add is
-`mul_coeffs`), so the same extension machinery covers every case.  An
-extension add asks its cocycle for a + a' and c(a, a') in one call, so a
-cocycle that needs the sum anyway computes it once; the cocycle relation
-check takes p + q and q + r from the cocycle the same way.  The
+`mul_coeffs`), so the same extension machinery covers every case.  This
+module asks a cocycle for a value only through `sum_and_value`, which gives
+a + a' with c(a, a'), so a cocycle that needs the sum anyway computes it
+once, and the relation check compares the sums too.  The
 curve backend is `curve.Curve` itself, a `Group` subclass, so this module
 imports nothing from the curve layer; `SupportCollisionError` lives here
 because the samplers skip the draws that raise it.  A sampler evaluates
@@ -162,9 +162,9 @@ class ExtensionGroup(Group):
         return tuple.__new__(ExtElement, (a_sum, B.add(B.add(b1, b2), c)))  # skips NamedTuple's Python __new__
 
     def neg(self, x: ExtElement) -> ExtElement:
-        A, B = self.a_group, self.b_group
-        a_neg = A.neg(x.a_part)
-        return ExtElement(a_neg, B.neg(B.add(x.b_part, self.cocycle(x.a_part, a_neg))))
+        B, a_neg = self.b_group, self.a_group.neg(x.a_part)
+        _, c = self.cocycle.sum_and_value(x.a_part, a_neg)
+        return ExtElement(a_neg, B.neg(B.add(x.b_part, c)))
 
     def serialize(self, x: ExtElement) -> str:
         return f"{self.a_group.serialize(x.a_part)}|{self.b_group.serialize(x.b_part)}"
@@ -226,19 +226,18 @@ class CheckReport:
 
 
 def _cocycle_relations(cocycle: Cocycle, p, q, r) -> list[tuple[bool, str]]:
-    """(holds, name) for each cocycle relation on one A-triple, written additively in B:
+    """(holds, name) for each cocycle relation on one A-triple, written additively in B,
+    with all five values taken from `sum_and_value` and the sums it gives checked too:
 
-        c(p, q) = c(q, p)
-        c(p, q) + c(p+q, r) = c(q, r) + c(p, q+r)
-
-    p + q and q + r come from `sum_and_value`, with c(p, q) and c(q, r).
+        c(p, q) = c(q, p)                            and  p + q = q + p
+        c(p, q) + c(p+q, r) = c(q, r) + c(p, q+r)    and  (p + q) + r = p + (q + r)
     """
-    B = cocycle.b_group
-    pq, c_pq = cocycle.sum_and_value(p, q)
-    qr, c_qr = cocycle.sum_and_value(q, r)
-    lhs = B.add(c_pq, cocycle(pq, r))
-    rhs = B.add(c_qr, cocycle(p, qr))
-    return [(c_pq == cocycle(q, p), "symmetry"), (lhs == rhs, "cocycle relation")]
+    B, ask = cocycle.b_group, cocycle.sum_and_value
+    pq, c_pq = ask(p, q)
+    qr, c_qr = ask(q, r)
+    (pq_r, c_pq_r), (p_qr, c_p_qr), (qp, c_qp) = ask(pq, r), ask(p, qr), ask(q, p)
+    lhs, rhs = B.add(c_pq, c_pq_r), B.add(c_qr, c_p_qr)
+    return [(qp == pq and c_qp == c_pq, "symmetry"), (pq_r == p_qr and lhs == rhs, "cocycle relation")]
 
 
 def _axiom_relations(group: Group, x, y, z) -> list[tuple[bool, str]]:

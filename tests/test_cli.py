@@ -160,6 +160,12 @@ def test_attack_refuses_prime_beyond_bsgs_bound(tmp_path, capsys):
 
 # y^2 = x^3 + 2x + 3 over F_103, #E = 108 = 2^2 * 3^3: an ordinary curve, off the toy family
 ORDINARY_P103 = Path(__file__).parent / "data" / "ordinary-p103.txt"
+# y^2 = x^3 + x + 1 over F_101 with F_101^2 = F_101[u]/(u^2 + u + 1), #E = 105 = 3 * 5 * 7:
+# p = 1 mod 4 and a modulus polynomial with a middle term, unlike every other file here
+ORDINARY_P101 = Path(__file__).parent / "data" / "ordinary-p101.txt"
+# the ordinary curves' files and the point pairing is run at: 102;0 has order 2,
+# 6;18 order 105, as E(F_101) has no point of order 2
+ORDINARY_FILES = {"ordinary-p103": (ORDINARY_P103, "102;0"), "ordinary-p101": (ORDINARY_P101, "6;18")}
 
 
 def test_ordinary_curve_through_the_cli(capsys, readme):
@@ -379,18 +385,18 @@ all checks passed
 """
 
 
-@pytest.mark.parametrize("source", [*SWEEP_PRIMES, "ordinary-p103", BEYOND_BSGS], ids=str)
+@pytest.mark.parametrize("source", [*SWEEP_PRIMES, *ORDINARY_FILES, BEYOND_BSGS], ids=str)
 def test_cli_sweep(source, tmp_path, capsys):
-    # each subcommand on gen-params' curve (seed 1) or on the ordinary curve's
-    # file: attack recovers its secret, verify passes, pairing at a 2-torsion
-    # point (0;0 on y^2 = x^3 + x at every p) agrees with the Miller loop, and
-    # bench prints its CSV
+    # each subcommand on gen-params' curve (seed 1) or on an ordinary curve's
+    # file: attack recovers its secret, verify passes, pairing at a point (the
+    # 2-torsion point 0;0 on y^2 = x^3 + x at every p) agrees with the Miller
+    # loop, and bench prints its CSV
     def run(*args):
         status = main(list(args))
         return status, capsys.readouterr().out
 
-    if source == "ordinary-p103":
-        path, point = str(ORDINARY_P103), "102;0"
+    if source in ORDINARY_FILES:
+        path, point = map(str, ORDINARY_FILES[source])
     else:
         status, out = run("gen-params", "--p", str(source), "--seed", "1")
         assert status == 0

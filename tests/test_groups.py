@@ -172,6 +172,25 @@ def test_verify_cocycle_negative_control(rng):
     assert report.failures
 
 
+@pytest.mark.parametrize("law, relations", [
+    (lambda p, q: (p + q + (p < q)) % 9, {"symmetry", "cocycle relation"}),
+    (lambda p, q: (p * q + 1) % 9, {"cocycle relation"}),
+], ids=["not-commutative", "not-associative"])
+def test_verify_cocycle_checks_the_sums(law, relations):
+    # every value is zero, so only the sums that `sum_and_value` hands back can
+    # break a relation: p + q = q + p belongs to symmetry, (p + q) + r = p + (q + r)
+    # to the cocycle relation
+    A, B = CyclicGroup(9), CyclicGroup(5)
+
+    class WrongSum(ZeroCocycle):
+        def sum_and_value(self, p, q):
+            return law(p, q), self.b_group.identity
+
+    triples = [(p, q, r) for p in range(9) for q in range(9) for r in range(9)]
+    report = verify_cocycle(WrongSum(A, B), triples)
+    assert {failure.split(" on ")[0] for failure in report.failures} == relations
+
+
 def test_verify_group_axioms_positive(toy, rng):
     jac = toy.jacobian(ext=True)
     triples, skipped = sample_operable_triples(jac, 40, rng)
@@ -412,18 +431,33 @@ def test_verify_reuses_the_samplers_outcomes(monkeypatch):
 
 
 def test_cocycle_relations_take_the_sums_from_the_cocycle(monkeypatch):
-    # p + q and q + r come with c(p, q) and c(q, r) from one chord each, so no
-    # Curve.add runs; adding them again would cost 40 adds and 40 inversions here.
-    # The ledger counts every inversion, the chords' inline ones too; only the
-    # line fractions' go through FieldElement.inverse
-    cocycle = make_toy_params(103, 1).modulus_cocycle(ext=True)
-    calls = Counter()
+    # all five values of a triple come with their sums from `sum_and_value`, one
+    # chord each, so no Curve.add runs and `ModulusCocycle.__call__` is never
+    # entered without the chord it would compute again; the same holds for the
+    # c(a, -a) of `ExtensionGroup.neg`. The ledger counts every inversion, the
+    # chords' inline ones too; only the line fractions' go through FieldElement.inverse
+    params = make_toy_params(103, 1)
+    cocycle = params.modulus_cocycle(ext=True)
+    calls, chordless = Counter(), Counter()
     _count_calls(monkeypatch, calls, Curve, "add")
     _count_calls(monkeypatch, calls, FieldElement, "inverse")
+    honest = ModulusCocycle.__call__
+
+    def counted(self, p, q, chord=None):
+        chordless["__call__"] += chord is None
+        return honest(self, p, q, chord)
+
+    monkeypatch.setattr(ModulusCocycle, "__call__", counted)
     with count_mults() as counter:
         sample_admissible_triples(cocycle, 20, random.Random(1))
     assert calls == {"inverse": 100}
     assert counter.inversions == {2: 201}
+    assert chordless == {"__call__": 0}
+    # seed 1 would draw the modulus points M and N themselves, the parameters' seed
+    jac, rng = params.jacobian(ext=True), random.Random(2)
+    for _ in range(20):
+        jac.neg(jac.sample(rng))
+    assert chordless == {"__call__": 0}
 
 
 def test_reused_report_names_the_same_failures(toy, skewed_cocycle):
