@@ -82,7 +82,7 @@ def _fmt(value) -> str:
 def _measure(group: Group, n: int, x):
     start = time.perf_counter()
     with count_mults() as counter:
-        result = group.scalar_mul(n, x)
+        result = Group.scalar_mul(group, n, x)  # every trial runs its ladder, never a remembered one
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return counter.muls, len(group.serialize(result)), elapsed_ms, result
 

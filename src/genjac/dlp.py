@@ -7,7 +7,9 @@ leaves.  The first solves the discrete log of the generator's projection in
 the base group A, and the modulus it returns is n_A, the projection's order.
 The second solves in the fiber B for the value t that n_A * g = (O, t)
 carries.  The extension itself is never searched and pays only for a few
-scalar multiplications.  `pohlig_hellman` reads the generator's exact order
+scalar multiplications; an extension group remembers its last ladders, so
+n_A * g and the lift check's k * g may be the ones `element_order` and the
+caller already ran.  `pohlig_hellman` reads the generator's exact order
 and its l-part and digit generators off `order_parts`, so any factored
 multiple of that order will do, and its digit ladders stay below l^f.
 `bsgs` keys its table by the elements and reuses its last baby step.

@@ -139,6 +139,9 @@ class ZeroCocycle(Cocycle):
         return self.b_group.identity
 
 
+LADDER_MEMO = 4  # ladders an extension group remembers: the attack needs n_A * g and k * g at once
+
+
 class ExtensionGroup(Group):
     """The group on A x B determined by a symmetric 2-cocycle; `a_order` is None or a multiple of |A|."""
 
@@ -147,6 +150,15 @@ class ExtensionGroup(Group):
         self.a_group = cocycle.a_group
         self.b_group = cocycle.b_group
         self.a_order = a_order
+        self._ladders: dict = {}  # (n, x) -> n * x, oldest first
+
+    def scalar_mul(self, n: int, x: ExtElement) -> ExtElement:
+        """`Group.scalar_mul`, its last LADDER_MEMO results kept by (n, x); a ladder that raises keeps nothing."""
+        if (found := self._ladders.get((n, x))) is None:
+            found = self._ladders[n, x] = super().scalar_mul(n, x)
+            if len(self._ladders) > LADDER_MEMO:
+                del self._ladders[next(iter(self._ladders))]
+        return found
 
     def a_multiple(self, n: Factorization) -> Factorization:
         """A factored multiple n of an element's order cut to gcd(n, a_order) by `Factorization.divisor`."""

@@ -10,7 +10,8 @@ from genjac.groups import Cocycle, ExtensionGroup
 
 # wall-clock bound on each phase of a test: setup, which builds the session
 # fixtures the test is the first to use, call and teardown; the slowest test
-# takes about 6 s, so a phase that reaches the bound is stuck in a loop
+# takes 3 to 8 s, depending on the machine, so a phase that reaches the bound
+# is stuck in a loop
 TEST_SECONDS = 60
 
 

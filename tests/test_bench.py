@@ -1,3 +1,4 @@
+import random
 import re
 import statistics
 
@@ -128,6 +129,22 @@ def test_exact_accounting_catches_a_changed_add_cost(toy, monkeypatch, changed_a
     _, trials = _bench_with_ledger(toy, trials=5, scalar_bits=6, seed=1, strict=False)
     with pytest.raises(AssertionError):
         _assert_exact_accounting(trials)
+
+
+def test_a_repeated_trial_is_priced_again(toy):
+    # an extension group remembers its last ladders, but every trial prices claim 3's
+    # ladder: the same (n, a, b) measured twice on one group costs the same both times
+    jac, rng = toy.jacobian(ext=True), random.Random(2)
+    while True:
+        x = ExtElement(toy.ext_curve.random_point(rng), toy.units().sample(rng))
+        try:
+            first = bench._measure(jac, 3, x)
+            break
+        except SupportCollisionError:
+            continue
+    second = bench._measure(jac, 3, x)
+    assert first[0] == second[0] > 0
+    assert first[1] == second[1] and first[3] == second[3]
 
 
 def test_cost_ordering_across_seeds(toy):

@@ -1,9 +1,10 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from genjac import dlp, groups, make_toy_params
+from genjac import dlp, groups, load_params, make_toy_params
 from genjac.dlp import (
     NoSolutionError,
     bsgs,
@@ -419,3 +420,51 @@ def test_extension_dlp_makes_one_order_search_per_factor(monkeypatch):
     sol = solve_extension_dlp(jac, gen, target, params.jacobian_order().divisor(n))
     assert (sol.exponent, sol.order) == (secret, n)
     assert searched == [gen.a_part, t]
+
+
+def _ladder_adds(n: int) -> int:
+    # the adds of double_and_add's n * x: one per bit after the first and one per further set bit
+    return n.bit_length() + n.bit_count() - 2 if n > 1 else 0
+
+
+@pytest.mark.parametrize("source", ["p103", "p10007", "ordinary-p101", "ordinary-p103"])
+def test_extension_dlp_adds_only_to_make_the_split(source, monkeypatch):
+    # claim 2 as a count: on a fresh group the solver runs n_A * g, k0 * g, one
+    # subtraction and the lift check k * g; in the attack flow the order search has
+    # run n_A * g and the caller k * g on the same group, so only k0 * g and the
+    # subtraction are left
+    if source.startswith("ordinary"):
+        params = load_params(Path(__file__).parent / "data" / f"{source}.txt")
+    else:
+        params = make_toy_params(int(source[1:]), 1)
+    made = {"add": 0, "neg": 0}
+
+    def count(name):
+        honest = getattr(ExtensionGroup, name)
+
+        def counted(*args):
+            made[name] += 1
+            return honest(*args)
+        monkeypatch.setattr(ExtensionGroup, name, counted)
+
+    count("add")
+    count("neg")
+    rng = random.Random(1)
+    split = 0
+    for _ in range(20):
+        warm = params.jacobian()
+        gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n = element_order(warm, gen, params.jacobian_order())
+        order, secret = params.jacobian_order().divisor(n), rng.randrange(n)
+        target = warm.scalar_mul(secret, gen)
+        n_a = element_order(params.curve, gen.a_part, params.curve_order)
+        k0 = secret % n_a
+        split += _ladder_adds(n_a) + _ladder_adds(secret) > 0
+        for jac, adds in (
+            (params.jacobian(), _ladder_adds(n_a) + _ladder_adds(k0) + 1 + _ladder_adds(secret)),
+            (warm, _ladder_adds(k0) + 1),
+        ):
+            made.update(add=0, neg=0)
+            assert solve_extension_dlp(jac, gen, target, order).exponent == secret
+            assert made == {"add": adds, "neg": 1}, (jac is warm, n_a, k0, secret)
+    assert split == 20  # every instance tells the two identities apart

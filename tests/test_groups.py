@@ -383,6 +383,74 @@ def test_extension_element_order_takes_one_extension_ladder():
         assert n % n_a == 0 and jac.scalar_mul(n, g) == jac.identity
 
 
+def _products(ladder) -> int:
+    with count_mults() as counter:
+        ladder()
+    return counter.muls
+
+
+@pytest.mark.parametrize("ext", [False, True])
+def test_remembered_ladders_equal_a_fresh_groups(ext):
+    # an extension group keeps its last LADDER_MEMO ladders by (n, x); whatever it
+    # answers equals what a group that never ran a ladder computes, and a repeat
+    # of a remembered ladder makes no product
+    params = make_toy_params(103, 1)
+    jac, rng = params.jacobian(ext), random.Random(103)
+
+    def fresh(n, x):
+        return params.jacobian(ext).scalar_mul(n, x)
+
+    x, y = jac.sample(rng), jac.sample(rng)
+    same_x = ExtElement(type(x.a_part)(x.a_part.curve, x.a_part.x, x.a_part.y), x.b_part)
+    assert same_x == x and same_x is not x and same_x.a_part is not x.a_part
+    for n, z in ((1000, x), (1000, y), (0, x), (-1000, x), (-1000, y), (1, y), (999, x)):
+        assert jac.scalar_mul(n, z) == fresh(n, z), (n, z)
+        assert _products(lambda: jac.scalar_mul(n, z)) == 0, (n, z)
+    # an equal element is the same key, whichever object carries it
+    assert _products(lambda: jac.scalar_mul(999, same_x)) == 0
+    assert jac.scalar_mul(999, same_x) == fresh(999, same_x)
+    assert jac.scalar_mul(0, x) == jac.identity
+    assert jac.scalar_mul(-1000, x) == jac.neg(fresh(1000, x))
+    assert _products(lambda: fresh(1000, x)) > 0
+
+
+@pytest.mark.parametrize("ext", [False, True])
+def test_remembered_ladders_are_bounded_and_the_oldest_goes_first(ext):
+    params = make_toy_params(103, 1)
+    jac, x = params.jacobian(ext), params.jacobian(ext).sample(random.Random(103))
+    scalars = range(1000, 1000 + 3 * groups.LADDER_MEMO)
+    for n in scalars:
+        jac.scalar_mul(n, x)
+        assert len(jac._ladders) <= groups.LADDER_MEMO
+    kept = scalars[-groups.LADDER_MEMO:]
+    assert [_products(lambda: jac.scalar_mul(n, x)) for n in kept] == [0] * groups.LADDER_MEMO
+    assert _products(lambda: jac.scalar_mul(scalars[0], x)) > 0
+
+
+@pytest.mark.parametrize("ext", [False, True])
+def test_two_groups_over_one_cocycle_share_no_ladder(ext):
+    params = make_toy_params(103, 1)
+    cocycle = params.modulus_cocycle(ext)
+    first, second = ExtensionGroup(cocycle), ExtensionGroup(cocycle)
+    x = first.sample(random.Random(103))
+    first.scalar_mul(1000, x)
+    assert _products(lambda: first.scalar_mul(1000, x)) == 0
+    assert _products(lambda: second.scalar_mul(1000, x)) > 0
+    assert first._ladders is not second._ladders
+
+
+def test_a_ladder_that_raises_is_not_remembered():
+    # over E(F_p^2) the modulus point M is an element whose doubling meets the
+    # support; over E(F_p) no ladder can, as M is not F_p-rational
+    params = make_toy_params(103, 1)
+    jac = params.jacobian(ext=True)
+    x = ExtElement(params.modulus.M, params.units().identity)
+    for _ in range(2):
+        with pytest.raises(SupportCollisionError):
+            jac.scalar_mul(2, x)
+    assert not jac._ladders
+
+
 def test_sample_admissible_triples_counts(toy, rng):
     cocycle = toy.modulus_cocycle(ext=True)
     triples, skipped = sample_admissible_triples(cocycle, 30, rng)
