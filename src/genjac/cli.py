@@ -66,7 +66,7 @@ def _cmd_gen_params(args: argparse.Namespace) -> int:
 def _pairing_values(P, params):
     """The pairing order m of P and P's unreduced pairing value by the group law and by Miller."""
     m = pairing_order(P, params)
-    return m, tate_from_group_law(P, params), tate_by_miller(P, params.modulus.M, params.modulus.N, m)
+    return m, tate_from_group_law(P, params, m), tate_by_miller(P, params.modulus.M, params.modulus.N, m)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -7,11 +7,11 @@ leaves.  The first solves the discrete log of the generator's projection in
 the base group A, and the modulus it returns is n_A, the projection's order.
 The second solves in the fiber B for the value t that n_A * g = (O, t)
 carries.  The extension itself is never searched and pays only for a few
-scalar multiplications; an extension group remembers its last ladders, so
-n_A * g and the lift check's k * g may be the ones `element_order` and the
-caller already ran.  `pohlig_hellman` reads the generator's exact order
-and its l-part and digit generators off `order_parts`, so any factored
-multiple of that order will do, and its digit ladders stay below l^f.
+scalar multiplications: an extension group remembers its last ladders and
+`order_parts`, so n_A * g, k * g and both searches run once in the attack.
+`pohlig_hellman` reads the generator's exact order, l-parts and digit
+generators off `order_parts` against any factored multiple n' of that order,
+its own or remembered, projects by n', and its digit ladders stay below l^f.
 `bsgs` keys its table by the elements and reuses its last baby step.
 
 Every solver verifies its candidate exponent against the target before
@@ -99,6 +99,7 @@ def pohlig_hellman(
     target: Any,
     order: Factorization,
     leaf_solver: LeafSolver = bsgs,
+    *, parts: list | None = None,
 ) -> DlpSolution:
     """Solve digit by digit in each prime-power part, then recombine by CRT.
 
@@ -110,17 +111,20 @@ def pohlig_hellman(
     projected once, h = ((n / l^e) mod exact) * target, and digit j is
     log_gamma of l^(f-1-j) * (h - partial * y0): digit ladders stay below
     l^f.  The reduction mod the exact order, the modulus returned, is sound
-    only inside <g>; any other target fails the final check.
+    only inside <g>; any other target fails the final check.  `parts`, an
+    earlier `order_parts` against some n', skip the search: h then comes from
+    (n' / l^e) mod exact, like y0, and n must still be a multiple of exact.
     """
-    n = order.n
-    parts = order_parts(group.add, group.identity, generator, order)
-    exact = prod(prime**f for prime, _, f, _, _ in parts)
+    parts = order_parts(group.add, group.identity, generator, order) if parts is None else parts
+    searched, exact = prod(l**e for l, e, _, _, _ in parts), prod(l**f for l, _, f, _, _ in parts)
+    if order.n % exact:
+        raise NotAMultipleError(f"{order.n} is not a multiple of the element's order")
     steps: list[Step] = []
     residues: list[tuple[int, int]] = []
     for prime, exponent, f, gamma, y0 in parts:
         if f == 0:
             continue
-        projected = group.scalar_mul(n // prime**exponent % exact, target)
+        projected = group.scalar_mul(searched // prime**exponent % exact, target)
         partial = 0
         for j in range(f):
             shifted = group.sub(projected, group.scalar_mul(partial, y0))
@@ -142,8 +146,8 @@ def pohlig_hellman(
     return DlpSolution(combined, modulus, tuple(steps))
 
 
-def _factor_log(group: Group, base, target, order: Factorization, tag: str) -> DlpSolution:
-    """Pohlig-Hellman in one factor group against a multiple of the base's order, leaves tagged."""
+def _factor_log(group: Group, base, target, order: Factorization, tag: str, parts) -> DlpSolution:
+    """Pohlig-Hellman in one factor group against a multiple of the base's order, leaves tagged, given any parts."""
     if base == group.identity:
         return DlpSolution(0, 1, ())
 
@@ -151,7 +155,7 @@ def _factor_log(group: Group, base, target, order: Factorization, tag: str) -> D
         found = bsgs(factor, gamma, digit_target, prime)
         return DlpSolution(found.exponent, prime, (Step(tag, f"prime {prime}"),) + found.steps)
 
-    return pohlig_hellman(group, base, target, order, leaf)
+    return pohlig_hellman(group, base, target, order, leaf, parts=parts)
 
 
 def solve_extension_dlp(
@@ -169,12 +173,15 @@ def solve_extension_dlp(
     if not isinstance(group, ExtensionGroup):
         raise TypeError("solve_extension_dlp only applies to extension groups")
     A, B, n = group.a_group, group.b_group, order.n
+    a_parts, b_parts = group.searches.get(generator, (None, None))
     try:
-        base_log = _factor_log(A, generator.a_part, target.a_part, group.a_multiple(order), "projected-to-A")
+        base_log = _factor_log(
+            A, generator.a_part, target.a_part, group.a_multiple(order), "projected-to-A", a_parts
+        )
         n_a = base_log.order
         t = group.scalar_mul(n_a, generator).b_part
         rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
-        fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B")
+        fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B", b_parts)
     except NotAMultipleError:
         raise NotAMultipleError(f"{n} is not a multiple of the element's order") from None
     # k0 < n_A and j < ord(t), so the exponent is already reduced mod n_A * ord(t)

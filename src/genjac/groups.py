@@ -82,6 +82,10 @@ class MultiplicativeGroup(Group):
     def neg(self, x: Coeffs) -> Coeffs:
         return FieldElement(self.field, x).inverse().coeffs
 
+    def scalar_mul(self, n: int, x: Coeffs) -> Coeffs:
+        """`Group.scalar_mul` in one `pow_coeffs` call, which ticks the ladder's products; n < 0 pays `neg`."""
+        return self.field.pow_coeffs(x if n > 0 else self.neg(x), abs(n)) if n else self.identity
+
     def serialize(self, x: Coeffs) -> str:
         return coeffs_to_record(x)
 
@@ -139,7 +143,7 @@ class ZeroCocycle(Cocycle):
         return self.b_group.identity
 
 
-LADDER_MEMO = 4  # ladders an extension group remembers: the attack needs n_A * g and k * g at once
+LADDER_MEMO = 4  # ladders, and searched elements, an extension group keeps: the attack needs n_A * g and k * g
 
 
 class ExtensionGroup(Group):
@@ -151,6 +155,7 @@ class ExtensionGroup(Group):
         self.b_group = cocycle.b_group
         self.a_order = a_order
         self._ladders: dict = {}  # (n, x) -> n * x, oldest first
+        self.searches: dict = {}  # x -> `order_parts` of x.a_part and of t, oldest first: see `element_order`
 
     def scalar_mul(self, n: int, x: ExtElement) -> ExtElement:
         """`Group.scalar_mul`, its last LADDER_MEMO results kept by (n, x); a ladder that raises keeps nothing."""
@@ -203,18 +208,26 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
     against `a_multiple(n)`, gcd(n, |A|), and n_A * x = (0, t) from one ladder,
     as a normalized cocycle makes {(0, b)} a copy of B; ord(t) is found in B
     against n / n_A.  Both searches test that n is a multiple of ord(x), a
-    wrong `a_order` failing only the first, and a failure names n.
+    wrong `a_order` failing only the first, and a failure names n.  The group
+    keeps both searches' parts for its last LADDER_MEMO x: ordering x again
+    only tests n, and `solve_extension_dlp` on x searches neither factor.
     """
-    if isinstance(group, ExtensionGroup):
-        n, B = order_multiple.n, group.b_group
-        try:
-            n_a = element_order(group.a_group, x.a_part, group.a_multiple(order_multiple))
-            t = group.scalar_mul(n_a, x).b_part
-            return n_a * element_order(B, t, order_multiple.divisor(n // n_a))
-        except NotAMultipleError:
-            raise NotAMultipleError(f"{n} is not a multiple of the element's order") from None
-    parts = order_parts(group.add, group.identity, x, order_multiple)
-    return math.prod(l**f for l, _, f, _, _ in parts)
+    if not isinstance(group, ExtensionGroup):
+        return math.prod(l**f for l, _, f, _, _ in order_parts(group.add, group.identity, x, order_multiple))
+    n, A, B, parts = order_multiple.n, group.a_group, group.b_group, group.searches.get(x)
+    try:
+        if parts is None:
+            a_parts = order_parts(A.add, A.identity, x.a_part, group.a_multiple(order_multiple))
+            t = group.scalar_mul(n_a := math.prod(l**f for l, _, f, _, _ in a_parts), x).b_part
+            b_parts = order_parts(B.add, B.identity, t, order_multiple.divisor(n // n_a))
+            parts = group.searches[x] = a_parts, b_parts
+            if len(group.searches) > LADDER_MEMO:
+                del group.searches[next(iter(group.searches))]
+    except NotAMultipleError:
+        parts = None
+    if parts is None or n % (exact := math.prod(l**f for ps in parts for l, _, f, _, _ in ps)):
+        raise NotAMultipleError(f"{n} is not a multiple of the element's order")
+    return exact
 
 
 @dataclass

@@ -176,15 +176,15 @@ def pairing_order(P: Point, params: GenJacParams) -> int:
     return math.lcm(element_order(P, params.curve_order), params.modulus_order)
 
 
-def tate_from_group_law(P: Point, params: GenJacParams) -> FieldElement:
+def tate_from_group_law(P: Point, params: GenJacParams, m: int | None = None) -> FieldElement:
     """Tate pairing of P against M - N, read off the generalized Jacobian.
 
-    Computes m*(P, 1) for m = pairing_order(P, params); the curve part
-    lands on the identity and the fiber part is the inverse of the
-    unreduced pairing value, which is returned.
+    Computes m*(P, 1) for m = pairing_order(P, params), or the caller's m
+    when given; the curve part must land on the identity, and the fiber
+    part is the inverse of the unreduced pairing value, which is returned.
     """
     jac, K = params.jacobian(), params.ext_curve.field
-    m = pairing_order(P, params)
+    m = pairing_order(P, params) if m is None else m
     total = jac.scalar_mul(m, ExtElement(P, K.one_coeffs))
     if not total.a_part.is_infinity:
         raise ArithmeticError("pairing order failed to kill the curve component")

@@ -12,7 +12,8 @@ from genjac.dlp import (
     solve_extension_dlp,
 )
 from genjac.groups import ExtElement, ExtensionGroup, element_order
-from genjac.numbertheory import Factorization, order_parts
+from genjac.field import count_mults
+from genjac.numbertheory import Factorization, NotAMultipleError, order_parts
 
 from subjects import CyclicGroup, brute_force_dlp
 
@@ -394,32 +395,116 @@ def test_factor_solver_rejects_non_multiple_order(base_jac, pinned_generator):
             solve_extension_dlp(base_jac, pinned_generator, target, Factorization.from_int(n))
 
 
-def test_extension_dlp_makes_one_order_search_per_factor(monkeypatch):
-    # n_A is the modulus of the curve-side Pohlig-Hellman, and t is checked by
-    # the fiber side's own order search: no third search
-    params = make_toy_params(10007, 1)
-    jac, units = params.jacobian(), params.units()
-    rng = random.Random(1)
+def _split_instance(params, rng):
+    """(g, n_A, t, ord(g), k, k * g) for a g = (P, u) drawn from rng with ord(P) > 1 and t != 1."""
+    units = params.units()
     while True:
         gen = ExtElement(params.curve.random_point(rng), units.sample(rng))
         n_a = element_order(params.curve, gen.a_part, params.curve_order)
-        t = jac.scalar_mul(n_a, gen).b_part
+        t = params.jacobian().scalar_mul(n_a, gen).b_part
         if n_a > 1 and t != units.identity:
             break
-    n = element_order(jac, gen, params.jacobian_order())
+    n = element_order(params.jacobian(), gen, params.jacobian_order())
     secret = rng.randrange(n)
-    target = jac.scalar_mul(secret, gen)
-    searched = []
+    return gen, n_a, t, n, secret, params.jacobian().scalar_mul(secret, gen)
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The elements `order_parts` searches while the test runs."""
+    found = []
 
     def counting(add, identity, x, multiple):
-        searched.append(x)
+        found.append(x)
         return order_parts(add, identity, x, multiple)
 
     monkeypatch.setattr(groups, "order_parts", counting)
     monkeypatch.setattr(dlp, "order_parts", counting)
-    sol = solve_extension_dlp(jac, gen, target, params.jacobian_order().divisor(n))
+    return found
+
+
+def test_extension_dlp_makes_one_order_search_per_factor(searched):
+    # on a group that has not ordered g, n_A is the modulus of the curve-side
+    # Pohlig-Hellman and t is checked by the fiber side's own order search: no third
+    params = make_toy_params(10007, 1)
+    gen, _, t, n, secret, target = _split_instance(params, random.Random(1))
+    searched.clear()
+    sol = solve_extension_dlp(params.jacobian(), gen, target, params.jacobian_order().divisor(n))
     assert (sol.exponent, sol.order) == (secret, n)
     assert searched == [gen.a_part, t]
+
+
+def test_extension_dlp_reads_the_order_search_of_its_group(searched):
+    # after element_order on the same group, as in the attack flow, the solver
+    # searches nothing and finds what it finds on a group that never ordered g
+    params = make_toy_params(10007, 1)
+    gen, _, t, n, secret, target = _split_instance(params, random.Random(1))
+    order = params.jacobian_order().divisor(n)
+    cold = solve_extension_dlp(params.jacobian(), gen, target, order)
+    jac = params.jacobian()
+    searched.clear()
+    assert element_order(jac, gen, params.jacobian_order()) == n
+    assert searched == [gen.a_part, t]
+    searched.clear()
+    assert solve_extension_dlp(jac, gen, target, order) == cold
+    assert searched == []
+    assert cold.exponent == secret
+
+
+def _attack_flow(params, seed):
+    # what `genjac attack` does, on a group of its own, with its products, inversions and solution
+    rng = random.Random(seed)
+    with count_mults() as counted:
+        jac = params.jacobian()
+        gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n = element_order(jac, gen, params.jacobian_order())
+        target = jac.scalar_mul(rng.randrange(n), gen)
+        solution = solve_extension_dlp(jac, gen, target, params.jacobian_order().divisor(n))
+    return counted.by_degree, counted.inversions, solution
+
+
+def test_no_order_search_leaks_between_groups():
+    # a search is remembered by the group that ran it, never by the curve, the
+    # field or the process: the same flow on a new group pays the same again
+    params = make_toy_params(10007, 1)
+    first = _attack_flow(params, 1)
+    assert first == _attack_flow(params, 1)
+    assert first[0][1] > 0 and first[2].order > 1
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_remembered_search_still_refuses_a_non_multiple(side, monkeypatch):
+    # n / l misses ord(P) when l divides n_A but not ord(t), and then the curve
+    # side refuses; it misses ord(t) when l divides ord(t), and the fiber side does
+    params = make_toy_params(10007, 1)
+    rng = random.Random(1)
+    while True:
+        gen, n_a, _, n, _, target = _split_instance(params, rng)
+        n_t = n // n_a
+        primes = [l for l, _ in Factorization.from_int(n_a if side == "A" else n_t).factors
+                  if side == "B" or n_t % l]
+        if primes:
+            break
+    short = Factorization.from_int(n // primes[0])
+    refused_in = []
+    honest = dlp.pohlig_hellman
+
+    def recording(group, *args, **kwargs):
+        refused_in.append(group)
+        return honest(group, *args, **kwargs)
+
+    monkeypatch.setattr(dlp, "pohlig_hellman", recording)
+    texts = []
+    for warm in (False, True):
+        jac = params.jacobian()
+        if warm:
+            element_order(jac, gen, params.jacobian_order())
+        refused_in.clear()
+        with pytest.raises(NotAMultipleError) as refused:
+            solve_extension_dlp(jac, gen, target, short)
+        assert refused_in[-1] is (jac.a_group if side == "A" else jac.b_group)
+        texts.append(str(refused.value))
+    assert texts == [f"{short.n} is not a multiple of the element's order"] * 2
 
 
 def _ladder_adds(n: int) -> int:

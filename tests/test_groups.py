@@ -7,11 +7,12 @@ import pytest
 
 from genjac import groups, make_toy_params
 from genjac.curve import Curve, SupportCollisionError, element_order as point_order
-from genjac.field import FieldElement, count_mults
+from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import (
     Cocycle,
     ExtElement,
     ExtensionGroup,
+    Group,
     MultiplicativeGroup,
     ZeroCocycle,
     element_order,
@@ -22,7 +23,7 @@ from genjac.groups import (
 )
 from genjac.dlp import pohlig_hellman, solve_extension_dlp
 from genjac.jacobian import ModulusCocycle
-from genjac.numbertheory import Factorization, order_parts
+from genjac.numbertheory import Factorization, NotAMultipleError, order_parts
 
 from subjects import CoboundaryCocycle, CyclicGroup
 
@@ -110,6 +111,28 @@ def test_scalar_mul_generic(rng):
         x = G.sample(rng)
         n = rng.randrange(-200, 200)
         assert G.scalar_mul(n, x) == (n * x) % 97
+
+
+@pytest.mark.parametrize("field", [PrimeField(11), ExtField(PrimeField(11), (1, 0, 1)),
+                                   ExtField(PrimeField(10007), (1, 0, 1))], ids=lambda f: f.name)
+def test_unit_scalar_mul_is_the_ladder_in_one_power_call(field):
+    # one pow_coeffs call gives the generic ladder's value, products and
+    # inversions; n < 0 inverts once, n = 0 is the identity
+    U, rng = MultiplicativeGroup(field), random.Random(field.order)
+    p = field.p
+    for n in [-3, -1, 0, 1, 2] + [rng.randrange(p * p) for _ in range(20)]:
+        x = U.sample(rng)
+        with count_mults() as ladder:
+            expected = Group.scalar_mul(U, n, x)
+        with count_mults() as power:
+            assert U.scalar_mul(n, x) == expected, n
+        assert (power.by_degree, power.inversions) == (ladder.by_degree, ladder.inversions), n
+        if -3 <= n <= 2:  # repeated addition stays the oracle
+            step = x if n >= 0 else U.neg(x)
+            total = U.identity
+            for _ in range(abs(n)):
+                total = U.add(total, step)
+            assert expected == total, n
 
 
 def test_zero_cocycle_extension_is_componentwise():
@@ -449,6 +472,27 @@ def test_a_ladder_that_raises_is_not_remembered():
         with pytest.raises(SupportCollisionError):
             jac.scalar_mul(2, x)
     assert not jac._ladders
+
+
+def test_remembered_searches_are_bounded_and_a_refused_search_is_not_kept():
+    # element_order keeps the factor searches of its last LADDER_MEMO elements,
+    # oldest dropped first, and ordering a kept element again searches nothing
+    params = make_toy_params(103, 1)
+    jac, rng, multiple = params.jacobian(), random.Random(103), params.jacobian_order()
+    xs = [jac.sample(rng) for _ in range(groups.LADDER_MEMO + 1)]
+    orders = [element_order(jac, x, multiple) for x in xs]
+    assert list(jac.searches) == xs[1:] and min(orders) > 1
+    assert _products(lambda: element_order(jac, xs[-1], multiple)) == 0
+    assert _products(lambda: element_order(jac, xs[0], multiple)) > 0
+    # a kept element is still refused a multiple of all but one prime of its
+    # order, as on a fresh group, and a refused search is not kept
+    x, n, fresh = xs[-1], orders[-1], params.jacobian()
+    short = Factorization.from_int(n // Factorization.from_int(n).factors[0][0])
+    for group in (jac, fresh):
+        with pytest.raises(NotAMultipleError, match=f"^{short.n} is not a multiple of the element's order$"):
+            element_order(group, x, short)
+    assert element_order(jac, x, Factorization.from_int(n)) == n
+    assert not fresh.searches
 
 
 def test_sample_admissible_triples_counts(toy, rng):

@@ -383,6 +383,21 @@ def test_group_law_extraction_refuses_a_surviving_curve_part(toy, monkeypatch):
         tate_from_group_law(toy.curve.point(0, 0), toy)
 
 
+def test_group_law_extraction_takes_the_callers_pairing_order(toy, monkeypatch):
+    # with m given, no pairing order is searched and TATE_TABLE still reads the
+    # same; an m that does not kill P is refused as before
+    given = [(P, pairing_order(P, toy)) for P in toy.curve.enumerate_points()]
+
+    def refuse(P, params):
+        raise AssertionError("searched the pairing order the caller gave")
+
+    monkeypatch.setattr(jacobian, "pairing_order", refuse)
+    for P, m in given:
+        assert tate_from_group_law(P, toy, m).serialize() == TATE_TABLE[P.serialize()][0]
+    with pytest.raises(ArithmeticError, match="failed to kill the curve component"):
+        tate_from_group_law(toy.curve.point(0, 0), toy, 1)
+
+
 def test_reduced_bilinearity(toy, rng):
     E = toy.curve
     pts = [p for p in E.enumerate_points() if not p.is_infinity]
