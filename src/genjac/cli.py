@@ -63,9 +63,9 @@ def _cmd_gen_params(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pairing_values(P, params):
+def _pairing_values(P, params, point_order=None):
     """The pairing order m of P and P's unreduced pairing value by the group law and by Miller."""
-    m = pairing_order(P, params)
+    m = pairing_order(P, params, point_order)
     return m, tate_from_group_law(P, params, m), tate_by_miller(P, params.modulus.M, params.modulus.N, m)
 
 
@@ -104,8 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_pairing(args: argparse.Namespace) -> int:
     params = load_params(args.params)
     P = params.curve.parse_point(args.point)
-    m, lhs, rhs = _pairing_values(P, params)
     point_order = element_order(params.curve, P, params.curve_order)
+    m, lhs, rhs = _pairing_values(P, params, point_order)
     print(f"point: {P.serialize()} (order {point_order})")
     print(f"pairing order: {m}")
     print(f"group-law value: {lhs.serialize()}")

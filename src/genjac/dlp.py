@@ -8,7 +8,8 @@ the base group A, and the modulus it returns is n_A, the projection's order.
 The second solves in the fiber B for the value t that n_A * g = (O, t)
 carries.  The extension itself is never searched and pays only for a few
 scalar multiplications: an extension group remembers its last ladders and
-`order_parts`, so n_A * g, k * g and both searches run once in the attack.
+searches, so n_A * g and both searches run once, and k * g splits into a
+ladder below n_A and one power in B, which the solver reads back.
 `pohlig_hellman` reads the generator's exact order, l-parts and digit
 generators off `order_parts` against any factored multiple n' of that order,
 its own or remembered, projects by n', and its digit ladders stay below l^f.
@@ -173,13 +174,13 @@ def solve_extension_dlp(
     if not isinstance(group, ExtensionGroup):
         raise TypeError("solve_extension_dlp only applies to extension groups")
     A, B, n = group.a_group, group.b_group, order.n
-    a_parts, b_parts = group.searches.get(generator, (None, None))
+    a_parts, b_parts, _, t = group.searches.get(generator, (None, None, None, None))
     try:
         base_log = _factor_log(
             A, generator.a_part, target.a_part, group.a_multiple(order), "projected-to-A", a_parts
         )
         n_a = base_log.order
-        t = group.scalar_mul(n_a, generator).b_part
+        t = group.scalar_mul(n_a, generator).b_part if t is None else t
         rest = group.sub(target, group.scalar_mul(base_log.exponent, generator))
         fiber_log = _factor_log(B, t, rest.b_part, order.divisor(n // n_a), "pulled-back-to-B", b_parts)
     except NotAMultipleError:

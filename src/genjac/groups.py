@@ -6,8 +6,8 @@ A x B into a commutative group:
     (a1, b1) + (a2, b2) = (a1 + a2, b1 + b2 + c(a1, a2))
 
 with identity (0, 0) and inverse (-a, -(b + c(a, -a))).  Embedding B as
-{(0, b)} and projecting to A makes 0 -> B -> C -> A -> 0 exact; that
-exactness is what the discrete-log reduction in dlp.py exploits.  All
+{(0, b)} and projecting to A makes 0 -> B -> C -> A -> 0 exact; dlp.py's
+reduction and the split `ExtensionGroup.scalar_mul` exploit that.  All
 backends write their law additively, including the multiplicative group
 of a field, whose units are their field coefficients (its add is
 `mul_coeffs`), so the same extension machinery covers every case.  This
@@ -155,12 +155,21 @@ class ExtensionGroup(Group):
         self.b_group = cocycle.b_group
         self.a_order = a_order
         self._ladders: dict = {}  # (n, x) -> n * x, oldest first
-        self.searches: dict = {}  # x -> `order_parts` of x.a_part and of t, oldest first: see `element_order`
+        self.searches: dict = {}  # x -> (parts of x.a_part, parts of t, n_A, t), oldest first: see `element_order`
 
     def scalar_mul(self, n: int, x: ExtElement) -> ExtElement:
-        """`Group.scalar_mul`, its last LADDER_MEMO results kept by (n, x); a ladder that raises keeps nothing."""
+        """`Group.scalar_mul`, its last LADDER_MEMO results kept by (n, x); a ladder that raises keeps nothing.
+
+        Once `element_order` has searched x, so n_A * x = (0, t), n = q * n_A + r > n_A
+        splits: with (R, beta) = r * x, n * x = (R, beta) + (0, t^q) = (R, beta * t^q)."""
         if (found := self._ladders.get((n, x))) is None:
-            found = self._ladders[n, x] = super().scalar_mul(n, x)
+            *_, n_a, t = self.searches.get(x, (None, None, n, None))  # an x never searched: n_A = n
+            if n > n_a:  # a ladder below n_A in A x B and one power in B; c(R, 0) = 0
+                (q, r), B = divmod(n, n_a), self.b_group
+                R, beta = self.scalar_mul(r, x)
+                found = self._ladders[n, x] = ExtElement(R, B.add(beta, B.scalar_mul(q, t)))
+            else:
+                found = self._ladders[n, x] = super().scalar_mul(n, x)
             if len(self._ladders) > LADDER_MEMO:
                 del self._ladders[next(iter(self._ladders))]
         return found
@@ -209,8 +218,8 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
     as a normalized cocycle makes {(0, b)} a copy of B; ord(t) is found in B
     against n / n_A.  Both searches test that n is a multiple of ord(x), a
     wrong `a_order` failing only the first, and a failure names n.  The group
-    keeps both searches' parts for its last LADDER_MEMO x: ordering x again
-    only tests n, and `solve_extension_dlp` on x searches neither factor.
+    keeps both searches' parts, n_A and t for its last LADDER_MEMO x: ordering x
+    again only tests n, and `solve_extension_dlp` and `scalar_mul` on x reuse them.
     """
     if not isinstance(group, ExtensionGroup):
         return math.prod(l**f for l, _, f, _, _ in order_parts(group.add, group.identity, x, order_multiple))
@@ -220,12 +229,12 @@ def element_order(group: Group, x, order_multiple: Factorization) -> int:
             a_parts = order_parts(A.add, A.identity, x.a_part, group.a_multiple(order_multiple))
             t = group.scalar_mul(n_a := math.prod(l**f for l, _, f, _, _ in a_parts), x).b_part
             b_parts = order_parts(B.add, B.identity, t, order_multiple.divisor(n // n_a))
-            parts = group.searches[x] = a_parts, b_parts
+            parts = group.searches[x] = a_parts, b_parts, n_a, t
             if len(group.searches) > LADDER_MEMO:
                 del group.searches[next(iter(group.searches))]
     except NotAMultipleError:
         parts = None
-    if parts is None or n % (exact := math.prod(l**f for ps in parts for l, _, f, _, _ in ps)):
+    if parts is None or n % (exact := parts[2] * math.prod(l**f for l, _, f, _, _ in parts[1])):
         raise NotAMultipleError(f"{n} is not a multiple of the element's order")
     return exact
 

@@ -169,11 +169,11 @@ def curve_orders(E: Curve) -> tuple[int, int]:
     return p + 1 - t, (p + 1) ** 2 - t * t
 
 
-def pairing_order(P: Point, params: GenJacParams) -> int:
-    """lcm of the orders of P in E(k) and of M - N in E(K)."""
+def pairing_order(P: Point, params: GenJacParams, n: int | None = None) -> int:
+    """lcm of the orders of P in E(k), searched unless the caller gives it as n, and of M - N in E(K)."""
     if P.curve is not params.curve:
         raise ValueError("P must lie on the base curve")
-    return math.lcm(element_order(P, params.curve_order), params.modulus_order)
+    return math.lcm(element_order(P, params.curve_order) if n is None else n, params.modulus_order)
 
 
 def tate_from_group_law(P: Point, params: GenJacParams, m: int | None = None) -> FieldElement:

@@ -8,7 +8,7 @@ from genjac import bench
 from genjac.bench import CSV_HEADER, MAX_RESAMPLE_FACTOR, BenchInvariantError, run_benchmark
 from genjac.curve import Curve
 from genjac.field import count_mults
-from genjac.groups import ExtElement, ExtensionGroup, MultiplicativeGroup, SupportCollisionError
+from genjac.groups import ExtElement, ExtensionGroup, MultiplicativeGroup, SupportCollisionError, element_order
 from genjac.jacobian import ModulusCocycle, make_toy_params
 
 # frozen run: seed 2, 6 trials, 6-bit scalars, toy params seed 7
@@ -145,6 +145,29 @@ def test_a_repeated_trial_is_priced_again(toy):
     second = bench._measure(jac, 3, x)
     assert first[0] == second[0] > 0
     assert first[1] == second[1] and first[3] == second[3]
+
+
+def test_a_trial_never_takes_the_split(toy, monkeypatch):
+    # once a group has ordered x, its own n * x is a ladder below ord(x.a_part) and
+    # one fiber power; claim 3 prices the whole ladder, so a trial on that group
+    # still makes L(n) extension adds
+    jac, rng = toy.jacobian(ext=True), random.Random(2)
+    multiple = toy.ext_curve_order.merge(toy.unit_order)
+    while True:
+        x = ExtElement(toy.ext_curve.random_point(rng), toy.units().sample(rng))
+        try:
+            order = element_order(jac, x, multiple)
+            break
+        except SupportCollisionError:
+            continue
+    adds = []
+    honest = ExtensionGroup.add
+    monkeypatch.setattr(ExtensionGroup, "add", lambda *args: adds.append(1) or honest(*args))
+    n = 3 * order + 5
+    measured = bench._measure(jac, n, x)
+    assert len(adds) == n.bit_length() + n.bit_count() - 2
+    adds.clear()
+    assert jac.scalar_mul(n, x) == measured[3] and len(adds) < n.bit_length() + n.bit_count() - 2
 
 
 def test_cost_ordering_across_seeds(toy):

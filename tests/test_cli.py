@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from genjac import params_from_text, params_to_text, run_benchmark
+from genjac import groups, params_from_text, params_to_text, run_benchmark
 from genjac.bench import CSV_HEADER
 from genjac.cli import main
 
@@ -88,6 +88,21 @@ def test_pairing_pinned_output(params_file, capsys, readme):
     assert main(["pairing", "--params", params_file, "--point", "5;3"]) == 0
     assert capsys.readouterr().out == PAIRING_OUTPUT
     assert f'$ genjac pairing --params params.txt --point "5;3"\n{PAIRING_OUTPUT}' in readme
+
+
+def test_pairing_searches_its_point_once(params_file, capsys, monkeypatch):
+    # one order search of P gives both the "point:" line and the pairing order m
+    searched = []
+    honest = groups.order_parts
+
+    def recording(add, identity, x, multiple):
+        searched.append(x.serialize())
+        return honest(add, identity, x, multiple)
+
+    monkeypatch.setattr(groups, "order_parts", recording)
+    assert main(["pairing", "--params", params_file, "--point", "5;3"]) == 0
+    assert capsys.readouterr().out == PAIRING_OUTPUT
+    assert searched.count("5;3") == 1
 
 
 def test_pairing_identity_point(params_file, capsys):

@@ -516,8 +516,9 @@ def _ladder_adds(n: int) -> int:
 def test_extension_dlp_adds_only_to_make_the_split(source, monkeypatch):
     # claim 2 as a count: on a fresh group the solver runs n_A * g, k0 * g, one
     # subtraction and the lift check k * g; in the attack flow the order search has
-    # run n_A * g and the caller k * g on the same group, so only k0 * g and the
-    # subtraction are left
+    # run n_A * g on the same group, so the caller's k * g is the ladder k0 * g,
+    # k0 = k mod n_A, and one fiber power, and the solver only subtracts (warm
+    # identity L(k0) + 1 adds before the split)
     if source.startswith("ordinary"):
         params = load_params(Path(__file__).parent / "data" / f"{source}.txt")
     else:
@@ -535,21 +536,25 @@ def test_extension_dlp_adds_only_to_make_the_split(source, monkeypatch):
     count("add")
     count("neg")
     rng = random.Random(1)
-    split = 0
+    split = shortened = 0
     for _ in range(20):
         warm = params.jacobian()
         gen = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
         n = element_order(warm, gen, params.jacobian_order())
         order, secret = params.jacobian_order().divisor(n), rng.randrange(n)
-        target = warm.scalar_mul(secret, gen)
         n_a = element_order(params.curve, gen.a_part, params.curve_order)
         k0 = secret % n_a
-        split += _ladder_adds(n_a) + _ladder_adds(secret) > 0
+        made.update(add=0, neg=0)
+        target = warm.scalar_mul(secret, gen)
+        assert made == {"add": _ladder_adds(k0), "neg": 0}, (n_a, k0, secret)
+        split += _ladder_adds(n_a) + _ladder_adds(k0) + _ladder_adds(secret) > 0
+        shortened += _ladder_adds(k0) != _ladder_adds(secret)
         for jac, adds in (
             (params.jacobian(), _ladder_adds(n_a) + _ladder_adds(k0) + 1 + _ladder_adds(secret)),
-            (warm, _ladder_adds(k0) + 1),
+            (warm, 1),
         ):
             made.update(add=0, neg=0)
             assert solve_extension_dlp(jac, gen, target, order).exponent == secret
             assert made == {"add": adds, "neg": 1}, (jac is warm, n_a, k0, secret)
-    assert split == 20  # every instance tells the two identities apart
+    # on every instance the cold and warm counts differ, and so do k * g's split and full ladder
+    assert split == shortened == 20

@@ -404,12 +404,13 @@ def test_counter_nesting(F):
 def test_cli_counts_by_degree_p103(tmp_path):
     # pinned counts of one verify pass and one attack at p = 103, seed 1; a
     # line fraction with no add behind it also makes y(P+Q)'s product, a
-    # pairing check orders P once, and the attack runs n_A * g, k * g and each
-    # factor's order search once, the group remembering them
+    # pairing check orders P once, and the attack runs n_A * g and each factor's
+    # order search once, the group remembering them; k * g is then
+    # (k mod n_A) * g and one fiber power (attack {1: 687, 2: 363} before the split)
     params = make_toy_params(103, seed=1)
     path = tmp_path / "p103.txt"
     path.write_text(params_to_text(params))
-    for command, by_degree in (("verify", {1: 1437, 2: 38556}), ("attack", {1: 687, 2: 363})):
+    for command, by_degree in (("verify", {1: 1437, 2: 38556}), ("attack", {1: 613, 2: 240})):
         # fields are interned: forget the square-root non-residue an earlier run found
         params.curve.field._nonresidue_t = params.ext_curve.field._nonresidue_t = None
         with count_mults() as c:
@@ -419,8 +420,9 @@ def test_cli_counts_by_degree_p103(tmp_path):
 
 def test_cli_attack_counts_by_degree_at_the_largest_prime(tmp_path, capsys):
     # pinned counts of one attack at p = 2^61 - 1, seed 1, where every F_p
-    # chord runs on word-size ints; p + 1 = 2^61 and p - 1 is smooth, and
-    # n_A * g, k * g and each factor's order search run once each
+    # chord runs on word-size ints; p + 1 = 2^61 and p - 1 is smooth, n_A * g
+    # and each factor's order search run once each, and k * g splits into
+    # (k mod n_A) * g and one fiber power ({1: 17258, 2: 9852} before the split)
     params = make_toy_params(2**61 - 1, seed=1)
     path = tmp_path / "p61.txt"
     path.write_text(params_to_text(params))
@@ -429,7 +431,7 @@ def test_cli_attack_counts_by_degree_at_the_largest_prime(tmp_path, capsys):
     with count_mults() as c:
         assert main(["attack", "--params", str(path), "--seed", "1"]) == 0
     assert "verified: true" in capsys.readouterr().out.splitlines()
-    assert c.by_degree == {1: 17258, 2: 9852}
+    assert c.by_degree == {1: 16298, 2: 8198}
 
 
 def test_fields_are_interned(F, K):

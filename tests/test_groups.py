@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from genjac import groups, make_toy_params
+from genjac import groups, load_params, make_toy_params
 from genjac.curve import Curve, SupportCollisionError, element_order as point_order
 from genjac.field import ExtField, FieldElement, PrimeField, count_mults
 from genjac.groups import (
@@ -493,6 +493,84 @@ def test_remembered_searches_are_bounded_and_a_refused_search_is_not_kept():
             element_order(group, x, short)
     assert element_order(jac, x, Factorization.from_int(n)) == n
     assert not fresh.searches
+
+
+def _searched_split(params, rng):
+    """(warm, g, n_A, ord(g)): g = (P, u) drawn from rng with n_A = ord(P) > 1 and n_A * g = (O, t),
+    t != 1 and t != u^n_A, ordered by `element_order` on the group warm."""
+    while True:
+        g = ExtElement(params.curve.random_point(rng), params.units().sample(rng))
+        n_a = point_order(g.a_part, params.curve_order)
+        t = params.jacobian().scalar_mul(n_a, g).b_part
+        if n_a > 1 and t not in (params.units().identity, params.units().scalar_mul(n_a, g.b_part)):
+            break
+    warm = params.jacobian()
+    return warm, g, n_a, element_order(warm, g, params.jacobian_order())
+
+
+@pytest.mark.parametrize("source", ["p103", "p10007", "ordinary-p101", "ordinary-p103"])
+def test_a_searched_element_splits_its_ladders(source):
+    # once element_order has ordered g, n * g is (n mod n_A) * g plus one power of t
+    # in the fiber; every answer equals a fresh group's full ladder, for n below,
+    # at and past n_A and ord(g), negative n, and an element the group never ordered
+    if source.startswith("ordinary"):
+        params = load_params(Path(__file__).parent / "data" / f"{source}.txt")
+    else:
+        params = make_toy_params(int(source[1:]), 1)
+    rng = random.Random(source)
+    warm, g, n_a, n = _searched_split(params, rng)
+    h = warm.sample(rng)
+    scalars = [0, 1, n_a - 1, n_a, n_a + 1, 3 * n_a, n - 1, n, n + 5, -7]
+    scalars += [rng.randrange(4 * params.jacobian_order().n) for _ in range(20)]
+    for k in scalars:
+        assert warm.scalar_mul(k, g) == Group.scalar_mul(params.jacobian(), k, g), k
+    for k in scalars[-5:]:
+        assert warm.scalar_mul(k, h) == Group.scalar_mul(params.jacobian(), k, h), k
+    assert list(warm.searches) == [g]
+
+
+def test_split_ladders_against_repeated_addition(toy):
+    rng = random.Random(11)
+    for _ in range(3):
+        warm, g, _, n = _searched_split(toy, rng)
+        total = warm.identity
+        for k in range(2 * n + 3):
+            assert warm.scalar_mul(k, g) == total, k
+            total = warm.add(total, g)
+
+
+def test_an_evicted_ladder_still_splits(monkeypatch):
+    # the search keeps t, so once LADDER_MEMO other ladders have pushed n_A * g
+    # out, n * g still runs its ladder in A x B only below n_A
+    params = make_toy_params(103, 1)
+    warm, g, n_a, n = _searched_split(params, random.Random(103))
+    h = warm.sample(random.Random(1))
+    for k in range(groups.LADDER_MEMO + 1):
+        warm.scalar_mul(1000 + k, h)
+    assert (n_a, g) not in warm._ladders and g in warm.searches
+    adds = []
+    honest = ExtensionGroup.add
+    monkeypatch.setattr(ExtensionGroup, "add", lambda *args: adds.append(1) or honest(*args))
+    k, r = 3 * n + n_a - 1, n_a - 1
+    got = warm.scalar_mul(k, g)
+    assert len(adds) == (r.bit_length() + r.bit_count() - 2 if r > 1 else 0)
+    monkeypatch.setattr(ExtensionGroup, "add", honest)
+    assert got == Group.scalar_mul(params.jacobian(), k, g)
+
+
+@pytest.mark.parametrize("p", [103, 10007])
+def test_a_direct_product_splits_into_its_factors(p):
+    # with the zero cocycle, t = b^n_A, and n * (P, b) must read (n * P, b^n)
+    params = make_toy_params(p, 1)
+    E, U = params.curve, params.units()
+    product = ExtensionGroup(ZeroCocycle(E, U), params.curve_order.n)
+    rng = random.Random(p)
+    g = ExtElement(E.random_point(rng), U.sample(rng))
+    n = element_order(product, g, params.jacobian_order())
+    n_a = point_order(g.a_part, params.curve_order)
+    assert n_a > 1 and g in product.searches
+    for k in [0, 1, n_a - 1, n_a + 1, 3 * n_a, n - 1, n + 5, -7] + [rng.randrange(4 * n) for _ in range(10)]:
+        assert product.scalar_mul(k, g) == (E.scalar_mul(k, g.a_part), U.scalar_mul(k, g.b_part)), k
 
 
 def test_sample_admissible_triples_counts(toy, rng):
